@@ -16,12 +16,13 @@ import concurrent.futures
 import os
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .divisibility import divisibility_records, nm_cptp
-from .engine import SimulationConfig, env_ancilla_cm, iter_steps, joint_cm_closed_form, run
-from .errors import GaussCollideError
+from .engine import SimulationConfig, iter_env_ancilla_cms, iter_steps, joint_cm_closed_form, run
+from .errors import DegenerateCovarianceError, GaussCollideError
 from .states import EnvironmentSpec, JointSpec, reduce_to_modes
 from .steering import (
     Direction,
@@ -34,6 +35,7 @@ from .steering import (
 )
 
 ENV_FAMILIES = ("vacuum", "thermal", "squeezed", "squeezed-thermal")
+FORMATS = ("csv", "jsonl")
 
 _ANGLE_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)?)pi(?:/(\d+\.?\d*|\.\d+))?$")
 
@@ -149,59 +151,27 @@ def emit(header, rows, fmt: str, out_path):
         sys.stdout.write(text)
 
 
-def _resolve(args, cfg, key, default=None, convert=None):
-    val = getattr(args, key, None)
-    if val is None and key in cfg:
-        val = cfg[key]
-    if val is None:
-        return default
-    if convert is not None and isinstance(val, str):
-        return convert(val)
-    return val
-
-
-def _resolve_env(args, cfg, parser) -> EnvironmentSpec:
-    family = _resolve(args, cfg, "env", default="vacuum")
-    if family not in ENV_FAMILIES:
-        parser.error(f"unknown environment family {family!r}")
-    n = _resolve(args, cfg, "n", default=0.0, convert=float)
-    zeta = _resolve(args, cfg, "zeta", default=0.0, convert=float)
-    phi_env = _resolve(args, cfg, "phi_env", default=0.0, convert=parse_angle)
-    if family == "vacuum" and (n != 0.0 or zeta != 0.0):
-        parser.error("--env vacuum does not take --n or --zeta; pick another family")
-    if family == "thermal" and zeta != 0.0:
-        parser.error("--env thermal does not take --zeta")
-    if family == "squeezed" and n != 0.0:
-        parser.error("--env squeezed does not take --n; use squeezed-thermal")
-    return EnvironmentSpec(n=n, zeta=zeta, phi_env=phi_env)
-
-
-def _resolve_common(args, parser):
-    cfg = load_config_file(args.config) if getattr(args, "config", None) else {}
-    phi = _resolve(args, cfg, "phi", default=0.0, convert=parse_angle)
-    xi = _resolve(args, cfg, "xi", default=1.0, convert=float)
-    steps = _resolve(args, cfg, "steps", default=250, convert=int)
-    env = _resolve_env(args, cfg, parser)
-    fmt = _resolve(args, cfg, "format", default="csv")
-    if fmt not in ("csv", "jsonl"):
-        parser.error(f"unknown format {fmt!r}")
-    return cfg, phi, xi, steps, env, fmt
-
-
-def _require_r(args, cfg, parser):
-    r1 = _resolve(args, cfg, "r1", convert=float)
-    r2 = _resolve(args, cfg, "r2", convert=float)
+def _simulation_config(args, parser, r1, r2) -> SimulationConfig:
+    """Configuration from the common flags with reflectivities r1, r2."""
     if r1 is None or r2 is None:
         parser.error("--r1 and --r2 are required (flag or config file)")
-    return r1, r2
+    # argparse checks `choices` on flags but not on config-file defaults.
+    if args.env not in ENV_FAMILIES:
+        parser.error(f"unknown environment family {args.env!r}")
+    if args.env == "vacuum" and (args.n != 0.0 or args.zeta != 0.0):
+        parser.error("--env vacuum does not take --n or --zeta; pick another family")
+    if args.env == "thermal" and args.zeta != 0.0:
+        parser.error("--env thermal does not take --zeta")
+    if args.env == "squeezed" and args.n != 0.0:
+        parser.error("--env squeezed does not take --n; use squeezed-thermal")
+    return SimulationConfig(
+        r1=r1, r2=r2, phi_shift=args.phi, joint=JointSpec(xi=args.xi),
+        env=EnvironmentSpec(n=args.n, zeta=args.zeta, phi_env=args.phi_env), L=args.steps,
+    )
 
 
 def cmd_evolve(args, parser) -> int:
-    cfg, phi, xi, steps, env, fmt = _resolve_common(args, parser)
-    r1, r2 = _require_r(args, cfg, parser)
-    config = SimulationConfig(
-        r1=r1, r2=r2, phi_shift=phi, joint=JointSpec(xi=xi), env=env, L=steps
-    )
+    config = _simulation_config(args, parser, args.r1, args.r2)
     traj = run(config)
     if args.oracle:
         _verify_against_oracle(config)
@@ -236,17 +206,13 @@ def cmd_evolve(args, parser) -> int:
                 bool(rec.skipped) if rec is not None else False,
             )
         )
-    emit(header, rows, fmt, args.out)
+    emit(header, rows, args.format, args.out)
     return 0
 
 
 def _verify_against_oracle(config: SimulationConfig) -> None:
     """Full-chain symplectic propagation cross-check of the closed form."""
-    oracle_cfg = SimulationConfig(
-        r1=config.r1, r2=config.r2, phi_shift=config.phi_shift,
-        joint=config.joint, env=config.env, L=config.L, oracle_enabled=True,
-    )
-    for _, coeffs, sigma in iter_steps(oracle_cfg):
+    for _, coeffs, sigma in iter_steps(replace(config, oracle_enabled=True)):
         closed = joint_cm_closed_form(coeffs, config.joint, config.env)
         reduced = reduce_to_modes(sigma, [0, 1])
         err = float(np.max(np.abs(closed - reduced)))
@@ -256,12 +222,7 @@ def _verify_against_oracle(config: SimulationConfig) -> None:
             )
 
 
-def _scan_cell(task):
-    r1, r2, phi, xi, n, zeta, phi_env, steps = task
-    config = SimulationConfig(
-        r1=r1, r2=r2, phi_shift=phi, joint=JointSpec(xi=xi),
-        env=EnvironmentSpec(n=n, zeta=zeta, phi_env=phi_env), L=steps,
-    )
+def _scan_cell(config: SimulationConfig):
     traj = run(config)
     return (
         nm_from_steering(steering_series(traj, Direction.B_TO_A)),
@@ -271,85 +232,61 @@ def _scan_cell(task):
 
 
 def cmd_scan(args, parser) -> int:
-    cfg, phi, xi, steps, env, fmt = _resolve_common(args, parser)
-    if steps < 2:
+    if args.steps < 2:
         parser.error("scan needs --steps >= 2")
-    grid_r1 = _resolve(args, cfg, "grid_r1", convert=parse_values)
-    grid_r2 = _resolve(args, cfg, "grid_r2", convert=parse_values)
-    if grid_r1 is None or grid_r2 is None:
-        parser.error("--grid-r1 and --grid-r2 are required")
-    if len(grid_r1) < 2 or len(grid_r2) < 2:
-        parser.error("each grid axis needs at least 2 points")
-    jobs = _resolve(args, cfg, "jobs", convert=int)
-    if jobs is None:
-        jobs = int(os.environ.get("GAUSSCOLLIDE_JOBS", "1"))
-    if jobs < 1:
+    if len(args.grid_r1) < 2 or len(args.grid_r2) < 2:
+        parser.error("--grid-r1 and --grid-r2 are required, with at least 2 points each")
+    if args.jobs < 1:
         parser.error("--jobs must be >= 1")
+    base = _simulation_config(args, parser, args.grid_r1[0], args.grid_r2[0])
+    cells = [replace(base, r1=r1, r2=r2) for r1 in args.grid_r1 for r2 in args.grid_r2]
 
-    tasks = [
-        (r1, r2, phi, xi, env.n, env.zeta, env.phi_env, steps)
-        for r1 in grid_r1
-        for r2 in grid_r2
-    ]
-    if jobs == 1:
-        results = [_scan_cell(t) for t in tasks]
+    # Bounded: a fork-started pool launches all its workers at the first submit.
+    workers = min(args.jobs, len(cells), os.cpu_count() or 1)
+    if workers == 1:
+        results = [_scan_cell(cell) for cell in cells]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_cell, tasks, chunksize=8))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_scan_cell, cells, chunksize=8))
 
     header = ["r1", "r2", "n_gs_s_to_an", "n_gs_an_to_s", "n_cptp"]
-    rows = [
-        (task[0], task[1], res[0], res[1], res[2])
-        for task, res in zip(tasks, results)
-    ]
-    emit(header, rows, fmt, args.out)
+    rows = [(cell.r1, cell.r2, *res) for cell, res in zip(cells, results)]
+    emit(header, rows, args.format, args.out)
     return 0
 
 
 def cmd_transport(args, parser) -> int:
-    cfg, phi, xi, steps, env, fmt = _resolve_common(args, parser)
-    r1, r2 = _require_r(args, cfg, parser)
-    modes_spec = _resolve(args, cfg, "modes")
-    if modes_spec is None:
-        parser.error("--modes is required (comma-separated environment indices)")
+    config = _simulation_config(args, parser, args.r1, args.r2)
     try:
-        modes = [int(v) for v in str(modes_spec).split(",") if v.strip() != ""]
+        modes = [int(v) for v in args.modes.split(",") if v.strip() != ""]
     except ValueError:
-        parser.error(f"invalid --modes value {modes_spec!r}")
+        parser.error(f"invalid --modes value {args.modes!r}")
     if not modes:
-        parser.error("--modes must list at least one environment index")
-    for k in modes:
-        if not 1 <= k <= steps + 1:
-            parser.error(f"environment index {k} out of range 1..{steps + 1}")
+        parser.error("--modes is required: at least one environment index (comma-separated)")
 
-    config = SimulationConfig(
-        r1=r1, r2=r2, phi_shift=phi, joint=JointSpec(xi=xi), env=env, L=steps,
-        oracle_enabled=True,
-    )
     header = ["j", "g_s_to_an"] + [f"g_e{k}_to_an" for k in modes]
     rows = []
-    for j, coeffs, sigma in iter_steps(config):
-        joint = joint_cm_closed_form(coeffs, config.joint, config.env)
-        row = [j, steerability(joint, Direction.B_TO_A)]
-        for k in modes:
-            row.append(steerability(env_ancilla_cm(sigma, k), Direction.A_TO_B))
+    for j, coeffs, env_cms in iter_env_ancilla_cms(config, modes):
+        # Every covariance is (ancilla, X)-ordered: B_TO_A is X -> An.
+        cms = [joint_cm_closed_form(coeffs, config.joint, config.env), *env_cms]
+        row = [j]
+        for column, cm in zip(header[1:], cms):
+            try:
+                row.append(steerability(cm, Direction.B_TO_A))
+            except DegenerateCovarianceError as exc:
+                raise DegenerateCovarianceError(f"step {j}, column {column}: {exc}") from None
         rows.append(tuple(row))
-    emit(header, rows, fmt, args.out)
+    emit(header, rows, args.format, args.out)
     return 0
 
 
 def cmd_thresholds(args, parser) -> int:
-    cfg = load_config_file(args.config) if getattr(args, "config", None) else {}
-    fmt = _resolve(args, cfg, "format", default="csv")
-    if fmt not in ("csv", "jsonl"):
-        parser.error(f"unknown format {fmt!r}")
-    family = args.family
-    if family == "s-to-an":
+    if args.family == "s-to-an":
         if args.n_values is None:
             parser.error("family s-to-an needs --n-values")
         header = ["n", "threshold"]
         rows = [(n, threshold_s_to_an(n)) for n in args.n_values]
-    elif family == "an-to-s-thermal":
+    elif args.family == "an-to-s-thermal":
         if args.n_values is None or args.xi_values is None:
             parser.error("family an-to-s-thermal needs --n-values and --xi-values")
         header = ["n", "xi", "threshold"]
@@ -367,7 +304,7 @@ def cmd_thresholds(args, parser) -> int:
             for xi in args.xi_values
             for zeta in args.zeta_values
         ]
-    emit(header, rows, fmt, args.out)
+    emit(header, rows, args.format, args.out)
     return 0
 
 
@@ -375,22 +312,30 @@ def _add_common_flags(sub, with_r=True):
     if with_r:
         sub.add_argument("--r1", type=float, help="reflectivity of the system beam splitter")
         sub.add_argument("--r2", type=float, help="reflectivity of the environment beam splitter")
-    sub.add_argument("--phi", type=parse_angle, help="phase on the system arm (accepts pi tokens)")
-    sub.add_argument("--xi", type=float, help="ancilla-system squeezing (default 1)")
-    sub.add_argument("--env", choices=ENV_FAMILIES, help="environment family (default vacuum)")
-    sub.add_argument("--n", type=float, help="environment thermal occupation")
-    sub.add_argument("--zeta", type=float, help="environment squeezing magnitude")
-    sub.add_argument("--phi-env", dest="phi_env", type=parse_angle,
+    sub.add_argument("--phi", type=parse_angle, default=0.0,
+                     help="phase on the system arm (accepts pi tokens)")
+    sub.add_argument("--xi", type=float, default=1.0, help="ancilla-system squeezing (default 1)")
+    sub.add_argument("--env", choices=ENV_FAMILIES, default="vacuum",
+                     help="environment family (default vacuum)")
+    sub.add_argument("--n", type=float, default=0.0, help="environment thermal occupation")
+    sub.add_argument("--zeta", type=float, default=0.0, help="environment squeezing magnitude")
+    sub.add_argument("--phi-env", dest="phi_env", type=parse_angle, default=0.0,
                      help="environment squeezing phase (accepts pi tokens)")
-    sub.add_argument("--L", "--steps", "-L", dest="steps", type=int,
+    sub.add_argument("--L", "--steps", "-L", dest="steps", type=int, default=250,
                      help="number of rounds (default 250)")
     sub.add_argument("--config", help="key=value file of default parameter values")
-    sub.add_argument("--format", dest="format", choices=("csv", "jsonl"), default=None,
+    sub.add_argument("--format", dest="format", choices=FORMATS, default="csv",
                      help="output format (default csv)")
     sub.add_argument("--out", help="output file (default stdout)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The CLI parser.  Values of the --config file named in argv become
+    flag defaults, which argparse converts with each flag's type."""
+    pre = argparse.ArgumentParser(prog="gausscollide", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    defaults = load_config_file(path) if path else {}
     parser = argparse.ArgumentParser(
         prog="gausscollide",
         description="Gaussian collision-model simulator with steering and "
@@ -402,24 +347,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_evolve)
     p_evolve.add_argument("--oracle", action="store_true",
                           help="cross-check the closed form against full-chain propagation")
-    p_evolve.set_defaults(func=cmd_evolve)
+    p_evolve.set_defaults(func=cmd_evolve, **defaults)
 
     p_scan = sub.add_parser("scan", help="non-Markovianity measures over a reflectivity grid")
     _add_common_flags(p_scan, with_r=False)
-    p_scan.add_argument("--grid-r1", dest="grid_r1",
+    p_scan.add_argument("--grid-r1", dest="grid_r1", type=parse_values, default="",
                         help="r1 axis: 'a,b,c' or 'start:stop:count'")
-    p_scan.add_argument("--grid-r2", dest="grid_r2",
+    p_scan.add_argument("--grid-r2", dest="grid_r2", type=parse_values, default="",
                         help="r2 axis: 'a,b,c' or 'start:stop:count'")
-    p_scan.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default GAUSSCOLLIDE_JOBS or 1)")
-    p_scan.set_defaults(func=cmd_scan)
+    p_scan.add_argument("--jobs", type=int, default=os.environ.get("GAUSSCOLLIDE_JOBS", "1"),
+                        help="worker processes, at most one per CPU and grid cell "
+                        "(default GAUSSCOLLIDE_JOBS or 1)")
+    p_scan.set_defaults(func=cmd_scan, **defaults)
 
     p_transport = sub.add_parser(
         "transport", help="ancilla steering against selected environment modes"
     )
     _add_common_flags(p_transport)
-    p_transport.add_argument("--modes", help="comma-separated environment indices k (1..L+1)")
-    p_transport.set_defaults(func=cmd_transport)
+    p_transport.add_argument("--modes", default="",
+                             help="comma-separated environment indices k (1..L+1)")
+    p_transport.set_defaults(func=cmd_transport, **defaults)
 
     p_thr = sub.add_parser("thresholds", help="closed-form steerability threshold tables")
     p_thr.add_argument("--family", required=True,
@@ -428,17 +375,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr.add_argument("--xi-values", dest="xi_values", type=parse_values)
     p_thr.add_argument("--zeta-values", dest="zeta_values", type=parse_values)
     p_thr.add_argument("--config", help="key=value file of default parameter values")
-    p_thr.add_argument("--format", dest="format", choices=("csv", "jsonl"), default=None)
+    p_thr.add_argument("--format", dest="format", choices=FORMATS, default="csv")
     p_thr.add_argument("--out", help="output file (default stdout)")
-    p_thr.set_defaults(func=cmd_thresholds)
+    p_thr.set_defaults(func=cmd_thresholds, **defaults)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
+        parser = build_parser(argv)
         args = parser.parse_args(argv)
+        if args.format not in FORMATS:
+            parser.error(f"unknown format {args.format!r}")
         return args.func(args, parser)
     except SystemExit as exc:
         code = exc.code

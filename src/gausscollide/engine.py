@@ -2,10 +2,10 @@
 
 Runs the tunable beam-splitter chain for L rounds and records, per step,
 the network coefficients and the joint ancilla-system covariance matrix
-(closed form).  An optional oracle path propagates the full
-(L+3)-mode covariance matrix symplectically and stores it alongside,
-which is the independent cross-check of the closed form and the source
-of environment-mode reductions.
+(closed form), and the same closed form for chosen environment modes.
+An optional oracle path propagates the full (L+3)-mode covariance
+matrix symplectically and stores it alongside; it is the independent
+reference the tests and `evolve --oracle` check the closed forms against.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +19,14 @@ from .network import (
     mixing_block,
     mode_unitary_to_symplectic,
 )
-from .states import EnvironmentSpec, JointSpec, reduce_to_modes, squeezed_thermal_cm, tmsv_cm
+from .states import (
+    EnvironmentSpec,
+    JointSpec,
+    reduce_to_modes,
+    require_finite,
+    squeezed_thermal_cm,
+    tmsv_cm,
+)
 
 
 @dataclass(frozen=True)
@@ -44,6 +51,7 @@ class SimulationConfig:
         for name, r in (("r1", self.r1), ("r2", self.r2)):
             if not 0.0 <= r <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {r}")
+        require_finite("phi_shift", self.phi_shift)
         if self.L < 1:
             raise ValueError(f"L must be >= 1, got {self.L}")
 
@@ -141,15 +149,35 @@ def iter_steps(config: SimulationConfig):
     *view* of the running array, valid only until the next iteration —
     copy it to keep it.
     """
-    L = config.L
-    u = np.eye(L + 3, dtype=complex)
     sigma = initial_full_cm(config) if config.oracle_enabled else None
-    yield 0, extract_c_coefficients(u, 0), sigma
-    for j in range(1, L + 1):
-        apply_collision_inplace(u, j, config.r1, config.r2, config.phi_shift)
-        if sigma is not None:
+    for j, coeffs, _ in iter_env_ancilla_cms(config, ()):
+        if sigma is not None and j > 0:
             apply_collision_to_cm(sigma, j, config.r1, config.r2, config.phi_shift)
-        yield j, extract_c_coefficients(u, j), sigma
+        yield j, coeffs, sigma
+
+
+def iter_env_ancilla_cms(config: SimulationConfig, modes):
+    """Yield (j, coeffs, env_cms) for j = 0 .. L.
+
+    coeffs are the system coefficients.  env_cms[i] is the closed-form
+    (ancilla, E_k) covariance for k = modes[i]: joint_cm_closed_form on
+    E_k's row of the composed unitary.  Round j mixes only S, E_j and
+    E_{j+1}, so that row changes only in rounds k - 1 and k, and the
+    covariance is computed at j = 0 and at those two steps only.
+    """
+    for k in modes:
+        if not 1 <= k <= config.L + 1:
+            raise ValueError(f"environment index {k} out of range 1..{config.L + 1}")
+    u = np.eye(config.L + 3, dtype=complex)
+    env_cms = [None] * len(modes)
+    for j in range(config.L + 1):
+        if j > 0:
+            apply_collision_inplace(u, j, config.r1, config.r2, config.phi_shift)
+        for i, k in enumerate(modes):
+            if j in (0, k - 1, k):
+                row = extract_c_coefficients(u, j, m=k + 1)
+                env_cms[i] = joint_cm_closed_form(row, config.joint, config.env)
+        yield j, extract_c_coefficients(u, j), tuple(env_cms)
 
 
 def run(config: SimulationConfig) -> Trajectory:

@@ -117,13 +117,13 @@ def compose_chronological(unitaries, dim: int | None = None) -> np.ndarray:
     return out
 
 
-def extract_c_coefficients(u: np.ndarray, step: int) -> CCoefficients:
-    """Coefficients of the inverse composed unitary's system column.
+def extract_c_coefficients(u: np.ndarray, step: int, m: int = 1) -> CCoefficients:
+    """Coefficients of the inverse composed unitary's column m.
 
-    For unitary u the inverse is the adjoint, so the system row of u,
-    conjugated, gives the system column of u^{-1}.
+    For unitary u the inverse is the adjoint, so row m of u, conjugated,
+    gives column m of u^{-1}.  m = 1 is the system, m = k + 1 is E_k.
     """
-    return CCoefficients(step=step, c22=complex(np.conj(u[1, 1])), env_column=np.conj(u[1, 2:]))
+    return CCoefficients(step=step, c22=complex(np.conj(u[m, 1])), env_column=np.conj(u[m, 2:]))
 
 
 def unitarity_defect(u: np.ndarray) -> float:

@@ -7,6 +7,7 @@ plain real ndarrays of shape (2N, 2N) with interleaved quadrature ordering
 Omega = direct sum of [[0, 1], [-1, 0]] blocks.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,17 @@ PHYSICALITY_TOL = 1e-10
 
 _OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+
+# Largest argument whose cosh is a finite double (about 710.48).
+MAX_SQUEEZING = math.acosh(np.finfo(float).max)
+
+
+def require_finite(name: str, value: float, squeezing: bool = False) -> None:
+    """Reject a non-finite parameter, or a squeezing parameter whose cosh overflows."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if squeezing and abs(value) > MAX_SQUEEZING:
+        raise ValueError(f"{name} = {value} overflows cosh (|{name}| <= {MAX_SQUEEZING:.6g})")
 
 
 @dataclass(frozen=True)
@@ -34,6 +46,7 @@ class JointSpec:
     theta: float = 0.0
 
     def __post_init__(self):
+        require_finite("xi", self.xi, squeezing=True)
         if self.xi < 0:
             raise ValueError(f"xi must be non-negative, got {self.xi}")
         if self.theta != 0.0:
@@ -59,6 +72,9 @@ class EnvironmentSpec:
     phi_env: float = 0.0
 
     def __post_init__(self):
+        require_finite("n", self.n)
+        require_finite("zeta", self.zeta, squeezing=True)
+        require_finite("phi_env", self.phi_env)
         if self.n < 0:
             raise ValueError(f"n must be non-negative, got {self.n}")
 

@@ -59,9 +59,15 @@ def steering_series(trajectory, direction: Direction) -> np.ndarray:
     """Per-step steering values G(j), j = 0 .. L, along the trajectory.
 
     The joint covariance is (ancilla, system)-ordered, so A_TO_B is
-    An -> S and B_TO_A is S -> An.
+    An -> S and B_TO_A is S -> An.  A degeneracy error names its step.
     """
-    return np.array([steerability(s.joint_cm, direction) for s in trajectory.steps])
+    values = []
+    for s in trajectory.steps:
+        try:
+            values.append(steerability(s.joint_cm, direction))
+        except DegenerateCovarianceError as exc:
+            raise DegenerateCovarianceError(f"step {s.j}: {exc}") from None
+    return np.array(values)
 
 
 def nm_from_steering(series) -> float:

@@ -1,15 +1,25 @@
 """Command-line interface: schemas, formatting, determinism, config
 handling, and exit codes."""
 
+import concurrent.futures
+import contextlib
+import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gausscollide.cli as cli
-from gausscollide.cli import main, parse_angle, parse_values
+import gausscollide.engine as engine
+from gausscollide.cli import ENV_FAMILIES, main, parse_angle, parse_values
+from gausscollide.engine import SimulationConfig, env_ancilla_cm, iter_steps
 from gausscollide.errors import DegenerateCovarianceError
+from gausscollide.states import EnvironmentSpec, JointSpec
+from gausscollide.steering import Direction, steerability
 
 LNCOSH1_TOKEN = format(math.log(math.cosh(1.0)), ".12g")
 
@@ -82,6 +92,37 @@ class TestUsageErrors:
                        "--env", "thermal", "--zeta", "0.5")[0] == 2
         assert run_cli(capsys, "evolve", "--r1", "0.4", "--r2", "0.3", "--L", "3",
                        "--env", "squeezed", "--n", "0.5")[0] == 2
+
+    @pytest.mark.parametrize(
+        "flag,value,name",
+        [
+            ("--xi", "nan", "xi"),
+            ("--xi", "800", "xi"),
+            ("--n", "inf", "n"),
+            ("--zeta", "800", "zeta"),
+            ("--phi", "nan", "phi_shift"),
+            ("--phi-env", "nan", "phi_env"),
+        ],
+    )
+    def test_non_finite_or_overflowing_parameter(self, capsys, flag, value, name):
+        code, _, err = run_cli(capsys, "evolve", "--r1", "0.4", "--r2", "0.3", "--L", "3",
+                               "--env", "squeezed-thermal", flag, value)
+        assert code == 2
+        assert err.startswith(f"error: {name} ")
+        assert "symmetric" not in err
+
+    @pytest.mark.parametrize(
+        "argv,where",
+        [
+            (("evolve",), "step 0:"),
+            (("transport", "--modes", "1"), "step 0, column g_s_to_an:"),
+        ],
+    )
+    def test_degeneracy_names_the_step(self, capsys, argv, where):
+        code, _, err = run_cli(capsys, *argv, "--r1", "0.4", "--r2", "0.3", "--L", "3",
+                               "--xi", "20")
+        assert code == 3
+        assert where in err
 
     def test_degeneracy_exit_code(self, capsys, monkeypatch):
         def explode(config):
@@ -216,6 +257,17 @@ class TestConfigFile:
         assert code == 2
         assert "warp" in err
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("phi", "piz"), ("xi", "abc"), ("L", "2.5"), ("env", "warp"), ("format", "xml")],
+    )
+    def test_malformed_value_exits_2(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"r1 = 0.4\nr2 = 0.3\n{key} = {value}\n")
+        code, _, err = run_cli(capsys, "evolve", "--config", str(cfg))
+        assert code == 2
+        assert repr(value) in err
+
     def test_missing_file(self, capsys):
         code, _, _ = run_cli(capsys, "evolve", "--config", "/nonexistent.cfg",
                              "--r1", "0.4", "--r2", "0.3")
@@ -233,7 +285,7 @@ class TestScan:
         starts = [tuple(line.split(",")[:2]) for line in lines[1:]]
         assert starts == [("0.2", "0.3"), ("0.2", "0.9"), ("0.8", "0.3"), ("0.8", "0.9")]
 
-    def test_grid_validation(self, capsys):
+    def test_grid_validation(self, capsys, tmp_path):
         assert run_cli(capsys, "scan", "--grid-r2", "0.1,0.9", "--L", "10")[0] == 2
         assert run_cli(capsys, "scan", "--grid-r1", "0.5", "--grid-r2", "0.1,0.9",
                        "--L", "10")[0] == 2
@@ -241,6 +293,40 @@ class TestScan:
                        "--L", "1")[0] == 2
         assert run_cli(capsys, "scan", "--grid-r1", "0.1,0.9", "--grid-r2", "0.1,0.9",
                        "--L", "10", "--jobs", "0")[0] == 2
+        cfg = tmp_path / "grid.cfg"
+        for spec in ("0:1:1", "a,b"):
+            code, _, err = run_cli(capsys, "scan", "--grid-r1", spec, "--grid-r2", "0.1,0.9",
+                                   "--L", "10")
+            assert code == 2 and "--grid-r1" in err
+            cfg.write_text(f"grid_r1 = {spec}\ngrid_r2 = 0.1,0.9\n")
+            code, _, err = run_cli(capsys, "scan", "--config", str(cfg), "--L", "10")
+            assert code == 2 and "--grid-r1" in err
+
+    def test_pool_is_bounded_by_cells_and_cpus(self, capsys, monkeypatch):
+        created = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        args = ("scan", "--grid-r1", "0.2,0.8", "--grid-r2", "0.3,0.6,0.9", "--L", "10")
+        _, serial, _ = run_cli(capsys, *args, "--jobs", "1")
+        for cpus in (4, 64, None):
+            monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
+            code, out, _ = run_cli(capsys, *args, "--jobs", "100000")
+            assert code == 0 and out == serial
+        # min(jobs, 6 cells, cpus); one CPU (None counts as one) runs serially.
+        assert created == [4, 6]
 
     def test_parallel_matches_serial(self, capsys, tmp_path):
         base = ["scan", "--grid-r1", "0.2,0.5,0.8", "--grid-r2", "0.3,0.7",
@@ -286,6 +372,55 @@ class TestTransport:
         lines = out.strip().split("\n")[1:]
         for line in lines[:5]:  # mode 8 first collides in round 7
             assert float(line.split(",")[2]) == 0.0
+
+    def test_runs_without_the_full_chain_oracle(self, capsys, monkeypatch):
+        def oracle_only(*args, **kwargs):
+            raise AssertionError("transport ran full-chain reference code")
+
+        for name in ("apply_collision_to_cm", "env_ancilla_cm", "initial_full_cm"):
+            monkeypatch.setattr(engine, name, oracle_only)
+        code, out, _ = run_cli(capsys, "transport", "--r1", "0.4", "--r2", "0.3",
+                               "--L", "30", "--modes", "1,15,31")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 32
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        L=st.integers(1, 40),
+        r1=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        r2=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        phi=st.floats(-4.0, 4.0),
+        xi=st.floats(0.0, 3.0),
+        family=st.sampled_from(ENV_FAMILIES),
+        n=st.floats(0.0, 2.0),
+        zeta=st.floats(0.0, 1.2),
+        phi_env=st.floats(0.0, 6.3),
+    )
+    def test_columns_match_the_full_chain_oracle(self, L, r1, r2, phi, xi, family, n,
+                                                  zeta, phi_env):
+        n = n if family in ("thermal", "squeezed-thermal") else 0.0
+        zeta = zeta if family in ("squeezed", "squeezed-thermal") else 0.0
+        modes = sorted({1, (L + 2) // 2, L + 1})
+        argv = ["transport", f"--r1={r1!r}", f"--r2={r2!r}", f"--phi={phi!r}", f"--xi={xi!r}",
+                f"--env={family}", f"--n={n!r}", f"--zeta={zeta!r}", f"--phi-env={phi_env!r}",
+                f"--L={L}", "--modes=" + ",".join(map(str, modes))]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(argv) == 0
+        rows = [line.split(",") for line in buf.getvalue().strip().split("\n")[1:]]
+
+        config = SimulationConfig(
+            r1=r1, r2=r2, phi_shift=phi, joint=JointSpec(xi=xi),
+            env=EnvironmentSpec(n=n, zeta=zeta, phi_env=phi_env), L=L, oracle_enabled=True,
+        )
+        for j, _, sigma in iter_steps(config):
+            for column, k in enumerate(modes, start=2):
+                ref = steerability(env_ancilla_cm(sigma, k), Direction.A_TO_B)
+                assert float(rows[j][column]) == pytest.approx(ref, rel=0, abs=1e-10)
+                if j < k - 1:
+                    assert ref == 0.0 and rows[j][column] == "0"
+                if j >= k:
+                    assert rows[j][column] == rows[k][column]
 
     def test_mode_validation(self, capsys):
         assert run_cli(capsys, "transport", "--r1", "0.4", "--r2", "0.3",

@@ -1,0 +1,54 @@
+"""Golden CLI output: the exact stdout bytes and exit code of the README
+commands and of the benchmark workloads.
+
+Each argv's stdout is pinned by its sha256 digest.  The README scan runs
+its grid at --L 40 --jobs 1 to keep the test short.  The last three argvs
+are the seed-1 workloads of perfbench/run.py (evolve-long, scan-grid,
+transport-chain).  A changed digest is a changed output: it needs a reason,
+not a new digest.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from gausscollide.cli import main
+
+GOLDEN = [
+    ("evolve --r1 0.4 --r2 0.3 --xi 1 --L 250 --env vacuum", 0,
+     "7cb7ea76bccf78249aee46df9e7e4aebea35c3c883b84e3f9a06ad6f0485c937"),
+    ("evolve --r1 0.4 --r2 0.3 --L 50 --oracle", 0,
+     "a28f77610bf249f2c0b7c3101c0f4bd80bdaa6625baaad0963ed7353fbaf7617"),
+    ("scan --grid-r1 0.05:0.95:21 --grid-r2 0.05:0.95:21 --L 40 --jobs 1", 0,
+     "2b74e8727ba54dc16c20378e9214ad1291e884383f1fbacfe0512360e0e74342"),
+    ("transport --r1 0.4 --r2 0.3 --L 20 --modes 2,4,6", 0,
+     "254d9bd334f3e74600cd7ff62c2e3d4f4fe1be068d8ae355bad5c8c81da07ddb"),
+    ("thresholds --family s-to-an --n-values 0,0.5,1,2", 0,
+     "215a36ffc45edf599b8cca474a178c5f3b501d78fbc2c9c5fe77eefcfd30ad48"),
+    ("thresholds --family an-to-s-thermal --n-values 0:2:5 --xi-values 1", 0,
+     "617539357a33cec0e17e2b0d92c5c912de0376c2d487da75dc30c9258a4dce57"),
+    ("thresholds --family an-to-s-squeezed --xi-values 0.5 --zeta-values 0:1.4:8", 0,
+     "218acf78e1b228dbb7b96c366afc98e7eda80beb548f6d0fe9164b87e4968788"),
+    ("evolve --r1 0.51721 --r2 0.482887 --phi 2.356796 --xi 0.908478 --env squeezed-thermal"
+     " --n 0.87214 --zeta 0.364692 --phi-env 2.805858 --L 4000", 0,
+     "70089fd725f4833d3f79778efddb111fa0ff2be5987c4b908d9d7552dfa3183f"),
+    ("scan --grid-r1 0.100526,0.180526,0.260526,0.340526,0.420526,0.500526,0.580526,"
+     "0.660526,0.740526,0.820526 --grid-r2 0.161158,0.251158,0.341158,0.431158,0.521158,"
+     "0.611158,0.701158,0.791158,0.881158,1.0 --jobs 1 --phi 2.850333 --xi 1.789994"
+     " --env thermal --n 0.463324 --L 250", 0,
+     "5e83eee9debeb900b6369ac53c0fce184f138746ae7ac8001853a78860a1d187"),
+    ("transport --r1 0.24809 --r2 0.138982 --phi 2.878446 --xi 1.348243"
+     " --env squeezed-thermal --n 0.943627 --zeta 0.714603 --phi-env 4.533368 --L 1000"
+     " --modes 3,498,1001", 0,
+     "1823bf4948652eb0c450e38302529f75c39d91882f2cba03a14d41f09cfb0433"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[g[0][:40] for g in GOLDEN])
+def test_stdout_is_byte_identical(argv, code, digest):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv.split()) == code
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest

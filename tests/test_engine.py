@@ -2,6 +2,7 @@
 symplectic propagation, and trajectory bookkeeping."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from gausscollide.engine import (
     SimulationConfig,
     env_ancilla_cm,
     initial_full_cm,
+    iter_env_ancilla_cms,
     iter_steps,
     joint_cm_closed_form,
     run,
@@ -44,6 +46,11 @@ class TestConfig:
             SimulationConfig(r1=0.4, r2=-0.1)
         with pytest.raises(ValueError):
             SimulationConfig(r1=0.4, r2=0.3, L=0)
+        for r1 in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="r1"):
+                SimulationConfig(r1=r1, r2=0.3)
+        with pytest.raises(ValueError, match="phi_shift"):
+            SimulationConfig(r1=0.4, r2=0.3, phi_shift=math.nan)
 
     def test_defaults(self):
         config = SimulationConfig(r1=0.4, r2=0.3)
@@ -204,6 +211,26 @@ class TestEnvAncilla:
         # after 2 rounds only E_1..E_3 have collided; E_6 is beyond the light cone
         cm = env_ancilla_cm(traj.steps[2].full_cm, 6)
         np.testing.assert_allclose(cm[:2, 2:], 0.0, atol=1e-13)
+
+
+class TestEnvAncillaClosedForm:
+    @pytest.mark.parametrize("env", ENV_FAMILIES)
+    def test_matches_full_chain_propagation(self, env):
+        config = SimulationConfig(r1=0.55, r2=0.35, phi_shift=1.1, env=env, L=9)
+        modes = (1, 4, 9, 10)
+        closed = iter_env_ancilla_cms(config, modes)
+        oracle = iter_steps(replace(config, oracle_enabled=True))
+        for (_, coeffs, env_cms), (_, ref, sigma) in zip(closed, oracle):
+            assert coeffs.c22 == ref.c22
+            np.testing.assert_array_equal(coeffs.env_column, ref.env_column)
+            for k, cm in zip(modes, env_cms):
+                np.testing.assert_allclose(cm, reduce_to_modes(sigma, [0, k + 1]), atol=1e-12)
+
+    def test_index_range(self):
+        config = SimulationConfig(r1=0.4, r2=0.3, L=2)
+        for k in (0, 4):
+            with pytest.raises(ValueError, match="out of range"):
+                next(iter_env_ancilla_cms(config, [k]))
 
 
 def test_iter_steps_streams_views():

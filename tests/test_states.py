@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gausscollide.states import (
+    MAX_SQUEEZING,
     EnvironmentSpec,
     JointSpec,
     physicality_check,
@@ -38,10 +39,18 @@ class TestSpecs:
             JointSpec(xi=-0.1)
         with pytest.raises(ValueError):
             JointSpec(xi=1.0, theta=0.3)
+        for xi in (math.nan, math.inf, math.nextafter(MAX_SQUEEZING, math.inf)):
+            with pytest.raises(ValueError, match="xi"):
+                JointSpec(xi=xi)
+        assert np.all(np.isfinite(tmsv_cm(JointSpec(xi=MAX_SQUEEZING))))
 
     def test_env_validation(self):
         with pytest.raises(ValueError):
             EnvironmentSpec(n=-0.5)
+        for name, value in (("n", math.inf), ("n", math.nan), ("zeta", 800.0),
+                            ("zeta", -800.0), ("phi_env", math.nan), ("phi_env", -math.inf)):
+            with pytest.raises(ValueError, match=name):
+                EnvironmentSpec(**{name: value})
 
 
 class TestTmsv:
