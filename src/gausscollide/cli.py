@@ -13,6 +13,7 @@ degeneracy.
 
 import argparse
 import concurrent.futures
+import itertools
 import os
 import re
 import sys
@@ -20,14 +21,14 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import steering  # not `steerability`: perfbench traces that name per matrix
 from .divisibility import divisibility_records, nm_cptp
 from .engine import SimulationConfig, iter_env_ancilla_cms, iter_steps, joint_cm_closed_form, run
 from .errors import DegenerateCovarianceError, GaussCollideError
-from .states import EnvironmentSpec, JointSpec, reduce_to_modes
+from .states import EnvironmentSpec, JointSpec, reduce_to_modes, require_finite
 from .steering import (
     Direction,
     nm_from_steering,
-    steerability,
     steering_series,
     threshold_an_to_s_squeezed_vac,
     threshold_an_to_s_thermal,
@@ -36,6 +37,11 @@ from .steering import (
 
 ENV_FAMILIES = ("vacuum", "thermal", "squeezed", "squeezed-thermal")
 FORMATS = ("csv", "jsonl")
+THRESHOLD_FAMILIES = {  # family: (swept parameters, threshold function)
+    "s-to-an": (("n",), threshold_s_to_an),
+    "an-to-s-thermal": (("n", "xi"), threshold_an_to_s_thermal),
+    "an-to-s-squeezed": (("xi", "zeta"), threshold_an_to_s_squeezed_vac),
+}
 
 _ANGLE_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)?)pi(?:/(\d+\.?\d*|\.\d+))?$")
 
@@ -176,16 +182,14 @@ def cmd_evolve(args, parser) -> int:
     if args.oracle:
         _verify_against_oracle(config)
 
-    g_san = steering_series(traj, Direction.B_TO_A)
-    g_ans = steering_series(traj, Direction.A_TO_B)
-    by_step = {rec.step: rec for rec in divisibility_records(traj)}
+    g_san = steering_series(traj, Direction.B_TO_A).tolist()
+    g_ans = steering_series(traj, Direction.A_TO_B).tolist()
     header = [
         "j", "re_c22", "im_c22", "abs_c22_sq", "g_s_to_an", "g_an_to_s",
         "nu_set_min", "nu_set_max", "ratio", "skip_flag",
     ]
     rows = []
-    for step in traj.steps:
-        rec = by_step.get(step.j)
+    for step, san, ans, rec in zip(traj.steps, g_san, g_ans, [None, *divisibility_records(traj)]):
         if rec is None or rec.skipped:
             nu_min = nu_max = ratio = None
         else:
@@ -198,12 +202,12 @@ def cmd_evolve(args, parser) -> int:
                 float(step.coeffs.c22.real),
                 float(step.coeffs.c22.imag),
                 step.coeffs.c22_abs_sq,
-                float(g_san[step.j]),
-                float(g_ans[step.j]),
+                san,
+                ans,
                 nu_min,
                 nu_max,
                 ratio,
-                bool(rec.skipped) if rec is not None else False,
+                rec is not None and rec.skipped,
             )
         )
     emit(header, rows, args.format, args.out)
@@ -265,46 +269,34 @@ def cmd_transport(args, parser) -> int:
         parser.error("--modes is required: at least one environment index (comma-separated)")
 
     header = ["j", "g_s_to_an"] + [f"g_e{k}_to_an" for k in modes]
-    rows = []
-    for j, coeffs, env_cms in iter_env_ancilla_cms(config, modes):
-        # Every covariance is (ancilla, X)-ordered: B_TO_A is X -> An.
-        cms = [joint_cm_closed_form(coeffs, config.joint, config.env), *env_cms]
-        row = [j]
-        for column, cm in zip(header[1:], cms):
-            try:
-                row.append(steerability(cm, Direction.B_TO_A))
-            except DegenerateCovarianceError as exc:
-                raise DegenerateCovarianceError(f"step {j}, column {column}: {exc}") from None
-        rows.append(tuple(row))
+    cms = []
+    for _, coeffs, env_cms in iter_env_ancilla_cms(config, modes):
+        cms += [joint_cm_closed_form(coeffs, config.joint, config.env), *env_cms]
+    # Every covariance is (ancilla, X)-ordered: B_TO_A is X -> An.
+    try:
+        values = steering.steerability(np.array(cms), Direction.B_TO_A)
+    except DegenerateCovarianceError as exc:
+        j, column = divmod(exc.index, len(header) - 1)
+        raise DegenerateCovarianceError(f"step {j}, column {header[1 + column]}: {exc}") from None
+    rows = [(j, *row) for j, row in enumerate(values.reshape(-1, len(header) - 1).tolist())]
     emit(header, rows, args.format, args.out)
     return 0
 
 
 def cmd_thresholds(args, parser) -> int:
-    if args.family == "s-to-an":
-        if args.n_values is None:
-            parser.error("family s-to-an needs --n-values")
-        header = ["n", "threshold"]
-        rows = [(n, threshold_s_to_an(n)) for n in args.n_values]
-    elif args.family == "an-to-s-thermal":
-        if args.n_values is None or args.xi_values is None:
-            parser.error("family an-to-s-thermal needs --n-values and --xi-values")
-        header = ["n", "xi", "threshold"]
-        rows = [
-            (n, xi, threshold_an_to_s_thermal(n, xi))
-            for n in args.n_values
-            for xi in args.xi_values
-        ]
-    else:  # an-to-s-squeezed
-        if args.xi_values is None or args.zeta_values is None:
-            parser.error("family an-to-s-squeezed needs --xi-values and --zeta-values")
-        header = ["xi", "zeta", "threshold"]
-        rows = [
-            (xi, zeta, threshold_an_to_s_squeezed_vac(xi, zeta))
-            for xi in args.xi_values
-            for zeta in args.zeta_values
-        ]
-    emit(header, rows, args.format, args.out)
+    names, threshold = THRESHOLD_FAMILIES[args.family]
+    axes = [getattr(args, f"{name}_values") for name in names]
+    if None in axes:
+        flags = " and ".join(f"--{name}-values" for name in names)
+        parser.error(f"family {args.family} needs {flags}")
+    # The checks a simulation makes on the same parameters.
+    for n in args.n_values or ():
+        EnvironmentSpec(n=n)
+    for name in ("xi", "zeta"):
+        for value in getattr(args, f"{name}_values") or ():
+            require_finite(name, value, squeezing=True)
+    rows = [(*params, threshold(*params)) for params in itertools.product(*axes)]
+    emit([*names, "threshold"], rows, args.format, args.out)
     return 0
 
 
@@ -369,8 +361,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     p_transport.set_defaults(func=cmd_transport, **defaults)
 
     p_thr = sub.add_parser("thresholds", help="closed-form steerability threshold tables")
-    p_thr.add_argument("--family", required=True,
-                       choices=("s-to-an", "an-to-s-thermal", "an-to-s-squeezed"))
+    p_thr.add_argument("--family", required=True, choices=THRESHOLD_FAMILIES)
     p_thr.add_argument("--n-values", dest="n_values", type=parse_values)
     p_thr.add_argument("--xi-values", dest="xi_values", type=parse_values)
     p_thr.add_argument("--zeta-values", dest="zeta_values", type=parse_values)

@@ -137,12 +137,9 @@ def nm_cptp(trajectory) -> DivisibilityMeasure:
         raise ValueError("nm_cptp needs at least two rounds (L >= 2)")
     total = 0.0
     skipped = []
-    for rec in divisibility_records(trajectory):
+    for rec in divisibility_records(trajectory)[1:]:
         if rec.skipped:
-            if rec.step >= 2:
-                skipped.append(rec.step)
-            continue
-        if rec.step < 2:
+            skipped.append(rec.step)
             continue
         for nu in (rec.nu_plus, rec.nu_minus):
             if nu < 0.0:

@@ -8,6 +8,10 @@ class GaussCollideError(Exception):
 class DegenerateCovarianceError(GaussCollideError):
     """Covariance determinant collapsed below the representable floor."""
 
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index  # stack position of the degenerate matrix, when known
+
 
 class SingularIntermediateMapError(GaussCollideError):
     """Previous-step channel matrix is numerically singular, the

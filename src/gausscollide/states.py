@@ -18,16 +18,19 @@ PHYSICALITY_TOL = 1e-10
 _OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
-# Largest argument whose cosh is a finite double (about 710.48).
-MAX_SQUEEZING = math.acosh(np.finfo(float).max)
+# Largest covariance entry whose 4x4 determinant stays finite (about 5.79e76):
+# Hadamard's inequality bounds that determinant by (2 * entry)^4.
+MAX_CM_ENTRY = np.finfo(float).max ** 0.25 / 2
+# Largest squeezing whose cosh is such an entry (about 177.4).
+MAX_SQUEEZING = math.acosh(MAX_CM_ENTRY)
 
 
 def require_finite(name: str, value: float, squeezing: bool = False) -> None:
-    """Reject a non-finite parameter, or a squeezing parameter whose cosh overflows."""
+    """Reject a non-finite parameter, or a squeezing parameter whose cosh exceeds MAX_CM_ENTRY."""
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     if squeezing and abs(value) > MAX_SQUEEZING:
-        raise ValueError(f"{name} = {value} overflows cosh (|{name}| <= {MAX_SQUEEZING:.6g})")
+        raise ValueError(f"{name} = {value} is too large (|{name}| <= {MAX_SQUEEZING:.6g})")
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,9 @@ class EnvironmentSpec:
         require_finite("phi_env", self.phi_env)
         if self.n < 0:
             raise ValueError(f"n must be non-negative, got {self.n}")
+        if (2.0 * self.n + 1.0) * math.exp(abs(self.zeta)) > MAX_CM_ENTRY:
+            raise ValueError(f"n = {self.n} with zeta = {self.zeta} overflows the covariance "
+                             f"((2n+1) e^|zeta| <= {MAX_CM_ENTRY:.6g})")
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:

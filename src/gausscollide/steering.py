@@ -21,28 +21,32 @@ class Direction(enum.Enum):
     B_TO_A = "b_to_a"
 
 
-def steerability(cm4: np.ndarray, direction: Direction) -> float:
-    """Gaussian steering of a two-mode state in the given direction.
-
-    Values with raw 1/2 ln(...) <= 1e-12 are declared exactly zero so
-    that downstream sums and sign tests are deterministic.
+def steerability(cm4: np.ndarray, direction: Direction) -> float | np.ndarray:
+    """Gaussian steering in the given direction: a float for one 4x4
+    covariance, an array for a stack (n, 4, 4).  Values with raw
+    1/2 ln(...) <= 1e-12 are declared exactly zero so that downstream
+    sums and sign tests are deterministic.  The first degenerate matrix
+    in a stack raises with its position as `index`.
     """
-    cm4 = np.asarray(cm4, dtype=float)
-    if cm4.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 covariance matrix, got {cm4.shape}")
-    if not np.allclose(cm4, cm4.T, atol=1e-10, rtol=0.0):
+    cms = np.asarray(cm4, dtype=float)
+    if cms.ndim not in (2, 3) or cms.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 covariance matrix or a stack of them, got {cms.shape}")
+    if not np.all(np.abs(cms - np.swapaxes(cms, -1, -2)) <= 1e-10):
         raise ValueError("covariance matrix is not symmetric")
-    det_sigma = float(np.linalg.det(cm4))
-    if det_sigma <= DET_FLOOR:
-        raise DegenerateCovarianceError(f"det sigma = {det_sigma!r} below floor {DET_FLOOR}")
+    det_sigma = np.linalg.det(cms)
+    i = int(np.argmax(det_sigma <= DET_FLOOR))
+    if det_sigma.flat[i] <= DET_FLOOR:
+        det = float(det_sigma.flat[i])
+        raise DegenerateCovarianceError(f"det sigma = {det!r} below floor {DET_FLOOR}", index=i)
     if direction is Direction.A_TO_B:
-        block = cm4[:2, :2]
+        block = cms[..., :2, :2]
     elif direction is Direction.B_TO_A:
-        block = cm4[2:, 2:]
+        block = cms[..., 2:, 2:]
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    raw = 0.5 * np.log(float(np.linalg.det(block)) / det_sigma)
-    return float(raw) if raw > ZERO_TOL else 0.0
+    raw = 0.5 * np.log(np.linalg.det(block) / det_sigma)
+    values = np.where(raw > ZERO_TOL, raw, 0.0)
+    return float(values) if cms.ndim == 2 else values
 
 
 def g_ancilla_to_system(joint_cm: np.ndarray) -> float:
@@ -61,13 +65,10 @@ def steering_series(trajectory, direction: Direction) -> np.ndarray:
     The joint covariance is (ancilla, system)-ordered, so A_TO_B is
     An -> S and B_TO_A is S -> An.  A degeneracy error names its step.
     """
-    values = []
-    for s in trajectory.steps:
-        try:
-            values.append(steerability(s.joint_cm, direction))
-        except DegenerateCovarianceError as exc:
-            raise DegenerateCovarianceError(f"step {s.j}: {exc}") from None
-    return np.array(values)
+    try:
+        return steerability(np.array([s.joint_cm for s in trajectory.steps]), direction)
+    except DegenerateCovarianceError as exc:
+        raise DegenerateCovarianceError(f"step {trajectory.steps[exc.index].j}: {exc}") from None
 
 
 def nm_from_steering(series) -> float:

@@ -102,6 +102,9 @@ class TestUsageErrors:
             ("--zeta", "800", "zeta"),
             ("--phi", "nan", "phi_shift"),
             ("--phi-env", "nan", "phi_env"),
+            ("--xi", "300", "xi"),
+            ("--n", "1e300", "n"),
+            ("--zeta", "700", "zeta"),
         ],
     )
     def test_non_finite_or_overflowing_parameter(self, capsys, flag, value, name):
@@ -422,6 +425,22 @@ class TestTransport:
                 if j >= k:
                     assert rows[j][column] == rows[k][column]
 
+    def test_degeneracy_names_step_and_column(self, capsys, monkeypatch):
+        closed_form = cli.iter_env_ancilla_cms
+
+        def singular_at_step_2(config, modes):
+            for j, coeffs, env_cms in closed_form(config, modes):
+                if j == 2:
+                    env_cms = (env_cms[0], np.zeros((4, 4)), *env_cms[2:])
+                yield j, coeffs, env_cms
+
+        monkeypatch.setattr(cli, "iter_env_ancilla_cms", singular_at_step_2)
+        code, out, err = run_cli(capsys, "transport", "--r1", "0.4", "--r2", "0.3",
+                                 "--L", "5", "--modes", "1,3,5")
+        assert code == 3
+        assert out == ""
+        assert "step 2, column g_e3_to_an:" in err
+
     def test_mode_validation(self, capsys):
         assert run_cli(capsys, "transport", "--r1", "0.4", "--r2", "0.3",
                        "--L", "5", "--modes", "7")[0] == 2
@@ -457,6 +476,21 @@ class TestThresholds:
         assert lines[1] == "0.7,0,0"
         assert lines[2] == "0.7,0.7,0"
         assert float(lines[3].split(",")[2]) > 0.0
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (("an-to-s-thermal", "--n-values", "1", "--xi-values", "800"), "xi"),
+            (("s-to-an", "--n-values", "nan"), "n"),
+            (("an-to-s-squeezed", "--xi-values", "800", "--zeta-values", "1"), "xi"),
+            (("an-to-s-thermal", "--n-values", "1e300", "--xi-values", "700"), "n"),
+        ],
+    )
+    def test_non_finite_or_overflowing_parameter(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, "thresholds", "--family", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {name} ")
 
     def test_family_required_arguments(self, capsys):
         assert run_cli(capsys, "thresholds", "--family", "s-to-an")[0] == 2

@@ -48,7 +48,8 @@ class TestSpecs:
         with pytest.raises(ValueError):
             EnvironmentSpec(n=-0.5)
         for name, value in (("n", math.inf), ("n", math.nan), ("zeta", 800.0),
-                            ("zeta", -800.0), ("phi_env", math.nan), ("phi_env", -math.inf)):
+                            ("zeta", -800.0), ("phi_env", math.nan), ("phi_env", -math.inf),
+                            ("n", 1e300), ("zeta", 177.0)):
             with pytest.raises(ValueError, match=name):
                 EnvironmentSpec(**{name: value})
 

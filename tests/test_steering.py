@@ -1,6 +1,7 @@
 """Gaussian steering measure, revival accumulation, and closed-form
 steerability thresholds (including threshold <-> positivity agreement)."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -72,6 +73,38 @@ class TestSteerability:
         with pytest.raises(DegenerateCovarianceError):
             steerability(1e-76 * np.eye(4), Direction.A_TO_B)
 
+    def test_stack_matches_single_matrices_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        stack = []
+        for _ in range(6):
+            env = EnvironmentSpec(n=rng.uniform(0, 2), zeta=rng.uniform(0, 1.2),
+                                  phi_env=rng.uniform(0, 6.3))
+            config = SimulationConfig(r1=rng.uniform(), r2=rng.uniform(),
+                                      phi_shift=rng.uniform(-3, 3),
+                                      joint=JointSpec(xi=rng.uniform(0, 3)), env=env, L=30)
+            stack += [s.joint_cm for s in run(config).steps]
+        stack += [tmsv_cm(JointSpec(xi=1e-7)), np.eye(4)]
+        stack = np.array(stack)[rng.permutation(len(stack))]
+        for direction in Direction:
+            singles = [steerability(cm, direction) for cm in stack]
+            assert all(type(g) is float for g in singles)
+            assert 0.0 in singles and max(singles) > 0.0
+            stacked = steerability(stack, direction)
+            assert isinstance(stacked, np.ndarray) and stacked.shape == (len(stack),)
+            assert stacked.tobytes() == np.array(singles).tobytes()
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 3), (5, 3, 3), (2, 2, 4, 4), (4, 4, 3)])
+    def test_stack_shape_validation(self, shape):
+        with pytest.raises(ValueError):
+            steerability(np.ones(shape), Direction.A_TO_B)
+
+    def test_stack_reports_degenerate_position(self):
+        stack = np.array([tmsv_cm(JointSpec(xi=0.5))] * 5)
+        stack[3] = stack[4] = 1e-76 * np.eye(4)
+        with pytest.raises(DegenerateCovarianceError) as info:
+            steerability(stack, Direction.B_TO_A)
+        assert info.value.index == 3
+
     def test_directional_wrappers(self):
         traj = run(SimulationConfig(r1=0.4, r2=0.3, L=2))
         cm = traj.steps[2].joint_cm
@@ -88,6 +121,12 @@ class TestSteeringSeries:
         assert g[0] == pytest.approx(LNCOSH1, abs=1e-12)
         assert g[1] == 0.0 and g[3] == 0.0 and g[5] == 0.0
         assert g[2] > 0.3 and g[4] > 0.25
+
+    def test_degeneracy_names_its_step(self):
+        traj = run(SimulationConfig(r1=0.4, r2=0.3, L=4))
+        traj.steps[2] = dataclasses.replace(traj.steps[2], joint_cm=np.zeros((4, 4)))
+        with pytest.raises(DegenerateCovarianceError, match="^step 2: det sigma"):
+            steering_series(traj, Direction.A_TO_B)
 
     def test_memoryless_chain_never_increases(self):
         traj = run(SimulationConfig(r1=0.7, r2=1.0, L=40))
