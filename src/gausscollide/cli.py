@@ -23,7 +23,8 @@ import numpy as np
 
 from . import steering  # not `steerability`: perfbench traces that name per matrix
 from .divisibility import divisibility_records, nm_cptp
-from .engine import SimulationConfig, iter_env_ancilla_cms, iter_steps, joint_cm_closed_form, run
+from .engine import SimulationConfig, closed_form_scalars, iter_env_ancilla_cms, iter_steps
+from .engine import joint_cm_closed_form, joint_cm_stack, run
 from .errors import DegenerateCovarianceError, GaussCollideError
 from .states import EnvironmentSpec, JointSpec, reduce_to_modes, require_finite
 from .steering import (
@@ -269,12 +270,14 @@ def cmd_transport(args, parser) -> int:
         parser.error("--modes is required: at least one environment index (comma-separated)")
 
     header = ["j", "g_s_to_an"] + [f"g_e{k}_to_an" for k in modes]
-    cms = []
-    for _, coeffs, env_cms in iter_env_ancilla_cms(config, modes):
-        cms += [joint_cm_closed_form(coeffs, config.joint, config.env), *env_cms]
+    # Three scalars per step, not the CCoefficients: their env_columns are O(L) each.
+    steps = iter_env_ancilla_cms(config, modes)
+    scalars, env_cms = zip(*[(closed_form_scalars(coeffs), cms) for _, coeffs, cms in steps])
+    system = joint_cm_stack(scalars, config.joint, config.env)
+    cms = np.concatenate([system[:, None], env_cms], axis=1).reshape(-1, 4, 4)
     # Every covariance is (ancilla, X)-ordered: B_TO_A is X -> An.
     try:
-        values = steering.steerability(np.array(cms), Direction.B_TO_A)
+        values = steering.steerability(cms, Direction.B_TO_A)
     except DegenerateCovarianceError as exc:
         j, column = divmod(exc.index, len(header) - 1)
         raise DegenerateCovarianceError(f"step {j}, column {header[1 + column]}: {exc}") from None
@@ -339,7 +342,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     _add_common_flags(p_evolve)
     p_evolve.add_argument("--oracle", action="store_true",
                           help="cross-check the closed form against full-chain propagation")
-    p_evolve.set_defaults(func=cmd_evolve, **defaults)
+    p_evolve.set_defaults(func=cmd_evolve, parser=p_evolve, **defaults)
 
     p_scan = sub.add_parser("scan", help="non-Markovianity measures over a reflectivity grid")
     _add_common_flags(p_scan, with_r=False)
@@ -350,7 +353,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     p_scan.add_argument("--jobs", type=int, default=os.environ.get("GAUSSCOLLIDE_JOBS", "1"),
                         help="worker processes, at most one per CPU and grid cell "
                         "(default GAUSSCOLLIDE_JOBS or 1)")
-    p_scan.set_defaults(func=cmd_scan, **defaults)
+    p_scan.set_defaults(func=cmd_scan, parser=p_scan, **defaults)
 
     p_transport = sub.add_parser(
         "transport", help="ancilla steering against selected environment modes"
@@ -358,7 +361,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     _add_common_flags(p_transport)
     p_transport.add_argument("--modes", default="",
                              help="comma-separated environment indices k (1..L+1)")
-    p_transport.set_defaults(func=cmd_transport, **defaults)
+    p_transport.set_defaults(func=cmd_transport, parser=p_transport, **defaults)
 
     p_thr = sub.add_parser("thresholds", help="closed-form steerability threshold tables")
     p_thr.add_argument("--family", required=True, choices=THRESHOLD_FAMILIES)
@@ -368,18 +371,17 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     p_thr.add_argument("--config", help="key=value file of default parameter values")
     p_thr.add_argument("--format", dest="format", choices=FORMATS, default="csv")
     p_thr.add_argument("--out", help="output file (default stdout)")
-    p_thr.set_defaults(func=cmd_thresholds, **defaults)
+    p_thr.set_defaults(func=cmd_thresholds, parser=p_thr, **defaults)
 
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser(argv)
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         if args.format not in FORMATS:
-            parser.error(f"unknown format {args.format!r}")
-        return args.func(args, parser)
+            args.parser.error(f"unknown format {args.format!r}")
+        return args.func(args, args.parser)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
@@ -388,6 +390,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc}); lower --L or the grid sizes", file=sys.stderr)
         return 2
 
 

@@ -110,23 +110,14 @@ def divisibility_eigenvalues(n_scale: float, m_scale: float, ratio: float) -> tu
 
 
 def divisibility_records(trajectory) -> list[DivisibilityRecord]:
-    """Per-step records for j = 1 .. L along a trajectory."""
-    n_scale, m_scale = env_noise_scales(trajectory.config.env)
-    records = []
-    steps = trajectory.steps
-    for j in range(1, len(steps)):
-        prev_sq = steps[j - 1].coeffs.c22_abs_sq
-        if prev_sq < SKIP_TOL:
-            records.append(
-                DivisibilityRecord(
-                    step=j, nu_plus=math.nan, nu_minus=math.nan, ratio=math.nan, skipped=True
-                )
-            )
-            continue
-        ratio = steps[j].coeffs.c22_abs_sq / prev_sq
-        nu_p, nu_m = divisibility_eigenvalues(n_scale, m_scale, ratio)
-        records.append(DivisibilityRecord(step=j, nu_plus=nu_p, nu_minus=nu_m, ratio=ratio))
-    return records
+    """Per-step records for j = 1 .. L along a trajectory, evaluated as
+    arrays over the |c22|^2 series; skipped steps carry NaN fields."""
+    c_sq = trajectory.abs_c22_sq_series()
+    skipped = c_sq[:-1] < SKIP_TOL
+    ratio = np.where(skipped, math.nan, c_sq[1:] / np.where(skipped, 1.0, c_sq[:-1]))
+    nu_p, nu_m = divisibility_eigenvalues(*env_noise_scales(trajectory.config.env), ratio)
+    columns = (nu_p.tolist(), nu_m.tolist(), ratio.tolist(), skipped.tolist())
+    return [DivisibilityRecord(j, *fields) for j, *fields in zip(range(1, len(c_sq)), *columns)]
 
 
 def nm_cptp(trajectory) -> DivisibilityMeasure:
@@ -135,13 +126,11 @@ def nm_cptp(trajectory) -> DivisibilityMeasure:
     from the sum and reported in the result."""
     if trajectory.config.L < 2:
         raise ValueError("nm_cptp needs at least two rounds (L >= 2)")
+    records = divisibility_records(trajectory)[1:]
     total = 0.0
-    skipped = []
-    for rec in divisibility_records(trajectory)[1:]:
-        if rec.skipped:
-            skipped.append(rec.step)
-            continue
+    for rec in records:
         for nu in (rec.nu_plus, rec.nu_minus):
-            if nu < 0.0:
+            if nu < 0.0:  # False for the NaN fields of a skipped step
                 total -= nu
-    return DivisibilityMeasure(value=total, skipped_steps=tuple(skipped))
+    skipped = tuple(rec.step for rec in records if rec.skipped)
+    return DivisibilityMeasure(value=total, skipped_steps=skipped)

@@ -81,10 +81,13 @@ class Trajectory:
         return np.array([s.coeffs.c22_abs_sq for s in self.steps])
 
 
-def joint_cm_closed_form(
-    coeffs: CCoefficients, joint: JointSpec, env: EnvironmentSpec
-) -> np.ndarray:
-    """4x4 ancilla-system covariance matrix after the recorded step.
+def closed_form_scalars(coeffs: CCoefficients) -> tuple:
+    """The per-step scalars the closed form reads: (c22, |c22|^2, W)."""
+    return coeffs.c22, coeffs.c22_abs_sq, coeffs.env_square_sum
+
+
+def joint_cm_stack(scalars, joint: JointSpec, env: EnvironmentSpec) -> np.ndarray:
+    """(n, 4, 4) ancilla-system covariances, one per (c22, |c22|^2, W) triple.
 
     Closed form in the network coefficients: with c = c22,
     W = sum_m (env amplitude)^2 and V = e^{-i phi_env} W,
@@ -95,26 +98,34 @@ def joint_cm_closed_form(
         V_S,pp = same with -sinh(zeta) Re V
         V_S,qp = -(2n+1) sinh(zeta) Im V
 
-    Ordering is (ancilla, system).
+    Ordering is (ancilla, system).  V is formed in real arithmetic and |c|^2
+    taken as given: numpy's complex array product and abs round differently.
     """
-    c = coeffs.c22
-    csq = coeffs.c22_abs_sq
-    v = np.exp(-1j * env.phi_env) * coeffs.env_square_sum
+    c, csq, w = (np.array(column) for column in zip(*scalars))
+    e = np.exp(-1j * env.phi_env)
+    v_re = e.real * w.real - e.imag * w.imag
+    v_im = e.real * w.imag + e.imag * w.real
     nf = 2.0 * env.n + 1.0
     ch_x, sh_x = np.cosh(joint.xi), np.sinh(joint.xi)
     ch_z, sh_z = np.cosh(env.zeta), np.sinh(env.zeta)
 
-    cm = np.zeros((4, 4))
-    cm[:2, :2] = ch_x * np.eye(2)
-    cstar = np.conj(c)
-    vj = sh_x * np.array([[cstar.real, cstar.imag], [cstar.imag, -cstar.real]])
-    cm[:2, 2:] = vj
-    cm[2:, :2] = vj.T
+    cm = np.zeros((len(c), 4, 4))
+    cm[:, 0, 0] = cm[:, 1, 1] = ch_x
+    cm[:, 0, 2] = cm[:, 2, 0] = sh_x * c.real
+    cm[:, 0, 3] = cm[:, 3, 0] = cm[:, 1, 2] = cm[:, 2, 1] = -sh_x * c.imag
+    cm[:, 1, 3] = cm[:, 3, 1] = -sh_x * c.real
     base = ch_x * csq + nf * ch_z * (1.0 - csq)
-    cm[2, 2] = base + nf * sh_z * v.real
-    cm[3, 3] = base - nf * sh_z * v.real
-    cm[2, 3] = cm[3, 2] = -nf * sh_z * v.imag
+    cm[:, 2, 2] = base + nf * sh_z * v_re
+    cm[:, 3, 3] = base - nf * sh_z * v_re
+    cm[:, 2, 3] = cm[:, 3, 2] = -nf * sh_z * v_im
     return cm
+
+
+def joint_cm_closed_form(
+    coeffs: CCoefficients, joint: JointSpec, env: EnvironmentSpec
+) -> np.ndarray:
+    """4x4 ancilla-system covariance matrix after the recorded step."""
+    return joint_cm_stack([closed_form_scalars(coeffs)], joint, env)[0]
 
 
 def initial_full_cm(config: SimulationConfig) -> np.ndarray:
@@ -182,16 +193,11 @@ def iter_env_ancilla_cms(config: SimulationConfig, modes):
 
 def run(config: SimulationConfig) -> Trajectory:
     """Evolve the chain and collect one StepRecord per step, j = 0 .. L."""
-    steps = []
-    for j, coeffs, sigma in iter_steps(config):
-        steps.append(
-            StepRecord(
-                j=j,
-                coeffs=coeffs,
-                joint_cm=joint_cm_closed_form(coeffs, config.joint, config.env),
-                full_cm=None if sigma is None else sigma.copy(),
-            )
-        )
+    chain = [(j, coeffs, None if sigma is None else sigma.copy())
+             for j, coeffs, sigma in iter_steps(config)]
+    scalars = [closed_form_scalars(coeffs) for _, coeffs, _ in chain]
+    cms = joint_cm_stack(scalars, config.joint, config.env)
+    steps = [StepRecord(j, coeffs, cm, full_cm) for (j, coeffs, full_cm), cm in zip(chain, cms)]
     return Trajectory(config=config, steps=steps)
 
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-UNITARITY_TOL = 1e-10
 NORMALIZATION_TOL = 1e-10
 
 

@@ -80,6 +80,27 @@ class TestUsageErrors:
         assert code == 2
         assert "--r1" in err
 
+    @pytest.mark.parametrize(
+        "argv,command",
+        [
+            (("thresholds", "--family", "an-to-s-thermal", "--n-values", "1"), "thresholds"),
+            (("evolve", "--r2", "0.3"), "evolve"),
+            (("scan", "--grid-r1", "0,1"), "scan"),
+            (("transport", "--r1", "0.4", "--r2", "0.3"), "transport"),
+        ],
+    )
+    def test_usage_error_prints_the_subcommand_usage(self, capsys, argv, command):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"usage: gausscollide {command} ")
+
+    def test_out_of_memory_length(self, capsys):
+        # 142 PiB exceeds the address space: the allocation fails at once.
+        code, out, err = run_cli(capsys, "evolve", "--r1", ".4", "--r2", ".3", "--L", "100000000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--L" in err and err.count("\n") == 1
+
     def test_out_of_domain_reflectivity(self, capsys):
         code, _, err = run_cli(capsys, "evolve", "--r1", "1.5", "--r2", "0.3", "--L", "3")
         assert code == 2

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gausscollide.divisibility import (
+    SKIP_TOL,
     channel_xy,
     divisibility_eigenvalues,
     divisibility_records,
@@ -221,6 +222,31 @@ class TestRecordsAndMeasure:
         assert math.isnan(records[1].ratio)
         assert not records[0].skipped and not records[2].skipped
         assert nm_cptp(traj).skipped_steps == (2,)
+
+    @pytest.mark.parametrize(
+        "r1,r2,env",
+        [
+            (0.0, 0.5, EnvironmentSpec()),
+            (0.4, 0.3, EnvironmentSpec(n=0.7)),
+            (0.0, 0.8, EnvironmentSpec(n=0.3, zeta=0.6, phi_env=1.2)),
+            (0.75, 0.15, EnvironmentSpec(zeta=0.9, phi_env=-2.0)),
+        ],
+    )
+    def test_records_equal_per_step_scalar_reference(self, r1, r2, env):
+        traj = run(SimulationConfig(r1=r1, r2=r2, phi_shift=0.8, env=env, L=60))
+        n_scale, m_scale = env_noise_scales(env)
+        expected = []
+        for j in range(1, len(traj)):
+            prev_sq = traj.steps[j - 1].coeffs.c22_abs_sq
+            if prev_sq < SKIP_TOL:
+                expected.append((j, math.nan, math.nan, math.nan, True))
+                continue
+            ratio = traj.steps[j].coeffs.c22_abs_sq / prev_sq
+            expected.append((j, *divisibility_eigenvalues(n_scale, m_scale, ratio), ratio, False))
+        got = [(r.step, r.nu_plus, r.nu_minus, r.ratio, r.skipped) for r in divisibility_records(traj)]
+        np.testing.assert_equal(got, expected)
+        assert all(type(f) is float for rec in got for f in rec[1:4])
+        assert got[1][4] == (r1 == 0.0)  # r1 = 0 leaves c22(1) = 0 exactly
 
     @pytest.mark.parametrize(
         "n,zeta,phi",

@@ -100,6 +100,41 @@ class TestTrajectory:
         assert traj.abs_c22_sq_series()[1] == pytest.approx(0.16, abs=1e-14)
 
 
+def scalar_closed_form(coeffs, joint, env):
+    """The joint covariance in one-step scalar arithmetic: the rounding the
+    stacked evaluation must keep (numpy's complex array product does not)."""
+    cs = coeffs.c22.conjugate()
+    v = np.exp(-1j * env.phi_env) * coeffs.env_square_sum
+    nf = 2.0 * env.n + 1.0
+    ch_x, sh_x = np.cosh(joint.xi), np.sinh(joint.xi)
+    ch_z, sh_z = np.cosh(env.zeta), np.sinh(env.zeta)
+    base = ch_x * coeffs.c22_abs_sq + nf * ch_z * (1.0 - coeffs.c22_abs_sq)
+    re_j, im_j = sh_x * cs.real, sh_x * cs.imag
+    return np.array([
+        [ch_x, 0.0, re_j, im_j],
+        [0.0, ch_x, im_j, sh_x * -cs.real],
+        [re_j, im_j, base + nf * sh_z * v.real, -nf * sh_z * v.imag],
+        [im_j, sh_x * -cs.real, -nf * sh_z * v.imag, base - nf * sh_z * v.real],
+    ])
+
+
+class TestClosedFormStack:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_run_rows_equal_one_step_forms_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        n, zeta = rng.uniform(0, 2), rng.uniform(0, 1.5)
+        env = [EnvironmentSpec(n=n), EnvironmentSpec(zeta=zeta, phi_env=rng.uniform(-3, 3)),
+               EnvironmentSpec(n=n, zeta=zeta, phi_env=rng.uniform(-3, 3))][seed % 3]
+        config = SimulationConfig(
+            r1=0.0 if seed % 4 == 3 else rng.uniform(), r2=rng.uniform(),
+            phi_shift=rng.uniform(-3, 3), joint=JointSpec(xi=rng.uniform(0.1, 3)), env=env, L=80,
+        )
+        for step in run(config).steps:
+            one_step = joint_cm_closed_form(step.coeffs, config.joint, config.env)
+            scalar = scalar_closed_form(step.coeffs, config.joint, config.env)
+            assert step.joint_cm.tobytes() == one_step.tobytes() == scalar.tobytes(), step.j
+
+
 class TestClosedFormAgainstPropagation:
     @pytest.mark.parametrize("env", ENV_FAMILIES)
     def test_all_environment_families(self, env):
