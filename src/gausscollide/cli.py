@@ -23,8 +23,8 @@ import numpy as np
 
 from . import steering  # not `steerability`: perfbench traces that name per matrix
 from .divisibility import divisibility_records, nm_cptp
-from .engine import SimulationConfig, closed_form_scalars, iter_env_ancilla_cms, iter_steps
-from .engine import joint_cm_closed_form, joint_cm_stack, run
+from .engine import SimulationConfig, iter_env_ancilla_cms, iter_steps, joint_cm_closed_form
+from .engine import STEP_BYTES, joint_cm_stack, require_memory, run
 from .errors import DegenerateCovarianceError, GaussCollideError
 from .states import EnvironmentSpec, JointSpec, reduce_to_modes, require_finite
 from .steering import (
@@ -270,10 +270,10 @@ def cmd_transport(args, parser) -> int:
         parser.error("--modes is required: at least one environment index (comma-separated)")
 
     header = ["j", "g_s_to_an"] + [f"g_e{k}_to_an" for k in modes]
-    # Three scalars per step, not the CCoefficients: their env_columns are O(L) each.
-    steps = iter_env_ancilla_cms(config, modes)
-    scalars, env_cms = zip(*[(closed_form_scalars(coeffs), cms) for _, coeffs, cms in steps])
-    system = joint_cm_stack(scalars, config.joint, config.env)
+    # Measured: about 0.5 kB per step and column; STEP_BYTES bounds it.
+    require_memory(config.L, STEP_BYTES * (1 + len(modes)))
+    _, coeffs, env_cms = zip(*iter_env_ancilla_cms(config, modes))
+    system = joint_cm_stack(coeffs, config.joint, config.env)
     cms = np.concatenate([system[:, None], env_cms], axis=1).reshape(-1, 4, 4)
     # Every covariance is (ancilla, X)-ordered: B_TO_A is X -> An.
     try:

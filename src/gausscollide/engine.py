@@ -3,22 +3,19 @@
 Runs the tunable beam-splitter chain for L rounds and records, per step,
 the network coefficients and the joint ancilla-system covariance matrix
 (closed form), and the same closed form for chosen environment modes.
+The coefficients come from a recurrence with O(1) state per step
+(`iter_env_ancilla_cms`), never from the (L+3)^2 composed unitary.
 An optional oracle path propagates the full (L+3)-mode covariance
 matrix symplectically and stores it alongside; it is the independent
 reference the tests and `evolve --oracle` check the closed forms against.
 """
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import (
-    CCoefficients,
-    apply_collision_inplace,
-    extract_c_coefficients,
-    mixing_block,
-    mode_unitary_to_symplectic,
-)
+from .network import CCoefficients, mixing_block, mode_unitary_to_symplectic
 from .states import (
     EnvironmentSpec,
     JointSpec,
@@ -27,6 +24,10 @@ from .states import (
     squeezed_thermal_cm,
     tmsv_cm,
 )
+
+# Peak-RSS growth per step of an `evolve` run, most of it run()'s records
+# (measured at L = 3e5: 381 MB, about 1.2 kB per step).
+STEP_BYTES = 1200
 
 
 @dataclass(frozen=True)
@@ -81,13 +82,8 @@ class Trajectory:
         return np.array([s.coeffs.c22_abs_sq for s in self.steps])
 
 
-def closed_form_scalars(coeffs: CCoefficients) -> tuple:
-    """The per-step scalars the closed form reads: (c22, |c22|^2, W)."""
-    return coeffs.c22, coeffs.c22_abs_sq, coeffs.env_square_sum
-
-
-def joint_cm_stack(scalars, joint: JointSpec, env: EnvironmentSpec) -> np.ndarray:
-    """(n, 4, 4) ancilla-system covariances, one per (c22, |c22|^2, W) triple.
+def joint_cm_stack(coeffs, joint: JointSpec, env: EnvironmentSpec) -> np.ndarray:
+    """(n, 4, 4) ancilla-system covariances, one per CCoefficients in coeffs.
 
     Closed form in the network coefficients: with c = c22,
     W = sum_m (env amplitude)^2 and V = e^{-i phi_env} W,
@@ -101,7 +97,9 @@ def joint_cm_stack(scalars, joint: JointSpec, env: EnvironmentSpec) -> np.ndarra
     Ordering is (ancilla, system).  V is formed in real arithmetic and |c|^2
     taken as given: numpy's complex array product and abs round differently.
     """
-    c, csq, w = (np.array(column) for column in zip(*scalars))
+    c = np.array([co.c22 for co in coeffs])
+    csq = np.array([co.c22_abs_sq for co in coeffs])
+    w = np.array([co.env_square_sum for co in coeffs])
     e = np.exp(-1j * env.phi_env)
     v_re = e.real * w.real - e.imag * w.imag
     v_im = e.real * w.imag + e.imag * w.real
@@ -125,7 +123,7 @@ def joint_cm_closed_form(
     coeffs: CCoefficients, joint: JointSpec, env: EnvironmentSpec
 ) -> np.ndarray:
     """4x4 ancilla-system covariance matrix after the recorded step."""
-    return joint_cm_stack([closed_form_scalars(coeffs)], joint, env)[0]
+    return joint_cm_stack([coeffs], joint, env)[0]
 
 
 def initial_full_cm(config: SimulationConfig) -> np.ndarray:
@@ -167,36 +165,111 @@ def iter_steps(config: SimulationConfig):
         yield j, coeffs, sigma
 
 
+def _bilinear(p, q, state):
+    """sum_m (p.x)_m (q.x)_m over the environment columns, x = (S, E, F)."""
+    _, _, g_ss, g_se, g_ee, *_ = state
+    return (p[0] * q[0] * g_ss + (p[0] * q[1] + p[1] * q[0]) * g_se + p[1] * q[1] * g_ee
+            + p[2] * q[2])
+
+
+def _hermitian(p, q_conj, state):
+    """sum_m (p.x)_m conj((q.x)_m) over the environment columns, x = (S, E, F);
+    q_conj = conj(q)."""
+    *_, h_ss, h_se, h_ee = state
+    return (p[0] * q_conj[0] * h_ss + p[0] * q_conj[1] * h_se
+            + p[1] * q_conj[0] * h_se.conjugate() + p[1] * q_conj[1] * h_ee + p[2] * q_conj[2])
+
+
+def _coefficients(step: int, a: complex, g: complex, h: float) -> CCoefficients:
+    """A row's coefficients from its amplitude a and its sums g and h."""
+    return CCoefficients(step, a.conjugate(), env_square_sum=g.conjugate(), env_abs_square_sum=h)
+
+
+def _row(step: int, p, p_conj, state) -> CCoefficients:
+    """Coefficients of the row p.x, x = (S, E, F); p_conj = conj(p)."""
+    a = p[0] * state[0] + p[1] * state[1]
+    return _coefficients(step, a, _bilinear(p, p, state), _hermitian(p, p_conj, state).real)
+
+
+def _next_state(block, block_conj, state):
+    """State after one round: S <- block[0].x and E <- block[2].x."""
+    s_row, f_row = block[0], block[2]
+    return (
+        s_row[0] * state[0] + s_row[1] * state[1],
+        f_row[0] * state[0] + f_row[1] * state[1],
+        _bilinear(s_row, s_row, state),
+        _bilinear(s_row, f_row, state),
+        _bilinear(f_row, f_row, state),
+        _hermitian(s_row, block_conj[0], state).real,
+        _hermitian(s_row, block_conj[2], state),
+        _hermitian(f_row, block_conj[2], state).real,
+    )
+
+
 def iter_env_ancilla_cms(config: SimulationConfig, modes):
     """Yield (j, coeffs, env_cms) for j = 0 .. L.
 
     coeffs are the system coefficients.  env_cms[i] is the closed-form
     (ancilla, E_k) covariance for k = modes[i]: joint_cm_closed_form on
-    E_k's row of the composed unitary.  Round j mixes only S, E_j and
-    E_{j+1}, so that row changes only in rounds k - 1 and k, and the
-    covariance is computed at j = 0 and at those two steps only.
+    E_k's row of the composed unitary.
+
+    Round j maps the rows x = (S, E_j, F = E_{j+1}) of the composed unitary
+    to mixing_block @ x; before it F is still a unit row, orthogonal to S
+    and E_j.  So the state is, for the system row S and the environment row
+    E handed to the next round, the system-column amplitude a, the bilinear
+    sum g = sum u_m^2 and the Hermitian sum h = sum |u_m|^2 over the
+    environment columns, and the cross sums g_se = sum S_m E_m and
+    h_se = sum S_m conj(E_m): (a_s, a_e, g_ss, g_se, g_ee, h_ss, h_se, h_ee).
+    A row's coefficients are c22 = conj(a), W = conj(g) and H = h.  E_k's
+    row is the unit row before step k - 1, the carried row E at j = k - 1
+    and round k's middle row from j = k on.
     """
     for k in modes:
         if not 1 <= k <= config.L + 1:
             raise ValueError(f"environment index {k} out of range 1..{config.L + 1}")
-    u = np.eye(config.L + 3, dtype=complex)
-    env_cms = [None] * len(modes)
+    block = mixing_block(config.r1, config.r2, config.phi_shift)
+    block, block_conj = block.tolist(), block.conj().tolist()
+    state = (1 + 0j, 0j, 0j, 0j, 1 + 0j, 0.0, 0j, 1.0)  # S = e_1, E = e_2
+    unit_row = _coefficients(0, 0j, 1 + 0j, 1.0)  # E_k's row e_{k+1} before step k - 1
+    env_cms = [joint_cm_closed_form(unit_row, config.joint, config.env)] * len(modes)
     for j in range(config.L + 1):
         if j > 0:
-            apply_collision_inplace(u, j, config.r1, config.r2, config.phi_shift)
+            for i, k in enumerate(modes):
+                if k == j:
+                    row = _row(j, block[1], block_conj[1], state)
+                    env_cms[i] = joint_cm_closed_form(row, config.joint, config.env)
+            state = _next_state(block, block_conj, state)
+        a_s, a_e, g_ss, _, g_ee, h_ss, _, h_ee = state
         for i, k in enumerate(modes):
-            if j in (0, k - 1, k):
-                row = extract_c_coefficients(u, j, m=k + 1)
+            if k == j + 1:
+                row = _coefficients(j, a_e, g_ee, h_ee)
                 env_cms[i] = joint_cm_closed_form(row, config.joint, config.env)
-        yield j, extract_c_coefficients(u, j), tuple(env_cms)
+        yield j, _coefficients(j, a_s, g_ss, h_ss), tuple(env_cms)
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory on this host."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def require_memory(L: int, step_bytes: int) -> None:
+    """Raise MemoryError, naming L, if L + 1 steps of step_bytes each
+    exceed physical memory."""
+    need, have = (L + 1) * step_bytes, physical_memory()
+    if need > have:
+        raise MemoryError(
+            f"L = {L} needs about {need / 2**30:.3g} GiB for its {L + 1} steps, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory"
+        )
 
 
 def run(config: SimulationConfig) -> Trajectory:
     """Evolve the chain and collect one StepRecord per step, j = 0 .. L."""
+    oracle_bytes = 8 * (2 * config.L + 6) ** 2 if config.oracle_enabled else 0
+    require_memory(config.L, STEP_BYTES + oracle_bytes)
     chain = [(j, coeffs, None if sigma is None else sigma.copy())
              for j, coeffs, sigma in iter_steps(config)]
-    scalars = [closed_form_scalars(coeffs) for _, coeffs, _ in chain]
-    cms = joint_cm_stack(scalars, config.joint, config.env)
+    cms = joint_cm_stack([coeffs for _, coeffs, _ in chain], config.joint, config.env)
     steps = [StepRecord(j, coeffs, cm, full_cm) for (j, coeffs, full_cm), cm in zip(chain, cms)]
     return Trajectory(config=config, steps=steps)
 

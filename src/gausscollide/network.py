@@ -1,10 +1,13 @@
-"""Beam-splitter collision network: round unitaries, chronological
-composition, transmission-coefficient extraction, and the passive
-unitary -> symplectic map.
+"""Beam-splitter collision network: the round block, the transmission
+coefficients, and the dense reference path (round unitaries, chronological
+composition, coefficient extraction) with the passive unitary -> symplectic
+map.
 
 Mode ordering throughout: [An, S, E_1, ..., E_{L+1}], so a chain with L
 rounds acts on L + 3 modes.  Round j mixes the system mode with
-environment modes E_j and E_{j+1}; the ancilla is never touched.
+environment modes E_j and E_{j+1}; the ancilla is never touched.  The
+engine evolves only the scalars of the rows a round touches; the dense
+(L+3)^2 composed unitary is the test reference it is checked against.
 """
 
 from dataclasses import dataclass, field
@@ -19,31 +22,35 @@ class CCoefficients:
     """Transmission coefficients of the composed network after `step` rounds.
 
     c22 is the system->system amplitude of the inverse (adjoint) composed
-    unitary; env_column holds the system->E_m amplitudes for
-    m = 1 .. L + 1.  Column normalization |c22|^2 + sum |env|^2 = 1 is
-    enforced at construction.
+    unitary.  Over its system->E_m amplitudes, m = 1 .. L + 1,
+    env_square_sum W is the sum of squares and env_abs_square_sum H the sum
+    of squared moduli.  Either env_column gives those amplitudes (W and H
+    are then derived from it), or W and H are given without it.  Column
+    normalization |c22|^2 + H = 1 is enforced at construction.
     """
 
     step: int
     c22: complex
-    env_column: np.ndarray = field(repr=False)
+    env_column: np.ndarray | None = field(default=None, repr=False)
+    env_square_sum: complex | None = None
+    env_abs_square_sum: float | None = None
 
     def __post_init__(self):
-        env = np.asarray(self.env_column, dtype=complex)
-        env.flags.writeable = False
-        object.__setattr__(self, "env_column", env)
-        total = abs(self.c22) ** 2 + float(np.sum(np.abs(env) ** 2))
+        if self.env_column is not None:
+            env = np.asarray(self.env_column, dtype=complex)
+            env.flags.writeable = False
+            object.__setattr__(self, "env_column", env)
+            object.__setattr__(self, "env_square_sum", complex(np.sum(env**2)))
+            object.__setattr__(self, "env_abs_square_sum", float(np.sum(np.abs(env) ** 2)))
+        elif self.env_square_sum is None or self.env_abs_square_sum is None:
+            raise ValueError("give env_column, or both env_square_sum and env_abs_square_sum")
+        total = abs(self.c22) ** 2 + self.env_abs_square_sum
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"coefficient column not normalized: sum of squares = {total!r}")
 
     @property
     def c22_abs_sq(self) -> float:
         return abs(self.c22) ** 2
-
-    @property
-    def env_square_sum(self) -> complex:
-        """Complex sum of squared (not modulus-squared) environment amplitudes."""
-        return complex(np.sum(self.env_column**2))
 
 
 def mixing_block(r1: float, r2: float, phi: float = 0.0) -> np.ndarray:

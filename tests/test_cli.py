@@ -95,7 +95,7 @@ class TestUsageErrors:
         assert err.startswith(f"usage: gausscollide {command} ")
 
     def test_out_of_memory_length(self, capsys):
-        # 142 PiB exceeds the address space: the allocation fails at once.
+        # 1e8 steps of records exceed physical memory: refused before the first step.
         code, out, err = run_cli(capsys, "evolve", "--r1", ".4", "--r2", ".3", "--L", "100000000")
         assert code == 2
         assert out == ""
@@ -396,6 +396,33 @@ class TestTransport:
         lines = out.strip().split("\n")[1:]
         for line in lines[:5]:  # mode 8 first collides in round 7
             assert float(line.split(",")[2]) == 0.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_system_column_equals_evolve(self, seed):
+        rng = np.random.default_rng(seed)
+        family = ENV_FAMILIES[seed]
+        common = [f"--r1={rng.uniform()!r}", f"--r2={rng.uniform()!r}",
+                  f"--phi={rng.uniform(-3, 3)!r}", f"--xi={rng.uniform(0.1, 3)!r}",
+                  f"--env={family}", f"--L={int(rng.integers(1, 300))}"]
+        if family in ("thermal", "squeezed-thermal"):
+            common.append(f"--n={rng.uniform(0, 2)!r}")
+        if family in ("squeezed", "squeezed-thermal"):
+            common += [f"--zeta={rng.uniform(0, 1.2)!r}", f"--phi-env={rng.uniform(0, 6)!r}"]
+        columns = []
+        for argv, column in ((["evolve", *common], 4), (["transport", *common, "--modes=1"], 1)):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(argv) == 0
+            columns.append([line.split(",")[column] for line in buf.getvalue().split("\n")[1:-1]])
+        assert columns[0] == columns[1]
+
+    def test_out_of_memory_length(self, capsys, monkeypatch):
+        monkeypatch.setattr(engine, "physical_memory", lambda: 10 * 2**20)
+        code, out, err = run_cli(capsys, "transport", "--r1", ".4", "--r2", ".3",
+                                 "--L", "10000", "--modes", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--L" in err and err.count("\n") == 1
 
     def test_runs_without_the_full_chain_oracle(self, capsys, monkeypatch):
         def oracle_only(*args, **kwargs):

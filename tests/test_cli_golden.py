@@ -17,8 +17,9 @@ import pytest
 from gausscollide.cli import main
 
 GOLDEN = [
+    # Re-pinned for the row recurrence: 5 of 2521 tokens moved, at most 1.1e-11 relative.
     ("evolve --r1 0.4 --r2 0.3 --xi 1 --L 250 --env vacuum", 0,
-     "7cb7ea76bccf78249aee46df9e7e4aebea35c3c883b84e3f9a06ad6f0485c937"),
+     "08564f12a3fcf6adc170e16a1a81de8bc20fef43860f2f6da920811ddea43216"),
     ("evolve --r1 0.4 --r2 0.3 --L 50 --oracle", 0,
      "a28f77610bf249f2c0b7c3101c0f4bd80bdaa6625baaad0963ed7353fbaf7617"),
     ("scan --grid-r1 0.05:0.95:21 --grid-r2 0.05:0.95:21 --L 40 --jobs 1", 0,
@@ -31,9 +32,10 @@ GOLDEN = [
      "617539357a33cec0e17e2b0d92c5c912de0376c2d487da75dc30c9258a4dce57"),
     ("thresholds --family an-to-s-squeezed --xi-values 0.5 --zeta-values 0:1.4:8", 0,
      "218acf78e1b228dbb7b96c366afc98e7eda80beb548f6d0fe9164b87e4968788"),
+    # Re-pinned for the row recurrence: 26 of 40021 tokens moved, at most 8e-12 relative.
     ("evolve --r1 0.51721 --r2 0.482887 --phi 2.356796 --xi 0.908478 --env squeezed-thermal"
      " --n 0.87214 --zeta 0.364692 --phi-env 2.805858 --L 4000", 0,
-     "70089fd725f4833d3f79778efddb111fa0ff2be5987c4b908d9d7552dfa3183f"),
+     "d5550fad17f5c06e63d62089e97c303eb9870868a08e1af43d6dfaa9e6a58487"),
     ("scan --grid-r1 0.100526,0.180526,0.260526,0.340526,0.420526,0.500526,0.580526,"
      "0.660526,0.740526,0.820526 --grid-r2 0.161158,0.251158,0.341158,0.431158,0.521158,"
      "0.611158,0.701158,0.791158,0.881158,1.0 --jobs 1 --phi 2.850333 --xi 1.789994"

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gausscollide import engine
 from gausscollide.engine import (
     SimulationConfig,
     env_ancilla_cm,
@@ -16,7 +17,12 @@ from gausscollide.engine import (
     joint_cm_closed_form,
     run,
 )
-from gausscollide.network import mode_unitary_to_symplectic
+from gausscollide.network import (
+    NORMALIZATION_TOL,
+    apply_collision_inplace,
+    extract_c_coefficients,
+    mode_unitary_to_symplectic,
+)
 from gausscollide.states import (
     EnvironmentSpec,
     JointSpec,
@@ -248,6 +254,79 @@ class TestEnvAncilla:
         np.testing.assert_allclose(cm[:2, 2:], 0.0, atol=1e-13)
 
 
+def assert_same_row(coeffs, ref, where=None):
+    """c22, W and H of a recurrence row against the dense reference, to 1e-12."""
+    for name in ("c22", "env_square_sum", "env_abs_square_sum"):
+        assert abs(getattr(coeffs, name) - getattr(ref, name)) <= 1e-12, (name, where)
+
+
+EDGE_REFLECTIVITIES = [(r1, r2) for r1 in (0.0, 1.0, 0.37) for r2 in (0.0, 1.0, 0.61)]
+
+
+class TestRecurrenceAgainstDenseReference:
+    """The O(1)-state recurrence against rows of the dense (L+3)^2 composed
+    unitary: the system row at every step, and each E_k row."""
+
+    @staticmethod
+    def rows(config, modes, monkeypatch):
+        # The closed form is applied to each E_k row; keep the row instead.
+        monkeypatch.setattr(engine, "joint_cm_closed_form", lambda coeffs, joint, env: coeffs)
+        return iter_env_ancilla_cms(config, modes)
+
+    def check(self, config, steps, monkeypatch):
+        """Every row at each j in steps, the system row at every j."""
+        modes = range(1, config.L + 2)
+        u = np.eye(config.L + 3, dtype=complex)
+        for j, coeffs, env_rows in self.rows(config, modes, monkeypatch):
+            if j > 0:
+                apply_collision_inplace(u, j, config.r1, config.r2, config.phi_shift)
+            assert_same_row(coeffs, extract_c_coefficients(u, j), j)
+            if j in steps:
+                for k, row in zip(modes, env_rows):
+                    assert_same_row(row, extract_c_coefficients(u, j, m=k + 1), (j, k))
+
+    @pytest.mark.parametrize("r1,r2", EDGE_REFLECTIVITIES)
+    def test_edge_reflectivities(self, r1, r2, monkeypatch):
+        config = SimulationConfig(r1=r1, r2=r2, phi_shift=0.9, L=30)
+        self.check(config, range(config.L + 1), monkeypatch)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_configurations(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        config = SimulationConfig(
+            r1=rng.uniform(), r2=rng.uniform(), phi_shift=rng.uniform(-3, 3), L=400
+        )
+        self.check(config, {0, 1, 2, 199, 200, 201, 399, 400}, monkeypatch)
+
+    def test_normalization_holds_at_long_chains(self):
+        # The check runs in CCoefficients on every step; the defect stays
+        # far below its tolerance even with r1 near 1 and L = 1e5.
+        config = SimulationConfig(r1=0.999, r2=0.3, phi_shift=0.7, L=100_000)
+        defect = max(
+            abs(coeffs.c22_abs_sq + coeffs.env_abs_square_sum - 1.0)
+            for _, coeffs, _ in iter_steps(config)
+        )
+        assert defect < NORMALIZATION_TOL / 10
+
+
+class TestMemoryGuard:
+    def test_oracle_copies_are_counted(self, monkeypatch):
+        monkeypatch.setattr(engine, "physical_memory", lambda: 10 * 2**20)
+        # 201 copies of the (2L + 6)^2 covariance: about 265 MB
+        with pytest.raises(MemoryError, match="L = 200"):
+            run(SimulationConfig(r1=0.4, r2=0.3, L=200, oracle_enabled=True))
+        assert len(run(SimulationConfig(r1=0.4, r2=0.3, L=200))) == 201
+
+    def test_refuses_before_the_first_step(self, monkeypatch):
+        def no_steps(config):
+            raise AssertionError("run started stepping")
+
+        monkeypatch.setattr(engine, "physical_memory", lambda: 10 * 2**20)
+        monkeypatch.setattr(engine, "iter_steps", no_steps)
+        with pytest.raises(MemoryError, match="L = 10000 "):
+            run(SimulationConfig(r1=0.4, r2=0.3, L=10_000))
+
+
 class TestEnvAncillaClosedForm:
     @pytest.mark.parametrize("env", ENV_FAMILIES)
     def test_matches_full_chain_propagation(self, env):
@@ -255,9 +334,12 @@ class TestEnvAncillaClosedForm:
         modes = (1, 4, 9, 10)
         closed = iter_env_ancilla_cms(config, modes)
         oracle = iter_steps(replace(config, oracle_enabled=True))
-        for (_, coeffs, env_cms), (_, ref, sigma) in zip(closed, oracle):
+        u = np.eye(config.L + 3, dtype=complex)
+        for (j, coeffs, env_cms), (_, ref, sigma) in zip(closed, oracle):
             assert coeffs.c22 == ref.c22
-            np.testing.assert_array_equal(coeffs.env_column, ref.env_column)
+            if j > 0:
+                apply_collision_inplace(u, j, config.r1, config.r2, config.phi_shift)
+            assert_same_row(coeffs, extract_c_coefficients(u, j), j)
             for k, cm in zip(modes, env_cms):
                 np.testing.assert_allclose(cm, reduce_to_modes(sigma, [0, k + 1]), atol=1e-12)
 

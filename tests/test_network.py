@@ -156,6 +156,16 @@ class TestCoefficients:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             CCoefficients(step=1, c22=0.9, env_column=np.array([0.9, 0.0]))
+        with pytest.raises(ValueError, match="not normalized"):
+            CCoefficients(step=1, c22=0.9, env_square_sum=0.81, env_abs_square_sum=0.81)
+        with pytest.raises(ValueError, match="env_column"):
+            CCoefficients(step=1, c22=0.6, env_square_sum=0.64)
+
+    def test_sums_without_a_column(self):
+        coeffs = CCoefficients(step=1, c22=0.6, env_square_sum=0.64j, env_abs_square_sum=0.64)
+        assert coeffs.env_column is None
+        assert coeffs.env_square_sum == 0.64j
+        assert coeffs.c22_abs_sq == pytest.approx(0.36)
 
     def test_column_is_read_only(self):
         coeffs = extract_c_coefficients(np.eye(4, dtype=complex), 0)
