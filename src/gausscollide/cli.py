@@ -22,9 +22,9 @@ from dataclasses import replace
 import numpy as np
 
 from . import steering  # not `steerability`: perfbench traces that name per matrix
-from .divisibility import divisibility_records, nm_cptp
+from .divisibility import divisibility_columns, nm_cptp
 from .engine import SimulationConfig, iter_env_ancilla_cms, iter_steps, joint_cm_closed_form
-from .engine import STEP_BYTES, joint_cm_stack, require_memory, run
+from .engine import STEP_BYTES, coefficient_columns, joint_cm_stack, require_memory, run
 from .errors import DegenerateCovarianceError, GaussCollideError
 from .states import EnvironmentSpec, JointSpec, reduce_to_modes, require_finite
 from .steering import (
@@ -65,6 +65,8 @@ def parse_angle(token: str) -> float:
         else:
             num = float(coef)
         den = float(m.group(2)) if m.group(2) else 1.0
+        if den == 0.0:
+            raise argparse.ArgumentTypeError(f"invalid angle {token!r}: zero denominator")
         return num * np.pi / den
     try:
         return float(text)
@@ -113,43 +115,27 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def _fmt(x: float) -> str:
-    return format(float(x) + 0.0, ".12g")
-
-
-def _csv_token(v) -> str:
+def _token(v, fmt: str) -> str:
+    """One value as a CSV or JSON token."""
+    json = fmt == "jsonl"
     if v is None:
-        return ""
+        return "null" if json else ""
     if isinstance(v, bool):
-        return "1" if v else "0"
+        return ("true" if v else "false") if json else ("1" if v else "0")
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, float):
-        return _fmt(v)
-    return str(v)
-
-
-def _json_token(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, float):
-        return _fmt(v)
-    return '"' + str(v) + '"'
+        return format(float(v) + 0.0, ".12g")
+    return f'"{v}"' if json else str(v)
 
 
 def emit(header, rows, fmt: str, out_path):
+    tokens = ([_token(v, fmt) for v in row] for row in rows)
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_csv_token(v) for v in row) for row in rows]
+        lines = [",".join(header), *(",".join(row) for row in tokens)]
     else:
-        lines = [
-            "{" + ", ".join(f'"{k}": {_json_token(v)}' for k, v in zip(header, row)) + "}"
-            for row in rows
-        ]
+        lines = ["{" + ", ".join(f'"{k}": {t}' for k, t in zip(header, row)) + "}"
+                 for row in tokens]
     text = "\n".join(lines) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -189,28 +175,13 @@ def cmd_evolve(args, parser) -> int:
         "j", "re_c22", "im_c22", "abs_c22_sq", "g_s_to_an", "g_an_to_s",
         "nu_set_min", "nu_set_max", "ratio", "skip_flag",
     ]
-    rows = []
-    for step, san, ans, rec in zip(traj.steps, g_san, g_ans, [None, *divisibility_records(traj)]):
-        if rec is None or rec.skipped:
-            nu_min = nu_max = ratio = None
-        else:
-            nu_min = min(rec.nu_plus, rec.nu_minus)
-            nu_max = max(rec.nu_plus, rec.nu_minus)
-            ratio = rec.ratio
-        rows.append(
-            (
-                step.j,
-                float(step.coeffs.c22.real),
-                float(step.coeffs.c22.imag),
-                step.coeffs.c22_abs_sq,
-                san,
-                ans,
-                nu_min,
-                nu_max,
-                ratio,
-                rec is not None and rec.skipped,
-            )
-        )
+    nu_p, nu_m, ratio, skipped = divisibility_columns(traj)
+    columns = (np.minimum(nu_p, nu_m), np.maximum(nu_p, nu_m), ratio, skipped)
+    # Step 0 has no intermediate map; a skipped step shows only its flag.
+    div = [(None, None, None, False)]
+    div += [(None, None, None, True) if d[-1] else d for d in zip(*(c.tolist() for c in columns))]
+    rows = [(j, c.real, c.imag, c_sq, san, ans, *d) for j, (c, c_sq, san, ans, d)
+            in enumerate(zip(traj.c22.tolist(), traj.c22_abs_sq.tolist(), g_san, g_ans, div))]
     emit(header, rows, args.format, args.out)
     return 0
 
@@ -271,9 +242,9 @@ def cmd_transport(args, parser) -> int:
 
     header = ["j", "g_s_to_an"] + [f"g_e{k}_to_an" for k in modes]
     # Measured: about 0.5 kB per step and column; STEP_BYTES bounds it.
-    require_memory(config.L, STEP_BYTES * (1 + len(modes)))
+    require_memory(config.L, (config.L + 1) * STEP_BYTES * (1 + len(modes)))
     _, coeffs, env_cms = zip(*iter_env_ancilla_cms(config, modes))
-    system = joint_cm_stack(coeffs, config.joint, config.env)
+    system = joint_cm_stack(*coefficient_columns(coeffs)[:3], config.joint, config.env)
     cms = np.concatenate([system[:, None], env_cms], axis=1).reshape(-1, 4, 4)
     # Every covariance is (ancilla, X)-ordered: B_TO_A is X -> An.
     try:

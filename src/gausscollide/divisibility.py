@@ -109,15 +109,20 @@ def divisibility_eigenvalues(n_scale: float, m_scale: float, ratio: float) -> tu
     )
 
 
-def divisibility_records(trajectory) -> list[DivisibilityRecord]:
-    """Per-step records for j = 1 .. L along a trajectory, evaluated as
-    arrays over the |c22|^2 series; skipped steps carry NaN fields."""
-    c_sq = trajectory.abs_c22_sq_series()
+def divisibility_columns(trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(nu_plus, nu_minus, ratio, skipped) arrays over steps j = 1 .. L of a
+    trajectory, from its |c22|^2 column; skipped steps carry NaN."""
+    c_sq = trajectory.c22_abs_sq
     skipped = c_sq[:-1] < SKIP_TOL
     ratio = np.where(skipped, math.nan, c_sq[1:] / np.where(skipped, 1.0, c_sq[:-1]))
     nu_p, nu_m = divisibility_eigenvalues(*env_noise_scales(trajectory.config.env), ratio)
-    columns = (nu_p.tolist(), nu_m.tolist(), ratio.tolist(), skipped.tolist())
-    return [DivisibilityRecord(j, *fields) for j, *fields in zip(range(1, len(c_sq)), *columns)]
+    return nu_p, nu_m, ratio, skipped
+
+
+def divisibility_records(trajectory) -> list[DivisibilityRecord]:
+    """Per-step records for j = 1 .. L along a trajectory."""
+    columns = (col.tolist() for col in divisibility_columns(trajectory))
+    return [DivisibilityRecord(j, *fields) for j, fields in enumerate(zip(*columns), start=1)]
 
 
 def nm_cptp(trajectory) -> DivisibilityMeasure:
@@ -126,11 +131,11 @@ def nm_cptp(trajectory) -> DivisibilityMeasure:
     from the sum and reported in the result."""
     if trajectory.config.L < 2:
         raise ValueError("nm_cptp needs at least two rounds (L >= 2)")
-    records = divisibility_records(trajectory)[1:]
+    nu_p, nu_m, _, skipped = divisibility_columns(trajectory)
+    nus = np.stack([nu_p[1:], nu_m[1:]], axis=1).ravel()  # step order, nu_plus first
     total = 0.0
-    for rec in records:
-        for nu in (rec.nu_plus, rec.nu_minus):
-            if nu < 0.0:  # False for the NaN fields of a skipped step
-                total -= nu
-    skipped = tuple(rec.step for rec in records if rec.skipped)
-    return DivisibilityMeasure(value=total, skipped_steps=skipped)
+    # Summed in order: np.sum and sum() round differently.  NaN < 0 is False.
+    for nu in nus[nus < 0.0].tolist():
+        total -= nu
+    skipped_steps = tuple((np.flatnonzero(skipped[1:]) + 2).tolist())
+    return DivisibilityMeasure(value=total, skipped_steps=skipped_steps)

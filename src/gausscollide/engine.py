@@ -1,17 +1,18 @@
 """Collision-chain evolution engine.
 
-Runs the tunable beam-splitter chain for L rounds and records, per step,
-the network coefficients and the joint ancilla-system covariance matrix
-(closed form), and the same closed form for chosen environment modes.
-The coefficients come from a recurrence with O(1) state per step
-(`iter_env_ancilla_cms`), never from the (L+3)^2 composed unitary.
-An optional oracle path propagates the full (L+3)-mode covariance
-matrix symplectically and stores it alongside; it is the independent
+Runs the tunable beam-splitter chain for L rounds.  `run` turns each step's
+network coefficients into columns (c22, |c22|^2, W, H) once and builds the
+joint ancilla-system covariances from them in one closed-form call; the
+same closed form serves chosen environment modes.  The coefficients come
+from a recurrence with O(1) state per step (`iter_env_ancilla_cms`), never
+from the (L+3)^2 composed unitary.  An optional oracle path propagates the
+full (L+3)-mode covariance matrix symplectically; it is the independent
 reference the tests and `evolve --oracle` check the closed forms against.
 """
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,8 +26,8 @@ from .states import (
     tmsv_cm,
 )
 
-# Peak-RSS growth per step of an `evolve` run, most of it run()'s records
-# (measured at L = 3e5: 381 MB, about 1.2 kB per step).
+# A bound on the peak-RSS growth per step of an `evolve` run (measured
+# between L = 5e4 and 1.5e5: about 0.76 kB per step).
 STEP_BYTES = 1200
 
 
@@ -69,21 +70,39 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """Per-step columns j = 0 .. L: c22, |c22|^2, W and H, the (L+1, 4, 4)
+    joint covariances, and the full-chain covariances if the oracle ran."""
+
     config: SimulationConfig
-    steps: list[StepRecord]
+    c22: np.ndarray
+    c22_abs_sq: np.ndarray
+    env_square_sum: np.ndarray
+    env_abs_square_sum: np.ndarray
+    joint_cm: np.ndarray
+    full_cm: list[np.ndarray] | None = None
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.c22)
 
-    def c22_series(self) -> np.ndarray:
-        return np.array([s.coeffs.c22 for s in self.steps])
+    @cached_property
+    def steps(self) -> list[StepRecord]:
+        """One StepRecord per step, built from the columns on first access."""
+        sums = (self.c22.tolist(), self.env_square_sum.tolist(), self.env_abs_square_sum.tolist())
+        full = self.full_cm or [None] * len(self)
+        return [StepRecord(j, CCoefficients(j, c, env_square_sum=w, env_abs_square_sum=h), cm, f)
+                for j, (c, w, h, cm, f) in enumerate(zip(*sums, self.joint_cm, full))]
 
-    def abs_c22_sq_series(self) -> np.ndarray:
-        return np.array([s.coeffs.c22_abs_sq for s in self.steps])
+
+def coefficient_columns(coeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(c22, |c22|^2, W, H) arrays over an iterable of CCoefficients; |c22|^2
+    is each step's c22_abs_sq, since numpy's abs rounds differently."""
+    rows = [(co.c22, co.c22_abs_sq, co.env_square_sum, co.env_abs_square_sum) for co in coeffs]
+    return tuple(np.array(col) for col in zip(*rows))
 
 
-def joint_cm_stack(coeffs, joint: JointSpec, env: EnvironmentSpec) -> np.ndarray:
-    """(n, 4, 4) ancilla-system covariances, one per CCoefficients in coeffs.
+def joint_cm_stack(c, csq, w, joint: JointSpec, env: EnvironmentSpec) -> np.ndarray:
+    """(n, 4, 4) ancilla-system covariances from the columns c = c22,
+    csq = |c22|^2 and w = W of `coefficient_columns`.
 
     Closed form in the network coefficients: with c = c22,
     W = sum_m (env amplitude)^2 and V = e^{-i phi_env} W,
@@ -97,9 +116,6 @@ def joint_cm_stack(coeffs, joint: JointSpec, env: EnvironmentSpec) -> np.ndarray
     Ordering is (ancilla, system).  V is formed in real arithmetic and |c|^2
     taken as given: numpy's complex array product and abs round differently.
     """
-    c = np.array([co.c22 for co in coeffs])
-    csq = np.array([co.c22_abs_sq for co in coeffs])
-    w = np.array([co.env_square_sum for co in coeffs])
     e = np.exp(-1j * env.phi_env)
     v_re = e.real * w.real - e.imag * w.imag
     v_im = e.real * w.imag + e.imag * w.real
@@ -123,7 +139,7 @@ def joint_cm_closed_form(
     coeffs: CCoefficients, joint: JointSpec, env: EnvironmentSpec
 ) -> np.ndarray:
     """4x4 ancilla-system covariance matrix after the recorded step."""
-    return joint_cm_stack([coeffs], joint, env)[0]
+    return joint_cm_stack(*coefficient_columns([coeffs])[:3], joint, env)[0]
 
 
 def initial_full_cm(config: SimulationConfig) -> np.ndarray:
@@ -156,8 +172,11 @@ def iter_steps(config: SimulationConfig):
 
     full_cm is None unless config.oracle_enabled; when present it is a
     *view* of the running array, valid only until the next iteration —
-    copy it to keep it.
+    copy it to keep it.  The oracle's one (2L+6)^2 covariance must fit in
+    physical memory.
     """
+    if config.oracle_enabled:
+        require_memory(config.L, 8 * (2 * config.L + 6) ** 2)
     sigma = initial_full_cm(config) if config.oracle_enabled else None
     for j, coeffs, _ in iter_env_ancilla_cms(config, ()):
         if sigma is not None and j > 0:
@@ -252,26 +271,27 @@ def physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def require_memory(L: int, step_bytes: int) -> None:
-    """Raise MemoryError, naming L, if L + 1 steps of step_bytes each
-    exceed physical memory."""
-    need, have = (L + 1) * step_bytes, physical_memory()
+def require_memory(L: int, need: int) -> None:
+    """Raise MemoryError, naming L, if need bytes exceed physical memory."""
+    have = physical_memory()
     if need > have:
         raise MemoryError(
-            f"L = {L} needs about {need / 2**30:.3g} GiB for its {L + 1} steps, "
+            f"L = {L} needs about {need / 2**30:.3g} GiB, "
             f"more than the {have / 2**30:.3g} GiB of physical memory"
         )
 
 
 def run(config: SimulationConfig) -> Trajectory:
-    """Evolve the chain and collect one StepRecord per step, j = 0 .. L."""
+    """Evolve the chain and collect its per-step columns, j = 0 .. L."""
     oracle_bytes = 8 * (2 * config.L + 6) ** 2 if config.oracle_enabled else 0
-    require_memory(config.L, STEP_BYTES + oracle_bytes)
-    chain = [(j, coeffs, None if sigma is None else sigma.copy())
-             for j, coeffs, sigma in iter_steps(config)]
-    cms = joint_cm_stack([coeffs for _, coeffs, _ in chain], config.joint, config.env)
-    steps = [StepRecord(j, coeffs, cm, full_cm) for (j, coeffs, full_cm), cm in zip(chain, cms)]
-    return Trajectory(config=config, steps=steps)
+    require_memory(config.L, (config.L + 1) * (STEP_BYTES + oracle_bytes))
+    chain = iter_steps(config)
+    if config.oracle_enabled:  # sigma is a view of the running array
+        chain = [(j, coeffs, sigma.copy()) for j, coeffs, sigma in chain]
+    c22, c_sq, w, h = coefficient_columns(coeffs for _, coeffs, _ in chain)
+    full_cm = [sigma for *_, sigma in chain] if config.oracle_enabled else None
+    joint_cm = joint_cm_stack(c22, c_sq, w, config.joint, config.env)
+    return Trajectory(config, c22, c_sq, w, h, joint_cm, full_cm)
 
 
 def env_ancilla_cm(full_cm: np.ndarray | None, k: int) -> np.ndarray:

@@ -66,9 +66,9 @@ def steering_series(trajectory, direction: Direction) -> np.ndarray:
     An -> S and B_TO_A is S -> An.  A degeneracy error names its step.
     """
     try:
-        return steerability(np.array([s.joint_cm for s in trajectory.steps]), direction)
+        return steerability(trajectory.joint_cm, direction)
     except DegenerateCovarianceError as exc:
-        raise DegenerateCovarianceError(f"step {trajectory.steps[exc.index].j}: {exc}") from None
+        raise DegenerateCovarianceError(f"step {exc.index}: {exc}") from None
 
 
 def nm_from_steering(series) -> float:

@@ -163,7 +163,7 @@ def test_07_sudden_death_and_birth():
     assert len(zeros) >= 2 and len(positives) >= 2
     assert any(zeros[0] < p < zeros[-1] for p in positives)
 
-    c_sq = traj.abs_c22_sq_series()[:7]
+    c_sq = traj.c22_abs_sq[:7]
     crossings = int(np.sum(np.diff(np.sign(c_sq - 0.5)) != 0))
     assert crossings >= 2
 

@@ -101,6 +101,15 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error: ") and "--L" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag,token", [("--phi", "pi/0"), ("--phi-env", "2pi/0.")])
+    def test_zero_angle_denominator(self, capsys, tmp_path, flag, token):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag[2:]} = {token}\n")
+        for source in ([flag, token], ["--config", str(cfg)]):
+            code, out, err = run_cli(capsys, "evolve", "--r1", ".4", "--r2", ".3", *source)
+            assert code == 2 and out == ""
+            assert f"argument {flag}: invalid angle {token!r}: zero denominator" in err
+
     def test_out_of_domain_reflectivity(self, capsys):
         code, _, err = run_cli(capsys, "evolve", "--r1", "1.5", "--r2", "0.3", "--L", "3")
         assert code == 2
@@ -218,6 +227,16 @@ class TestEvolve:
         )
         assert code == 0
         assert len(out.strip().split("\n")) == 14
+
+    def test_oracle_memory_guard(self, capsys, monkeypatch):
+        monkeypatch.setattr(engine, "physical_memory", lambda: 10 * 2**20)
+        # The oracle's one (2L + 6)^2 covariance takes 32 MB at L = 1000.
+        code, out, err = run_cli(capsys, "evolve", "--r1", ".4", "--r2", ".3",
+                                 "--L", "1000", "--oracle")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "L = 1000 " in err and err.count("\n") == 1
+        code, _, _ = run_cli(capsys, "evolve", "--r1", ".4", "--r2", ".3", "--L", "12", "--oracle")
+        assert code == 0
 
     def test_deterministic_repeat(self, capsys):
         args = ("evolve", "--r1", "0.4", "--r2", "0.3", "--L", "40")

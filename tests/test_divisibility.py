@@ -269,6 +269,37 @@ class TestRecordsAndMeasure:
     def test_vacuum_criterion_equivalence(self):
         for r1, r2 in [(0.4, 0.3), (0.5, 1.0), (0.75, 0.15), (0.9, 0.85)]:
             traj = run(SimulationConfig(r1=r1, r2=r2, L=25))
-            c_sq = traj.abs_c22_sq_series()
+            c_sq = traj.c22_abs_sq
             has_backflow = bool(np.any(c_sq[2:] > c_sq[1:-1] + 1e-15))
             assert (nm_cptp(traj).value > 0.0) == has_backflow, (r1, r2)
+
+
+def nm_cptp_record_loop(traj):
+    """nm_cptp as a loop over the divisibility records: the reference."""
+    records = divisibility_records(traj)[1:]
+    total = 0.0
+    for rec in records:
+        for nu in (rec.nu_plus, rec.nu_minus):
+            if nu < 0.0:
+                total -= nu
+    return total, tuple(rec.step for rec in records if rec.skipped)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_nm_cptp_equals_the_record_loop(seed):
+    rng = np.random.default_rng(seed)
+    n, zeta, phi_env = rng.uniform(0.1, 2.0), rng.uniform(0.1, 1.2), rng.uniform(0.0, 6.0)
+    env = [
+        EnvironmentSpec(),
+        EnvironmentSpec(n=n),
+        EnvironmentSpec(zeta=zeta, phi_env=phi_env),
+        EnvironmentSpec(n=n, zeta=zeta, phi_env=phi_env),
+    ][seed % 4]
+    r1 = 0.0 if seed >= 8 else rng.uniform(0.05, 0.95)
+    config = SimulationConfig(r1=r1, r2=rng.uniform(0.0, 1.0), phi_shift=rng.uniform(-3, 3),
+                              env=env, L=int(rng.integers(2, 300)))
+    traj = run(config)
+    measure = nm_cptp(traj)
+    assert (measure.value, measure.skipped_steps) == nm_cptp_record_loop(traj)
+    assert type(measure.value) is float
+    assert (2 in measure.skipped_steps) == (r1 == 0.0)  # r1 = 0 leaves c22(1) = 0

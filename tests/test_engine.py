@@ -98,12 +98,21 @@ class TestTrajectory:
             traj.steps[3].coeffs.c22, np.exp(-3 * 0.9j), atol=1e-12
         )
 
+    def test_steps_view_matches_iter_steps(self):
+        env = EnvironmentSpec(n=0.4, zeta=0.3, phi_env=0.7)
+        config = SimulationConfig(r1=0.55, r2=0.35, phi_shift=1.1, env=env, L=40)
+        traj = run(config)
+        expected = [coeffs for _, coeffs, _ in iter_steps(config)]
+        assert [s.coeffs for s in traj.steps] == expected
+        for name in ("c22", "c22_abs_sq", "env_square_sum", "env_abs_square_sum"):
+            got = np.array([getattr(s.coeffs, name) for s in traj.steps])
+            assert got.tobytes() == np.array([getattr(c, name) for c in expected]).tobytes()
+        assert np.array([s.joint_cm for s in traj.steps]).tobytes() == traj.joint_cm.tobytes()
+
     def test_series_helpers(self):
         traj = run(SimulationConfig(r1=0.4, r2=0.3, L=3))
-        np.testing.assert_allclose(
-            traj.abs_c22_sq_series(), np.abs(traj.c22_series()) ** 2, atol=1e-14
-        )
-        assert traj.abs_c22_sq_series()[1] == pytest.approx(0.16, abs=1e-14)
+        np.testing.assert_allclose(traj.c22_abs_sq, np.abs(traj.c22) ** 2, atol=1e-14)
+        assert traj.c22_abs_sq[1] == pytest.approx(0.16, abs=1e-14)
 
 
 def scalar_closed_form(coeffs, joint, env):

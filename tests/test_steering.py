@@ -124,7 +124,9 @@ class TestSteeringSeries:
 
     def test_degeneracy_names_its_step(self):
         traj = run(SimulationConfig(r1=0.4, r2=0.3, L=4))
-        traj.steps[2] = dataclasses.replace(traj.steps[2], joint_cm=np.zeros((4, 4)))
+        joint_cm = traj.joint_cm.copy()
+        joint_cm[2] = np.zeros((4, 4))
+        traj = dataclasses.replace(traj, joint_cm=joint_cm)
         with pytest.raises(DegenerateCovarianceError, match="^step 2: det sigma"):
             steering_series(traj, Direction.A_TO_B)
 
