@@ -23,8 +23,7 @@ import numpy as np
 
 from . import steering  # not `steerability`: perfbench traces that name per matrix
 from .divisibility import divisibility_columns, nm_cptp
-from .engine import SimulationConfig, iter_env_ancilla_cms, iter_steps, joint_cm_closed_form
-from .engine import STEP_BYTES, coefficient_columns, joint_cm_stack, require_memory, run
+from .engine import STEP_BYTES, SimulationConfig, env_mode_cms, iter_steps, require_memory, run
 from .errors import DegenerateCovarianceError, GaussCollideError
 from .states import EnvironmentSpec, JointSpec, reduce_to_modes, require_finite
 from .steering import (
@@ -167,7 +166,7 @@ def cmd_evolve(args, parser) -> int:
     config = _simulation_config(args, parser, args.r1, args.r2)
     traj = run(config)
     if args.oracle:
-        _verify_against_oracle(config)
+        _verify_against_oracle(traj)
 
     g_san = steering_series(traj, Direction.B_TO_A).tolist()
     g_ans = steering_series(traj, Direction.A_TO_B).tolist()
@@ -186,16 +185,12 @@ def cmd_evolve(args, parser) -> int:
     return 0
 
 
-def _verify_against_oracle(config: SimulationConfig) -> None:
-    """Full-chain symplectic propagation cross-check of the closed form."""
-    for _, coeffs, sigma in iter_steps(replace(config, oracle_enabled=True)):
-        closed = joint_cm_closed_form(coeffs, config.joint, config.env)
-        reduced = reduce_to_modes(sigma, [0, 1])
-        err = float(np.max(np.abs(closed - reduced)))
+def _verify_against_oracle(traj) -> None:
+    """Full-chain symplectic propagation cross-check of the printed covariances."""
+    for j, _, sigma in iter_steps(replace(traj.config, oracle_enabled=True)):
+        err = float(np.max(np.abs(traj.joint_cm[j] - reduce_to_modes(sigma, [0, 1]))))
         if err > 1e-8:
-            raise GaussCollideError(
-                f"oracle mismatch at step {coeffs.step}: max deviation {err:g}"
-            )
+            raise GaussCollideError(f"oracle mismatch at step {j}: max deviation {err:g}")
 
 
 def _scan_cell(config: SimulationConfig):
@@ -241,18 +236,23 @@ def cmd_transport(args, parser) -> int:
         parser.error("--modes is required: at least one environment index (comma-separated)")
 
     header = ["j", "g_s_to_an"] + [f"g_e{k}_to_an" for k in modes]
-    # Measured: about 0.5 kB per step and column; STEP_BYTES bounds it.
+    # Measured: about 0.57 kB per step plus 45 B per step and column; STEP_BYTES bounds it.
     require_memory(config.L, (config.L + 1) * STEP_BYTES * (1 + len(modes)))
-    _, coeffs, env_cms = zip(*iter_env_ancilla_cms(config, modes))
-    system = joint_cm_stack(*coefficient_columns(coeffs)[:3], config.joint, config.env)
-    cms = np.concatenate([system[:, None], env_cms], axis=1).reshape(-1, 4, 4)
+    # E_k's covariances print for k - 1, 1 and L + 1 - k steps from steps 0, k - 1 and k;
+    # one printed nowhere (k = 1's unit row, k = L + 1's middle row) is not steered.
+    counts = np.ravel([(k - 1, 1, config.L + 1 - k) for k in modes])
+    env_cms = env_mode_cms(config, modes)[counts > 0]
+    traj = run(config)
     # Every covariance is (ancilla, X)-ordered: B_TO_A is X -> An.
     try:
-        values = steering.steerability(cms, Direction.B_TO_A)
+        values = steering.steerability(np.concatenate([traj.joint_cm, env_cms]), Direction.B_TO_A)
     except DegenerateCovarianceError as exc:
-        j, column = divmod(exc.index, len(header) - 1)
-        raise DegenerateCovarianceError(f"step {j}, column {header[1 + column]}: {exc}") from None
-    rows = [(j, *row) for j, row in enumerate(values.reshape(-1, len(header) - 1).tolist())]
+        firsts = [(j, c) for c, k in enumerate(modes, 2) for j in (0, k - 1, k)]
+        where = [(j, 1) for j in range(config.L + 1)] + list(itertools.compress(firsts, counts))
+        j, column = where[exc.index]
+        raise DegenerateCovarianceError(f"step {j}, column {header[column]}: {exc}") from None
+    env = np.repeat(values[config.L + 1:], counts[counts > 0]).reshape(len(modes), -1)
+    rows = [(j, *row) for j, row in enumerate(np.vstack([values[:config.L + 1], env]).T.tolist())]
     emit(header, rows, args.format, args.out)
     return 0
 

@@ -2,14 +2,15 @@
 
 Runs the tunable beam-splitter chain for L rounds.  `run` turns each step's
 network coefficients into columns (c22, |c22|^2, W, H) once and builds the
-joint ancilla-system covariances from them in one closed-form call; the
-same closed form serves chosen environment modes.  The coefficients come
-from a recurrence with O(1) state per step (`iter_env_ancilla_cms`), never
-from the (L+3)^2 composed unitary.  An optional oracle path propagates the
-full (L+3)-mode covariance matrix symplectically; it is the independent
-reference the tests and `evolve --oracle` check the closed forms against.
+joint ancilla-system covariances from them in one closed-form call, which
+`env_mode_cms` applies to the three rows of chosen environment modes.  Both
+read a recurrence with O(1) state per step (`_states`), never the (L+3)^2
+composed unitary.  An optional oracle path propagates the full (L+3)-mode
+covariance matrix symplectically, the reference the tests and `evolve
+--oracle` check the closed forms against.
 """
 
+import itertools
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -58,7 +59,7 @@ class SimulationConfig:
             raise ValueError(f"L must be >= 1, got {self.L}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepRecord:
     """State of the chain after `j` rounds (j = 0 is the initial state)."""
 
@@ -68,7 +69,7 @@ class StepRecord:
     full_cm: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Per-step columns j = 0 .. L: c22, |c22|^2, W and H, the (L+1, 4, 4)
     joint covariances, and the full-chain covariances if the oracle ran."""
@@ -178,10 +179,11 @@ def iter_steps(config: SimulationConfig):
     if config.oracle_enabled:
         require_memory(config.L, 8 * (2 * config.L + 6) ** 2)
     sigma = initial_full_cm(config) if config.oracle_enabled else None
-    for j, coeffs, _ in iter_env_ancilla_cms(config, ()):
+    for j, state in enumerate(_states(config)):
         if sigma is not None and j > 0:
             apply_collision_to_cm(sigma, j, config.r1, config.r2, config.phi_shift)
-        yield j, coeffs, sigma
+        a_s, _, g_ss, _, _, h_ss, *_ = state
+        yield j, _coefficients(j, a_s, g_ss, h_ss), sigma
 
 
 def _bilinear(p, q, state):
@@ -225,12 +227,8 @@ def _next_state(block, block_conj, state):
     )
 
 
-def iter_env_ancilla_cms(config: SimulationConfig, modes):
-    """Yield (j, coeffs, env_cms) for j = 0 .. L.
-
-    coeffs are the system coefficients.  env_cms[i] is the closed-form
-    (ancilla, E_k) covariance for k = modes[i]: joint_cm_closed_form on
-    E_k's row of the composed unitary.
+def _states(config: SimulationConfig):
+    """Iterator over the recurrence state after j rounds, j = 0 .. L.
 
     Round j maps the rows x = (S, E_j, F = E_{j+1}) of the composed unitary
     to mixing_block @ x; before it F is still a unit row, orthogonal to S
@@ -239,31 +237,33 @@ def iter_env_ancilla_cms(config: SimulationConfig, modes):
     sum g = sum u_m^2 and the Hermitian sum h = sum |u_m|^2 over the
     environment columns, and the cross sums g_se = sum S_m E_m and
     h_se = sum S_m conj(E_m): (a_s, a_e, g_ss, g_se, g_ee, h_ss, h_se, h_ee).
-    A row's coefficients are c22 = conj(a), W = conj(g) and H = h.  E_k's
-    row is the unit row before step k - 1, the carried row E at j = k - 1
-    and round k's middle row from j = k on.
+    A row's coefficients are c22 = conj(a), W = conj(g) and H = h.
+    """
+    block = mixing_block(config.r1, config.r2, config.phi_shift)
+    block, block_conj = block.tolist(), block.conj().tolist()
+    state = (1 + 0j, 0j, 0j, 0j, 1 + 0j, 0.0, 0j, 1.0)  # S = e_1, E = e_2
+    rounds = itertools.repeat((block, block_conj), config.L)
+    return itertools.accumulate(rounds, lambda state, b: _next_state(*b, state), initial=state)
+
+
+def env_mode_cms(config: SimulationConfig, modes) -> np.ndarray:
+    """(3 len(modes), 4, 4) closed-form (ancilla, E_k) covariances, three per k.
+
+    E_k's row is the unit row before step k - 1, the carried row E at
+    j = k - 1 and round k's middle row from j = k on; the last two come
+    from the state after k - 1 rounds.
     """
     for k in modes:
         if not 1 <= k <= config.L + 1:
             raise ValueError(f"environment index {k} out of range 1..{config.L + 1}")
-    block = mixing_block(config.r1, config.r2, config.phi_shift)
-    block, block_conj = block.tolist(), block.conj().tolist()
-    state = (1 + 0j, 0j, 0j, 0j, 1 + 0j, 0.0, 0j, 1.0)  # S = e_1, E = e_2
-    unit_row = _coefficients(0, 0j, 1 + 0j, 1.0)  # E_k's row e_{k+1} before step k - 1
-    env_cms = [joint_cm_closed_form(unit_row, config.joint, config.env)] * len(modes)
-    for j in range(config.L + 1):
-        if j > 0:
-            for i, k in enumerate(modes):
-                if k == j:
-                    row = _row(j, block[1], block_conj[1], state)
-                    env_cms[i] = joint_cm_closed_form(row, config.joint, config.env)
-            state = _next_state(block, block_conj, state)
-        a_s, a_e, g_ss, _, g_ee, h_ss, _, h_ee = state
-        for i, k in enumerate(modes):
-            if k == j + 1:
-                row = _coefficients(j, a_e, g_ee, h_ee)
-                env_cms[i] = joint_cm_closed_form(row, config.joint, config.env)
-        yield j, _coefficients(j, a_s, g_ss, h_ss), tuple(env_cms)
+    states = {j: s for j, s in zip(range(max(modes)), _states(config)) if j + 1 in modes}
+    middle = mixing_block(config.r1, config.r2, config.phi_shift)[1]
+    rows = []
+    for k in modes:
+        _, a_e, _, _, g_ee, _, _, h_ee = state = states[k - 1]
+        rows += [_coefficients(0, 0j, 1 + 0j, 1.0), _coefficients(k - 1, a_e, g_ee, h_ee),
+                 _row(k, middle.tolist(), middle.conj().tolist(), state)]
+    return joint_cm_stack(*coefficient_columns(rows)[:3], config.joint, config.env)
 
 
 def physical_memory() -> int:

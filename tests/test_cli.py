@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import gausscollide.cli as cli
 import gausscollide.engine as engine
+import gausscollide.steering as steering
 from gausscollide.cli import ENV_FAMILIES, main, parse_angle, parse_values
 from gausscollide.engine import SimulationConfig, env_ancilla_cm, iter_steps
 from gausscollide.errors import DegenerateCovarianceError
@@ -227,6 +229,21 @@ class TestEvolve:
         )
         assert code == 0
         assert len(out.strip().split("\n")) == 14
+
+    def test_oracle_checks_the_printed_covariances(self, capsys, monkeypatch):
+        run = cli.run
+
+        def perturbed(config):
+            traj = run(config)
+            joint_cm = traj.joint_cm.copy()
+            joint_cm[7, 2, 2] += 1e-6
+            return replace(traj, joint_cm=joint_cm)
+
+        monkeypatch.setattr(cli, "run", perturbed)
+        code, out, err = run_cli(capsys, "evolve", "--r1", ".4", "--r2", ".3", "--L", "12",
+                                 "--oracle")
+        assert code == 3 and out == ""
+        assert "oracle mismatch at step 7:" in err
 
     def test_oracle_memory_guard(self, capsys, monkeypatch):
         monkeypatch.setattr(engine, "physical_memory", lambda: 10 * 2**20)
@@ -493,20 +510,45 @@ class TestTransport:
                     assert rows[j][column] == rows[k][column]
 
     def test_degeneracy_names_step_and_column(self, capsys, monkeypatch):
-        closed_form = cli.iter_env_ancilla_cms
+        closed_form = cli.env_mode_cms
 
         def singular_at_step_2(config, modes):
-            for j, coeffs, env_cms in closed_form(config, modes):
-                if j == 2:
-                    env_cms = (env_cms[0], np.zeros((4, 4)), *env_cms[2:])
-                yield j, coeffs, env_cms
+            cms = closed_form(config, modes)
+            cms[4] = 0.0  # E_3's carried row, printed at j = k - 1 = 2
+            return cms
 
-        monkeypatch.setattr(cli, "iter_env_ancilla_cms", singular_at_step_2)
+        monkeypatch.setattr(cli, "env_mode_cms", singular_at_step_2)
         code, out, err = run_cli(capsys, "transport", "--r1", "0.4", "--r2", "0.3",
                                  "--L", "5", "--modes", "1,3,5")
         assert code == 3
         assert out == ""
         assert "step 2, column g_e3_to_an:" in err
+
+    def test_unprinted_covariances_are_not_checked(self, capsys, monkeypatch):
+        closed_form = cli.env_mode_cms
+        argv = ("transport", "--r1", "0.4", "--r2", "0.3", "--L", "5", "--modes", "1,6")
+        _, expected, _ = run_cli(capsys, *argv)
+
+        def singular_unprinted(config, modes):
+            cms = closed_form(config, modes)
+            cms[0] = cms[5] = 0.0  # E_1's unit row, E_6's middle row
+            return cms
+
+        monkeypatch.setattr(cli, "env_mode_cms", singular_unprinted)
+        assert run_cli(capsys, *argv) == (0, expected, "")
+
+    def test_steers_each_distinct_covariance_once(self, capsys, monkeypatch):
+        stacks, steerability = [], steering.steerability
+
+        def counted(cms, direction):
+            stacks.append(len(cms))
+            return steerability(cms, direction)
+
+        monkeypatch.setattr(steering, "steerability", counted)
+        code, out, _ = run_cli(capsys, "transport", "--r1", "0.4", "--r2", "0.3",
+                               "--L", "30", "--modes", "1,15,31")
+        assert code == 0 and len(out.strip().split("\n")) == 32
+        assert sum(stacks) <= 31 + 3 * 3
 
     def test_mode_validation(self, capsys):
         assert run_cli(capsys, "transport", "--r1", "0.4", "--r2", "0.3",

@@ -2,10 +2,10 @@
 commands and of the benchmark workloads.
 
 Each argv's stdout is pinned by its sha256 digest.  The README scan runs
-its grid at --L 40 --jobs 1 to keep the test short.  The last three argvs
-are the seed-1 workloads of perfbench/run.py (evolve-long, scan-grid,
-transport-chain).  A changed digest is a changed output: it needs a reason,
-not a new digest.
+its grid at --L 40 --jobs 1 to keep the test short.  The three argvs after
+the README ones are the seed-1 workloads of perfbench/run.py (evolve-long,
+scan-grid, transport-chain); the last is a transport in JSON lines.  A
+changed digest is a changed output: it needs a reason, not a new digest.
 """
 
 import contextlib
@@ -45,6 +45,10 @@ GOLDEN = [
      " --env squeezed-thermal --n 0.943627 --zeta 0.714603 --phi-env 4.533368 --L 1000"
      " --modes 3,498,1001", 0,
      "1823bf4948652eb0c450e38302529f75c39d91882f2cba03a14d41f09cfb0433"),
+    # Transport JSONL over modes 1, a middle k and L + 1; E_6 steers the ancilla at j = 5.
+    ("transport --r1 0.2 --r2 0.1 --phi 0.6 --xi 2.5 --env squeezed-thermal --n 0.02"
+     " --zeta 0.2 --phi-env 0.7 --L 12 --modes 1,6,13 --format jsonl", 0,
+     "83895238fb9d837c6034e34494e3ea75454291432a6f43de6a312d92f6380022"),
 ]
 
 

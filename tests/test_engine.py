@@ -11,8 +11,8 @@ from gausscollide import engine
 from gausscollide.engine import (
     SimulationConfig,
     env_ancilla_cm,
+    env_mode_cms,
     initial_full_cm,
-    iter_env_ancilla_cms,
     iter_steps,
     joint_cm_closed_form,
     run,
@@ -108,6 +108,13 @@ class TestTrajectory:
             got = np.array([getattr(s.coeffs, name) for s in traj.steps])
             assert got.tobytes() == np.array([getattr(c, name) for c in expected]).tobytes()
         assert np.array([s.joint_cm for s in traj.steps]).tobytes() == traj.joint_cm.tobytes()
+
+    def test_compares_by_identity_and_hashes(self):
+        config = SimulationConfig(r1=0.4, r2=0.3, L=3)
+        traj = run(config)
+        assert (traj == run(config)) is False
+        assert traj == traj
+        assert {traj} == {traj} and len({traj.steps[0], traj.steps[0]}) == 1
 
     def test_series_helpers(self):
         traj = run(SimulationConfig(r1=0.4, r2=0.3, L=3))
@@ -277,21 +284,32 @@ class TestRecurrenceAgainstDenseReference:
     unitary: the system row at every step, and each E_k row."""
 
     @staticmethod
-    def rows(config, modes, monkeypatch):
-        # The closed form is applied to each E_k row; keep the row instead.
-        monkeypatch.setattr(engine, "joint_cm_closed_form", lambda coeffs, joint, env: coeffs)
-        return iter_env_ancilla_cms(config, modes)
+    def env_rows(config, modes, monkeypatch):
+        """Per mode, the unit, carried and middle rows env_mode_cms builds."""
+        seen, columns = [], engine.coefficient_columns
+
+        def keep(rows):
+            seen.extend(rows)
+            return columns(rows)
+
+        monkeypatch.setattr(engine, "coefficient_columns", keep)
+        env_mode_cms(config, modes)
+        return [seen[i : i + 3] for i in range(0, len(seen), 3)]
 
     def check(self, config, steps, monkeypatch):
-        """Every row at each j in steps, the system row at every j."""
+        """Every E_k row at each j in steps, the system row at every j: E_k's
+        row is the unit row before j = k - 1, the carried row at k - 1 and
+        the middle row from k on."""
         modes = range(1, config.L + 2)
+        env_rows = self.env_rows(config, modes, monkeypatch)
         u = np.eye(config.L + 3, dtype=complex)
-        for j, coeffs, env_rows in self.rows(config, modes, monkeypatch):
+        for j, coeffs, _ in iter_steps(config):
             if j > 0:
                 apply_collision_inplace(u, j, config.r1, config.r2, config.phi_shift)
             assert_same_row(coeffs, extract_c_coefficients(u, j), j)
             if j in steps:
-                for k, row in zip(modes, env_rows):
+                for k, rows in zip(modes, env_rows):
+                    row = rows[0 if j < k - 1 else 1 if j == k - 1 else 2]
                     assert_same_row(row, extract_c_coefficients(u, j, m=k + 1), (j, k))
 
     @pytest.mark.parametrize("r1,r2", EDGE_REFLECTIVITIES)
@@ -341,22 +359,23 @@ class TestEnvAncillaClosedForm:
     def test_matches_full_chain_propagation(self, env):
         config = SimulationConfig(r1=0.55, r2=0.35, phi_shift=1.1, env=env, L=9)
         modes = (1, 4, 9, 10)
-        closed = iter_env_ancilla_cms(config, modes)
+        env_cms = env_mode_cms(config, modes).reshape(len(modes), 3, 4, 4)
         oracle = iter_steps(replace(config, oracle_enabled=True))
         u = np.eye(config.L + 3, dtype=complex)
-        for (j, coeffs, env_cms), (_, ref, sigma) in zip(closed, oracle):
+        for (j, coeffs, _), (_, ref, sigma) in zip(iter_steps(config), oracle):
             assert coeffs.c22 == ref.c22
             if j > 0:
                 apply_collision_inplace(u, j, config.r1, config.r2, config.phi_shift)
             assert_same_row(coeffs, extract_c_coefficients(u, j), j)
-            for k, cm in zip(modes, env_cms):
+            for k, cms in zip(modes, env_cms):
+                cm = cms[0 if j < k - 1 else 1 if j == k - 1 else 2]
                 np.testing.assert_allclose(cm, reduce_to_modes(sigma, [0, k + 1]), atol=1e-12)
 
     def test_index_range(self):
         config = SimulationConfig(r1=0.4, r2=0.3, L=2)
         for k in (0, 4):
             with pytest.raises(ValueError, match="out of range"):
-                next(iter_env_ancilla_cms(config, [k]))
+                env_mode_cms(config, [k])
 
 
 def test_iter_steps_streams_views():
