@@ -1,19 +1,19 @@
 """Command-line interface.
 
 Subcommands: evolve (per-step table for one configuration), scan
-(reflectivity-grid non-Markovianity measures, optionally parallel),
-transport (ancilla steering against chosen environment modes), and
-thresholds (closed-form steerability threshold tables).
+(reflectivity-grid non-Markovianity measures), transport (ancilla steering
+against chosen environment modes), and thresholds (closed-form
+steerability threshold tables).
 
 Output is CSV (default) or JSON lines; floats are rendered with 12
-significant digits so repeated runs are byte-identical regardless of
---jobs.  Exit codes: 0 success, 2 usage/validation error, 3 numerical
-degeneracy.
+significant digits so repeated runs are byte-identical.  Exit codes: 0
+success, 2 usage/validation error, 3 numerical degeneracy.
 """
 
 import argparse
-import concurrent.futures
 import itertools
+import json
+import math
 import os
 import re
 import sys
@@ -23,7 +23,15 @@ import numpy as np
 
 from . import steering  # not `steerability`: perfbench traces that name per matrix
 from .divisibility import divisibility_columns, nm_cptp
-from .engine import STEP_BYTES, SimulationConfig, env_mode_cms, iter_steps, require_memory, run
+from .engine import (
+    STEP_BYTES,
+    SimulationConfig,
+    env_mode_cms,
+    iter_steps,
+    iter_trajectories,
+    require_memory,
+    run,
+)
 from .errors import DegenerateCovarianceError, GaussCollideError
 from .states import EnvironmentSpec, JointSpec, reduce_to_modes, require_finite
 from .steering import (
@@ -42,6 +50,11 @@ THRESHOLD_FAMILIES = {  # family: (swept parameters, threshold function)
     "an-to-s-thermal": (("n", "xi"), threshold_an_to_s_thermal),
     "an-to-s-squeezed": (("xi", "zeta"), threshold_an_to_s_squeezed_vac),
 }
+
+# A bound on the peak-RSS growth per step of each `transport` mode column
+# (measured at L = 2e5: 44 B with 6 modes, 53 B with 12), on top of
+# STEP_BYTES for the system column (about 0.57 kB per step).
+MODE_STEP_BYTES = 100
 
 _ANGLE_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)?)pi(?:/(\d+\.?\d*|\.\d+))?$")
 
@@ -115,21 +128,37 @@ def load_config_file(path: str) -> dict:
 
 
 def _token(v, fmt: str) -> str:
-    """One value as a CSV or JSON token."""
-    json = fmt == "jsonl"
+    """One value as a CSV or JSON token; a non-finite float raises."""
+    as_json = fmt == "jsonl"
     if v is None:
-        return "null" if json else ""
+        return "null" if as_json else ""
     if isinstance(v, bool):
-        return ("true" if v else "false") if json else ("1" if v else "0")
+        return ("true" if v else "false") if as_json else ("1" if v else "0")
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise GaussCollideError(f"non-finite value {v!r}")
         return format(float(v) + 0.0, ".12g")
-    return f'"{v}"' if json else str(v)
+    return json.dumps(v) if as_json else str(v)
+
+
+def _tokens(header, rows, fmt: str):
+    """Each row's tokens; a non-finite value names its row and column."""
+    for i, row in enumerate(rows):
+        try:
+            tokens = [_token(v, fmt) for v in row]
+        except GaussCollideError as exc:
+            column = next(name for name, v in zip(header, row)
+                          if isinstance(v, float) and not math.isfinite(v))
+            raise GaussCollideError(f"output row {i}, column {column}: {exc}") from None
+        yield tokens
 
 
 def emit(header, rows, fmt: str, out_path):
-    tokens = ([_token(v, fmt) for v in row] for row in rows)
+    """Write a CSV or JSON-lines table; nothing is written if any float in
+    it is not finite."""
+    tokens = _tokens(header, rows, fmt)
     if fmt == "csv":
         lines = [",".join(header), *(",".join(row) for row in tokens)]
     else:
@@ -193,8 +222,8 @@ def _verify_against_oracle(traj) -> None:
             raise GaussCollideError(f"oracle mismatch at step {j}: max deviation {err:g}")
 
 
-def _scan_cell(config: SimulationConfig):
-    traj = run(config)
+def _scan_cell(traj):
+    """The three measures of one grid cell's trajectory."""
     return (
         nm_from_steering(steering_series(traj, Direction.B_TO_A)),
         nm_from_steering(steering_series(traj, Direction.A_TO_B)),
@@ -211,17 +240,9 @@ def cmd_scan(args, parser) -> int:
         parser.error("--jobs must be >= 1")
     base = _simulation_config(args, parser, args.grid_r1[0], args.grid_r2[0])
     cells = [replace(base, r1=r1, r2=r2) for r1 in args.grid_r1 for r2 in args.grid_r2]
-
-    # Bounded: a fork-started pool launches all its workers at the first submit.
-    workers = min(args.jobs, len(cells), os.cpu_count() or 1)
-    if workers == 1:
-        results = [_scan_cell(cell) for cell in cells]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_cell, cells, chunksize=8))
-
     header = ["r1", "r2", "n_gs_s_to_an", "n_gs_an_to_s", "n_cptp"]
-    rows = [(cell.r1, cell.r2, *res) for cell, res in zip(cells, results)]
+    rows = [(cell.r1, cell.r2, *_scan_cell(traj))
+            for cell, traj in zip(cells, iter_trajectories(cells))]
     emit(header, rows, args.format, args.out)
     return 0
 
@@ -236,8 +257,7 @@ def cmd_transport(args, parser) -> int:
         parser.error("--modes is required: at least one environment index (comma-separated)")
 
     header = ["j", "g_s_to_an"] + [f"g_e{k}_to_an" for k in modes]
-    # Measured: about 0.57 kB per step plus 45 B per step and column; STEP_BYTES bounds it.
-    require_memory(config.L, (config.L + 1) * STEP_BYTES * (1 + len(modes)))
+    require_memory(config.L, (config.L + 1) * (STEP_BYTES + MODE_STEP_BYTES * len(modes)))
     # E_k's covariances print for k - 1, 1 and L + 1 - k steps from steps 0, k - 1 and k;
     # one printed nowhere (k = 1's unit row, k = L + 1's middle row) is not steered.
     counts = np.ravel([(k - 1, 1, config.L + 1 - k) for k in modes])
@@ -322,8 +342,8 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     p_scan.add_argument("--grid-r2", dest="grid_r2", type=parse_values, default="",
                         help="r2 axis: 'a,b,c' or 'start:stop:count'")
     p_scan.add_argument("--jobs", type=int, default=os.environ.get("GAUSSCOLLIDE_JOBS", "1"),
-                        help="worker processes, at most one per CPU and grid cell "
-                        "(default GAUSSCOLLIDE_JOBS or 1)")
+                        help="accepted and checked to be >= 1; the scan runs in this "
+                        "process (default GAUSSCOLLIDE_JOBS or 1)")
     p_scan.set_defaults(func=cmd_scan, parser=p_scan, **defaults)
 
     p_transport = sub.add_parser(

@@ -5,19 +5,27 @@ network coefficients into columns (c22, |c22|^2, W, H) once and builds the
 joint ancilla-system covariances from them in one closed-form call, which
 `env_mode_cms` applies to the three rows of chosen environment modes.  Both
 read a recurrence with O(1) state per step (`_states`), never the (L+3)^2
-composed unitary.  An optional oracle path propagates the full (L+3)-mode
-covariance matrix symplectically, the reference the tests and `evolve
---oracle` check the closed forms against.
+composed unitary.  `iter_trajectories` runs the same recurrence for many
+grid cells at once, as arrays, with the same bits.  An optional oracle path
+propagates the full (L+3)-mode covariance matrix symplectically, the
+reference the tests and `evolve --oracle` check the closed forms against.
 """
 
 import itertools
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .network import CCoefficients, mixing_block, mode_unitary_to_symplectic
+from .network import (
+    NORMALIZATION_TOL,
+    CCoefficients,
+    check_normalization,
+    mixing_block,
+    mode_unitary_to_symplectic,
+)
 from .states import (
     EnvironmentSpec,
     JointSpec,
@@ -186,19 +194,59 @@ def iter_steps(config: SimulationConfig):
         yield j, _coefficients(j, a_s, g_ss, h_ss), sigma
 
 
-def _bilinear(p, q, state):
-    """sum_m (p.x)_m (q.x)_m over the environment columns, x = (S, E, F)."""
+def _bilinear_terms(p, q):
+    """Coefficients of sum_m (p.x)_m (q.x)_m over the environment columns,
+    x = (S, E, F): of g_ss, g_se and g_ee, then the constant."""
+    return p[0] * q[0], p[0] * q[1] + p[1] * q[0], p[1] * q[1], p[2] * q[2]
+
+
+def _hermitian_terms(p, q_conj):
+    """Coefficients of sum_m (p.x)_m conj((q.x)_m) over the environment
+    columns, q_conj = conj(q): of h_ss, h_se, conj(h_se) and h_ee, then the
+    constant."""
+    return (p[0] * q_conj[0], p[0] * q_conj[1], p[1] * q_conj[0], p[1] * q_conj[1],
+            p[2] * q_conj[2])
+
+
+def _round_constants(block: np.ndarray) -> tuple:
+    """One round's coefficients, one tuple per entry of the next state
+    (S <- block[0].x, E <- block[2].x): those of the entries _TERMS names,
+    then the constant, if any.  Built once per configuration in Python
+    complex arithmetic, associated as the per-round sums were, so that both
+    evaluators reproduce every state bit for bit."""
+    s_row, _, f_row = block.tolist()
+    s_conj, _, f_conj = block.conj().tolist()
+    return ((s_row[0], s_row[1]), (f_row[0], f_row[1]),
+            _bilinear_terms(s_row, s_row), _bilinear_terms(s_row, f_row),
+            _bilinear_terms(f_row, f_row), _hermitian_terms(s_row, s_conj),
+            _hermitian_terms(s_row, f_conj), _hermitian_terms(f_row, f_conj))
+
+
+def _bilinear(k, state):
+    """A bilinear sum from its _bilinear_terms k."""
     _, _, g_ss, g_se, g_ee, *_ = state
-    return (p[0] * q[0] * g_ss + (p[0] * q[1] + p[1] * q[0]) * g_se + p[1] * q[1] * g_ee
-            + p[2] * q[2])
+    return k[0] * g_ss + k[1] * g_se + k[2] * g_ee + k[3]
 
 
-def _hermitian(p, q_conj, state):
-    """sum_m (p.x)_m conj((q.x)_m) over the environment columns, x = (S, E, F);
-    q_conj = conj(q)."""
+def _hermitian(k, state):
+    """A Hermitian sum from its _hermitian_terms k."""
     *_, h_ss, h_se, h_ee = state
-    return (p[0] * q_conj[0] * h_ss + p[0] * q_conj[1] * h_se
-            + p[1] * q_conj[0] * h_se.conjugate() + p[1] * q_conj[1] * h_ee + p[2] * q_conj[2])
+    return k[0] * h_ss + k[1] * h_se + k[2] * h_se.conjugate() + k[3] * h_ee + k[4]
+
+
+def _next_state(k, state):
+    """State after one round, from the round's constants k."""
+    a_s, a_e, *_ = state
+    return (
+        k[0][0] * a_s + k[0][1] * a_e,
+        k[1][0] * a_s + k[1][1] * a_e,
+        _bilinear(k[2], state),
+        _bilinear(k[3], state),
+        _bilinear(k[4], state),
+        _hermitian(k[5], state).real,
+        _hermitian(k[6], state),
+        _hermitian(k[7], state).real,
+    )
 
 
 def _coefficients(step: int, a: complex, g: complex, h: float) -> CCoefficients:
@@ -206,25 +254,7 @@ def _coefficients(step: int, a: complex, g: complex, h: float) -> CCoefficients:
     return CCoefficients(step, a.conjugate(), env_square_sum=g.conjugate(), env_abs_square_sum=h)
 
 
-def _row(step: int, p, p_conj, state) -> CCoefficients:
-    """Coefficients of the row p.x, x = (S, E, F); p_conj = conj(p)."""
-    a = p[0] * state[0] + p[1] * state[1]
-    return _coefficients(step, a, _bilinear(p, p, state), _hermitian(p, p_conj, state).real)
-
-
-def _next_state(block, block_conj, state):
-    """State after one round: S <- block[0].x and E <- block[2].x."""
-    s_row, f_row = block[0], block[2]
-    return (
-        s_row[0] * state[0] + s_row[1] * state[1],
-        f_row[0] * state[0] + f_row[1] * state[1],
-        _bilinear(s_row, s_row, state),
-        _bilinear(s_row, f_row, state),
-        _bilinear(f_row, f_row, state),
-        _hermitian(s_row, block_conj[0], state).real,
-        _hermitian(s_row, block_conj[2], state),
-        _hermitian(f_row, block_conj[2], state).real,
-    )
+_INITIAL_STATE = (1 + 0j, 0j, 0j, 0j, 1 + 0j, 0.0, 0j, 1.0)  # S = e_1, E = e_2
 
 
 def _states(config: SimulationConfig):
@@ -239,11 +269,140 @@ def _states(config: SimulationConfig):
     h_se = sum S_m conj(E_m): (a_s, a_e, g_ss, g_se, g_ee, h_ss, h_se, h_ee).
     A row's coefficients are c22 = conj(a), W = conj(g) and H = h.
     """
-    block = mixing_block(config.r1, config.r2, config.phi_shift)
-    block, block_conj = block.tolist(), block.conj().tolist()
-    state = (1 + 0j, 0j, 0j, 0j, 1 + 0j, 0.0, 0j, 1.0)  # S = e_1, E = e_2
-    rounds = itertools.repeat((block, block_conj), config.L)
-    return itertools.accumulate(rounds, lambda state, b: _next_state(*b, state), initial=state)
+    k = _round_constants(mixing_block(config.r1, config.r2, config.phi_shift))
+    rounds = itertools.repeat(k, config.L)
+    return itertools.accumulate(rounds, lambda state, k: _next_state(k, state),
+                                initial=_INITIAL_STATE)
+
+
+# The state entries each row of _round_constants multiplies, in summation
+# order; -1 stands for conj(h_se).  A row with one coefficient more adds it.
+_TERMS = ((0, 1), (0, 1), (2, 3, 4), (2, 3, 4), (2, 3, 4),
+          (5, 6, -1, 7), (5, 6, -1, 7), (5, 6, -1, 7))
+_SLOTS = 5  # terms and constant of the longest row
+_UNIT = 8  # the batched state's constant entry 1 + 1j
+_ROWS = _UNIT + 1  # entries of the batched state, the unit included
+_RECORDED = (0, 2, 5, _ROWS, _ROWS + 2)  # a_s, g_ss, h_ss; imaginary a_s, g_ss
+
+# Bytes one batched chunk may hold: its state history, 40 B per cell-step,
+# and each cell's coefficient tables and step buffers (4.4-4.7 kB measured
+# with tracemalloc at L = 1) ...
+CHUNK_BYTES = 2**24
+CELL_STEP_BYTES = 40
+CELL_BYTES = 6 * 2**10
+# ... but never fewer cells than this: near where the batched step (about
+# 30 us per step plus 0.5 us per cell-step, on 2 CPUs) breaks even with one
+# `run` per cell (about 12 us per step).
+MIN_CHUNK_CELLS = 4
+
+
+def _batched_table(configs) -> tuple[np.ndarray, np.ndarray]:
+    """Gather rows and coefficients of the batched step, from each cell's
+    _round_constants.
+
+    The batched state is a real array (18, cells): the real parts of the
+    eight entries and of the unit entry 1 + 1j, then their imaginary parts
+    (those of h_ss and h_ee are 0.0, as when Python promotes a float).
+    Slot t of entry e multiplies one entry x by a coefficient c, and in
+    real arithmetic, written out as CPython forms the complex product,
+
+        re = c.re x.re - c.im x.im,  im = c.re x.im + c.im x.re,
+
+    that is cr * x + cd * swap(x), swap exchanging real and imaginary parts.
+    A constant c multiplies the unit entry with cr = (c.re, -0.0) and
+    cd = (-0.0, c.im); an empty slot has cr = cd = -0.0 and adds -0.0,
+    which changes no sum.  numpy's complex product fuses multiply-adds, so
+    it would not reproduce Python's bits.  Returned flat, in the order
+    (x or swap(x), slot, real or imaginary part, entry).
+    """
+    tables = [_round_constants(mixing_block(c.r1, c.r2, c.phi_shift)) for c in configs]
+    entry = np.full((_SLOTS, len(_TERMS)), _UNIT)
+    cr = np.full((_SLOTS, 2, len(_TERMS), len(configs)), -0.0)
+    cd = cr.copy()
+    for e, terms in enumerate(_TERMS):
+        for t in range(len(tables[0][e])):
+            c = np.array([table[e][t] for table in tables])
+            if t == len(terms):  # the constant
+                cr[t, 0, e], cd[t, 1, e] = c.real, c.imag
+            elif terms[t] == -1:  # c * conj(h_se)
+                entry[t, e] = 6
+                cr[t, :, e] = c.real, -c.real
+                cd[t, :, e] = c.imag
+            else:
+                entry[t, e] = terms[t]
+                cr[t, :, e] = c.real
+                cd[t, :, e] = -c.imag, c.imag
+    part = np.arange(2)[:, None]
+    gather = np.stack([part * _ROWS + entry[:, None], (1 - part) * _ROWS + entry[:, None]])
+    return gather.ravel(), np.stack([cr, cd]).reshape(-1, len(configs))
+
+
+def _batched_history(configs, L: int) -> np.ndarray:
+    """(L + 1, 5, cells): the _RECORDED parts of a_s, g_ss and h_ss after j
+    rounds, for cells that differ only in r1 and r2."""
+    gather, coefficients = _batched_table(configs)
+    start = [complex(v) for v in _INITIAL_STATE] + [1 + 1j]
+    x = np.repeat([[v.real] for v in start] + [[v.imag] for v in start], len(configs), axis=1)
+    x_next = x.copy()
+    products = np.empty((len(gather), len(configs)))
+    history = np.empty((L + 1, len(_RECORDED), len(configs)))
+    history[0] = x[list(_RECORDED)]
+    for j in range(1, L + 1):
+        np.take(x, gather, axis=0, out=products)
+        products *= coefficients
+        terms = products[: len(gather) // 2]
+        terms += products[len(gather) // 2 :]  # cr * x + cd * swap(x)
+        terms = terms.reshape(_SLOTS, 2, len(_TERMS), len(configs))
+        out = x_next.reshape(2, _ROWS, len(configs))[:, : len(_TERMS)]
+        np.add(terms[0], terms[1], out=out)
+        for t in range(2, _SLOTS):
+            out += terms[t]
+        x_next[_ROWS + 5 :: 2] = 0.0  # h_ss and h_ee are real parts
+        x, x_next = x_next, x
+        np.take(x, _RECORDED, axis=0, out=history[j])
+    return history
+
+
+def iter_trajectories(configs):
+    """One Trajectory per configuration, in order, for configurations that
+    differ only in r1 and r2.
+
+    The recurrence runs for a chunk of cells at a time as one array
+    computation, bit-identical to `run`'s scalar loop; each cell's
+    witnesses then read its own trajectory.  Refuses, before the first
+    step, an L whose chunk and trajectory cannot fit in physical memory.
+    """
+    configs = list(configs)
+    base = configs[0]
+    if any(replace(c, r1=base.r1, r2=base.r2) != base for c in configs):
+        raise ValueError("configurations differ in more than r1 and r2")
+    L = base.L
+    cell_bytes = CELL_BYTES + CELL_STEP_BYTES * (L + 1)
+    size = min(len(configs), max(MIN_CHUNK_CELLS, CHUNK_BYTES // cell_bytes))
+    require_memory(L, size * cell_bytes + (L + 1) * STEP_BYTES)
+    for start in range(0, len(configs), size):
+        chunk = configs[start : start + size]
+        history = _batched_history(chunk, L)
+        for i, config in enumerate(chunk):
+            a_re, g_re, h, a_im, g_im = history[:, :, i].T
+            c22, w = _conjugate(a_re, a_im), _conjugate(g_re, g_im)
+            # Python's abs(c22) ** 2: np.hypot is abs, but numpy squares round differently.
+            hypot = np.hypot(c22.real, c22.imag).tolist()
+            c_sq = np.fromiter(map(math.pow, hypot, itertools.repeat(2.0)), float, L + 1)
+            h = h.copy()
+            total = c_sq + h
+            defect = np.abs(total - 1.0) > NORMALIZATION_TOL
+            if defect.any():
+                check_normalization(float(total[np.argmax(defect)]))
+            joint_cm = joint_cm_stack(c22, c_sq, w, config.joint, config.env)
+            yield Trajectory(config, c22, c_sq, w, h, joint_cm)
+
+
+def _conjugate(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex array re - i im, formed without complex arithmetic."""
+    out = np.empty(len(re), dtype=complex)
+    out.real, out.imag = re, -im
+    return out
 
 
 def env_mode_cms(config: SimulationConfig, modes) -> np.ndarray:
@@ -258,11 +417,14 @@ def env_mode_cms(config: SimulationConfig, modes) -> np.ndarray:
             raise ValueError(f"environment index {k} out of range 1..{config.L + 1}")
     states = {j: s for j, s in zip(range(max(modes)), _states(config)) if j + 1 in modes}
     middle = mixing_block(config.r1, config.r2, config.phi_shift)[1]
+    m, m_conj = middle.tolist(), middle.conj().tolist()
+    g_terms, h_terms = _bilinear_terms(m, m), _hermitian_terms(m, m_conj)
     rows = []
     for k in modes:
-        _, a_e, _, _, g_ee, _, _, h_ee = state = states[k - 1]
+        a_s, a_e, _, _, g_ee, _, _, h_ee = state = states[k - 1]
         rows += [_coefficients(0, 0j, 1 + 0j, 1.0), _coefficients(k - 1, a_e, g_ee, h_ee),
-                 _row(k, middle.tolist(), middle.conj().tolist(), state)]
+                 _coefficients(k, m[0] * a_s + m[1] * a_e, _bilinear(g_terms, state),
+                               _hermitian(h_terms, state).real)]
     return joint_cm_stack(*coefficient_columns(rows)[:3], config.joint, config.env)
 
 

@@ -44,13 +44,17 @@ class CCoefficients:
             object.__setattr__(self, "env_abs_square_sum", float(np.sum(np.abs(env) ** 2)))
         elif self.env_square_sum is None or self.env_abs_square_sum is None:
             raise ValueError("give env_column, or both env_square_sum and env_abs_square_sum")
-        total = abs(self.c22) ** 2 + self.env_abs_square_sum
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(f"coefficient column not normalized: sum of squares = {total!r}")
+        check_normalization(abs(self.c22) ** 2 + self.env_abs_square_sum)
 
     @property
     def c22_abs_sq(self) -> float:
         return abs(self.c22) ** 2
+
+
+def check_normalization(total: float) -> None:
+    """Raise ValueError unless total = |c22|^2 + H is 1 within NORMALIZATION_TOL."""
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise ValueError(f"coefficient column not normalized: sum of squares = {total!r}")
 
 
 def mixing_block(r1: float, r2: float, phi: float = 0.0) -> np.ndarray:

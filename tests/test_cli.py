@@ -7,7 +7,9 @@ import io
 import json
 import math
 import os
+import subprocess
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,10 +20,11 @@ import gausscollide.cli as cli
 import gausscollide.engine as engine
 import gausscollide.steering as steering
 from gausscollide.cli import ENV_FAMILIES, main, parse_angle, parse_values
-from gausscollide.engine import SimulationConfig, env_ancilla_cm, iter_steps
-from gausscollide.errors import DegenerateCovarianceError
+from gausscollide.divisibility import nm_cptp
+from gausscollide.engine import SimulationConfig, env_ancilla_cm, iter_steps, run
+from gausscollide.errors import DegenerateCovarianceError, GaussCollideError
 from gausscollide.states import EnvironmentSpec, JointSpec
-from gausscollide.steering import Direction, steerability
+from gausscollide.steering import Direction, nm_from_steering, steerability, steering_series
 
 LNCOSH1_TOKEN = format(math.log(math.cosh(1.0)), ".12g")
 
@@ -295,6 +298,29 @@ class TestEvolve:
         assert target.read_text() == out
 
 
+class TestEmit:
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_non_finite_value_is_refused_before_writing(self, tmp_path, fmt):
+        target = tmp_path / "table"
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(GaussCollideError, match="output row 1, column b: non-finite"):
+                cli.emit(["a", "b"], [(1.0, 2.0), (3.0, value)], fmt, str(target))
+        assert not target.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_non_finite_measure_exits_3(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(cli, "nm_cptp", lambda traj: SimpleNamespace(value=math.nan))
+        code, out, err = run_cli(capsys, "scan", "--grid-r1", "0.2,0.8", "--grid-r2", "0.3,0.9",
+                                 "--L", "10", "--format", fmt)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "column n_cptp" in err and err.count("\n") == 1
+
+    def test_jsonl_strings_are_escaped(self, capsys):
+        text = 'say "hi"\\\n'
+        cli.emit(["name"], [(text,)], "jsonl", None)
+        assert json.loads(capsys.readouterr().out) == {"name": text}
+
+
 class TestConfigFile:
     def test_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -362,31 +388,59 @@ class TestScan:
             code, _, err = run_cli(capsys, "scan", "--config", str(cfg), "--L", "10")
             assert code == 2 and "--grid-r1" in err
 
-    def test_pool_is_bounded_by_cells_and_cpus(self, capsys, monkeypatch):
-        created = []
+    def test_jobs_starts_no_process(self, capsys, monkeypatch):
+        def no_process(*args, **kwargs):
+            raise AssertionError("scan started a process")
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                created.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "fork", no_process)
+        monkeypatch.setattr(subprocess, "Popen", no_process)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_process)
         args = ("scan", "--grid-r1", "0.2,0.8", "--grid-r2", "0.3,0.6,0.9", "--L", "10")
-        _, serial, _ = run_cli(capsys, *args, "--jobs", "1")
-        for cpus in (4, 64, None):
-            monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
-            code, out, _ = run_cli(capsys, *args, "--jobs", "100000")
-            assert code == 0 and out == serial
-        # min(jobs, 6 cells, cpus); one CPU (None counts as one) runs serially.
-        assert created == [4, 6]
+        code, serial, _ = run_cli(capsys, *args, "--jobs", "1")
+        assert code == 0
+        assert run_cli(capsys, *args, "--jobs", "100000") == (0, serial, "")
+
+    def test_out_of_memory_length(self, capsys, monkeypatch):
+        def no_steps(*args):
+            raise AssertionError("scan started stepping")
+
+        monkeypatch.setattr(engine, "_batched_history", no_steps)
+        code, out, err = run_cli(capsys, "scan", "--grid-r1", "0.2,0.8", "--grid-r2", "0.3,0.9",
+                                 "--L", "100000000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--L" in err and err.count("\n") == 1
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        r1=st.lists(st.sampled_from([0.0, 1.0, 0.25, 0.6]), min_size=2, max_size=3),
+        r2=st.lists(st.sampled_from([0.0, 1.0, 0.35, 0.8]), min_size=2, max_size=3),
+        phi=st.sampled_from([0.0, 0.7, -2.5]),
+        family=st.sampled_from(ENV_FAMILIES),
+        L=st.integers(2, 40),
+    )
+    def test_rows_match_per_cell_reference(self, r1, r2, phi, family, L):
+        params = {"vacuum": {}, "thermal": {"n": 0.4}, "squeezed": {"zeta": 0.3},
+                  "squeezed-thermal": {"n": 0.4, "zeta": 0.3, "phi_env": 1.1}}[family]
+        flags = [f"--{key.replace('_', '-')}={value!r}" for key, value in params.items()]
+        argv = ["scan", "--grid-r1=" + ",".join(map(repr, r1)),
+                "--grid-r2=" + ",".join(map(repr, r2)), f"--phi={phi!r}", f"--env={family}",
+                *flags, f"--L={L}"]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(argv) == 0
+        env = EnvironmentSpec(**params)
+        rows = []
+        for a in r1:
+            for b in r2:
+                traj = run(SimulationConfig(r1=a, r2=b, phi_shift=phi, env=env, L=L))
+                rows.append((a, b, nm_from_steering(steering_series(traj, Direction.B_TO_A)),
+                             nm_from_steering(steering_series(traj, Direction.A_TO_B)),
+                             nm_cptp(traj).value))
+        expected = io.StringIO()
+        with contextlib.redirect_stdout(expected):
+            cli.emit(["r1", "r2", "n_gs_s_to_an", "n_gs_an_to_s", "n_cptp"], rows, "csv", None)
+        assert buf.getvalue() == expected.getvalue()
 
     def test_parallel_matches_serial(self, capsys, tmp_path):
         base = ["scan", "--grid-r1", "0.2,0.5,0.8", "--grid-r2", "0.3,0.7",
@@ -458,6 +512,17 @@ class TestTransport:
                                  "--L", "10000", "--modes", "1")
         assert code == 2
         assert out == ""
+        assert err.startswith("error: ") and "--L" in err and err.count("\n") == 1
+
+    def test_memory_guard_charges_each_mode_once(self, capsys, monkeypatch):
+        # Six mode columns need about 0.6 kB per step more than one, not 6 x 1.2 kB.
+        monkeypatch.setattr(engine, "physical_memory", lambda: 10 * 2**20)
+        code, out, _ = run_cli(capsys, "transport", "--r1", ".4", "--r2", ".3", "--L", "4000",
+                               "--modes", "1,800,1600,2400,3200,4001")
+        assert code == 0 and len(out.split("\n")) == 4003
+        code, out, err = run_cli(capsys, "transport", "--r1", ".4", "--r2", ".3", "--L", "10000",
+                                 "--modes", "1,2000,4000,6000,8000,10001")
+        assert code == 2 and out == ""
         assert err.startswith("error: ") and "--L" in err and err.count("\n") == 1
 
     def test_runs_without_the_full_chain_oracle(self, capsys, monkeypatch):

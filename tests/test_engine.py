@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gausscollide import engine
 from gausscollide.engine import (
@@ -14,6 +16,7 @@ from gausscollide.engine import (
     env_mode_cms,
     initial_full_cm,
     iter_steps,
+    iter_trajectories,
     joint_cm_closed_form,
     run,
 )
@@ -334,6 +337,71 @@ class TestRecurrenceAgainstDenseReference:
             for _, coeffs, _ in iter_steps(config)
         )
         assert defect < NORMALIZATION_TOL / 10
+
+
+COLUMNS = ("c22", "c22_abs_sq", "env_square_sum", "env_abs_square_sum", "joint_cm")
+REFLECTIVITY = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+class TestBatchedRecurrence:
+    """iter_trajectories runs the recurrence of many cells as one array
+    computation; each cell's columns must keep run()'s bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        points=st.lists(st.tuples(REFLECTIVITY, REFLECTIVITY), min_size=1, max_size=9),
+        phi=st.sampled_from([0.0, 0.9, -2.2, math.pi]) | st.floats(-4.0, 4.0),
+        env=st.sampled_from(ENV_FAMILIES),
+        L=st.integers(1, 60),
+        chunk=st.integers(1, 4),
+    )
+    def test_columns_equal_run_bit_for_bit(self, points, phi, env, L, chunk):
+        configs = [SimulationConfig(r1=a, r2=b, phi_shift=phi, env=env, L=L) for a, b in points]
+        with pytest.MonkeyPatch.context() as mp:  # chunks of `chunk` cells
+            mp.setattr(engine, "CHUNK_BYTES", 1)
+            mp.setattr(engine, "MIN_CHUNK_CELLS", chunk)
+            trajectories = list(iter_trajectories(configs))
+        assert len(trajectories) == len(configs)
+        for config, traj in zip(configs, trajectories):
+            ref = run(config)
+            assert traj.config == config
+            for name in COLUMNS:
+                column, expected = getattr(traj, name), getattr(ref, name)
+                assert column.dtype == expected.dtype and column.shape == expected.shape
+                assert column.tobytes() == expected.tobytes(), name
+
+    def test_grids_fit_one_chunk(self, monkeypatch):
+        sizes, history = [], engine._batched_history
+
+        def recorded(configs, L):
+            sizes.append(len(configs))
+            return history(configs, L)
+
+        monkeypatch.setattr(engine, "_batched_history", recorded)
+        axis = np.linspace(0.05, 0.95, 21).tolist()  # the README scan
+        grid = [SimulationConfig(r1=r1, r2=r2, L=250) for r1 in axis for r2 in axis]
+        assert len(list(iter_trajectories(grid))) == 441
+        assert sizes == [441]
+
+    def test_normalization_failure_keeps_its_message(self, monkeypatch):
+        constants = engine._round_constants
+
+        def leaky(block):  # the system amplitude gains 1% per round
+            k = constants(block)
+            return ((k[0][0] * 1.01, k[0][1] * 1.01), *k[1:])
+
+        monkeypatch.setattr(engine, "_round_constants", leaky)
+        config = SimulationConfig(r1=0.4, r2=0.3, L=5)
+        with pytest.raises(ValueError, match="^coefficient column not normalized: sum") as scalar:
+            run(config)
+        with pytest.raises(ValueError) as batched:
+            list(iter_trajectories([config, replace(config, r1=0.5)]))
+        assert str(batched.value) == str(scalar.value)
+
+    def test_configurations_must_share_all_but_reflectivities(self):
+        config = SimulationConfig(r1=0.4, r2=0.3, L=5)
+        with pytest.raises(ValueError, match="r1 and r2"):
+            list(iter_trajectories([config, replace(config, L=6)]))
 
 
 class TestMemoryGuard:
