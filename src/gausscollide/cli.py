@@ -14,7 +14,6 @@ import argparse
 import itertools
 import json
 import math
-import os
 import re
 import sys
 from dataclasses import replace
@@ -341,9 +340,8 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
                         help="r1 axis: 'a,b,c' or 'start:stop:count'")
     p_scan.add_argument("--grid-r2", dest="grid_r2", type=parse_values, default="",
                         help="r2 axis: 'a,b,c' or 'start:stop:count'")
-    p_scan.add_argument("--jobs", type=int, default=os.environ.get("GAUSSCOLLIDE_JOBS", "1"),
-                        help="accepted and checked to be >= 1; the scan runs in this "
-                        "process (default GAUSSCOLLIDE_JOBS or 1)")
+    p_scan.add_argument("--jobs", type=int, default=1,
+                        help="accepted and checked to be >= 1; the scan runs in this process")
     p_scan.set_defaults(func=cmd_scan, parser=p_scan, **defaults)
 
     p_transport = sub.add_parser(

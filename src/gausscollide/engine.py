@@ -6,9 +6,10 @@ joint ancilla-system covariances from them in one closed-form call, which
 `env_mode_cms` applies to the three rows of chosen environment modes.  Both
 read a recurrence with O(1) state per step (`_states`), never the (L+3)^2
 composed unitary.  `iter_trajectories` runs the same recurrence for many
-grid cells at once, as arrays, with the same bits.  An optional oracle path
-propagates the full (L+3)-mode covariance matrix symplectically, the
-reference the tests and `evolve --oracle` check the closed forms against.
+grid cells at once, as real and imaginary float arrays, with the same bits.
+An optional oracle path propagates the full (L+3)-mode covariance matrix
+symplectically, the reference the tests and `evolve --oracle` check the
+closed forms against.
 """
 
 import itertools
@@ -191,7 +192,7 @@ def iter_steps(config: SimulationConfig):
         if sigma is not None and j > 0:
             apply_collision_to_cm(sigma, j, config.r1, config.r2, config.phi_shift)
         a_s, _, g_ss, _, _, h_ss, *_ = state
-        yield j, _coefficients(j, a_s, g_ss, h_ss), sigma
+        yield j, _coefficients(j, a_s, g_ss, h_ss.real), sigma
 
 
 def _bilinear_terms(p, q):
@@ -210,10 +211,10 @@ def _hermitian_terms(p, q_conj):
 
 def _round_constants(block: np.ndarray) -> tuple:
     """One round's coefficients, one tuple per entry of the next state
-    (S <- block[0].x, E <- block[2].x): those of the entries _TERMS names,
-    then the constant, if any.  Built once per configuration in Python
-    complex arithmetic, associated as the per-round sums were, so that both
-    evaluators reproduce every state bit for bit."""
+    (S <- block[0].x, E <- block[2].x): those of its group's entries in
+    summation order, then the constant, if any.  Built once per
+    configuration in Python complex arithmetic, associated as the per-round
+    sums were, so that both evaluators reproduce every state bit for bit."""
     s_row, _, f_row = block.tolist()
     s_conj, _, f_conj = block.conj().tolist()
     return ((s_row[0], s_row[1]), (f_row[0], f_row[1]),
@@ -243,9 +244,9 @@ def _next_state(k, state):
         _bilinear(k[2], state),
         _bilinear(k[3], state),
         _bilinear(k[4], state),
-        _hermitian(k[5], state).real,
+        complex(_hermitian(k[5], state).real),
         _hermitian(k[6], state),
-        _hermitian(k[7], state).real,
+        complex(_hermitian(k[7], state).real),
     )
 
 
@@ -254,7 +255,7 @@ def _coefficients(step: int, a: complex, g: complex, h: float) -> CCoefficients:
     return CCoefficients(step, a.conjugate(), env_square_sum=g.conjugate(), env_abs_square_sum=h)
 
 
-_INITIAL_STATE = (1 + 0j, 0j, 0j, 0j, 1 + 0j, 0.0, 0j, 1.0)  # S = e_1, E = e_2
+_INITIAL_STATE = (1 + 0j, 0j, 0j, 0j, 1 + 0j, 0j, 0j, 1 + 0j)  # S = e_1, E = e_2
 
 
 def _states(config: SimulationConfig):
@@ -267,7 +268,8 @@ def _states(config: SimulationConfig):
     sum g = sum u_m^2 and the Hermitian sum h = sum |u_m|^2 over the
     environment columns, and the cross sums g_se = sum S_m E_m and
     h_se = sum S_m conj(E_m): (a_s, a_e, g_ss, g_se, g_ee, h_ss, h_se, h_ee).
-    A row's coefficients are c22 = conj(a), W = conj(g) and H = h.
+    Every entry is complex, h_ss and h_ee with imaginary part +0.0.  A row's
+    coefficients are c22 = conj(a), W = conj(g) and H = Re h.
     """
     k = _round_constants(mixing_block(config.r1, config.r2, config.phi_shift))
     rounds = itertools.repeat(k, config.L)
@@ -275,91 +277,66 @@ def _states(config: SimulationConfig):
                                 initial=_INITIAL_STATE)
 
 
-# The state entries each row of _round_constants multiplies, in summation
-# order; -1 stands for conj(h_se).  A row with one coefficient more adds it.
-_TERMS = ((0, 1), (0, 1), (2, 3, 4), (2, 3, 4), (2, 3, 4),
-          (5, 6, -1, 7), (5, 6, -1, 7), (5, 6, -1, 7))
-_SLOTS = 5  # terms and constant of the longest row
-_UNIT = 8  # the batched state's constant entry 1 + 1j
-_ROWS = _UNIT + 1  # entries of the batched state, the unit included
-_RECORDED = (0, 2, 5, _ROWS, _ROWS + 2)  # a_s, g_ss, h_ss; imaginary a_s, g_ss
-
 # Bytes one batched chunk may hold: its state history, 40 B per cell-step,
-# and each cell's coefficient tables and step buffers (4.4-4.7 kB measured
+# and each cell's coefficient tables and step buffers (2.4-2.9 kB measured
 # with tracemalloc at L = 1) ...
 CHUNK_BYTES = 2**24
 CELL_STEP_BYTES = 40
 CELL_BYTES = 6 * 2**10
-# ... but never fewer cells than this: near where the batched step (about
-# 30 us per step plus 0.5 us per cell-step, on 2 CPUs) breaks even with one
-# `run` per cell (about 12 us per step).
+# ... but never fewer cells than this, so that the batched step's fixed cost
+# (about 60 us per step plus 0.3 us per cell-step, on 2 CPUs) stays within
+# twice that of one `run` per cell (about 8 us per step).
 MIN_CHUNK_CELLS = 4
 
 
-def _batched_table(configs) -> tuple[np.ndarray, np.ndarray]:
-    """Gather rows and coefficients of the batched step, from each cell's
-    _round_constants.
-
-    The batched state is a real array (18, cells): the real parts of the
-    eight entries and of the unit entry 1 + 1j, then their imaginary parts
-    (those of h_ss and h_ee are 0.0, as when Python promotes a float).
-    Slot t of entry e multiplies one entry x by a coefficient c, and in
-    real arithmetic, written out as CPython forms the complex product,
-
-        re = c.re x.re - c.im x.im,  im = c.re x.im + c.im x.re,
-
-    that is cr * x + cd * swap(x), swap exchanging real and imaginary parts.
-    A constant c multiplies the unit entry with cr = (c.re, -0.0) and
-    cd = (-0.0, c.im); an empty slot has cr = cd = -0.0 and adds -0.0,
-    which changes no sum.  numpy's complex product fuses multiply-adds, so
-    it would not reproduce Python's bits.  Returned flat, in the order
-    (x or swap(x), slot, real or imaginary part, entry).
-    """
-    tables = [_round_constants(mixing_block(c.r1, c.r2, c.phi_shift)) for c in configs]
-    entry = np.full((_SLOTS, len(_TERMS)), _UNIT)
-    cr = np.full((_SLOTS, 2, len(_TERMS), len(configs)), -0.0)
-    cd = cr.copy()
-    for e, terms in enumerate(_TERMS):
-        for t in range(len(tables[0][e])):
-            c = np.array([table[e][t] for table in tables])
-            if t == len(terms):  # the constant
-                cr[t, 0, e], cd[t, 1, e] = c.real, c.imag
-            elif terms[t] == -1:  # c * conj(h_se)
-                entry[t, e] = 6
-                cr[t, :, e] = c.real, -c.real
-                cd[t, :, e] = c.imag
-            else:
-                entry[t, e] = terms[t]
-                cr[t, :, e] = c.real
-                cd[t, :, e] = -c.imag, c.imag
-    part = np.arange(2)[:, None]
-    gather = np.stack([part * _ROWS + entry[:, None], (1 - part) * _ROWS + entry[:, None]])
-    return gather.ravel(), np.stack([cr, cd]).reshape(-1, len(configs))
+def _grouped_sums(k_re, k_im, x_re, x_im):
+    """Real and imaginary parts (entries, cells) of sum_t k[t] x[t], plus
+    k[T] if k has one row more than x: each product as CPython forms it,
+    re = k.re x.re - k.im x.im and im = k.re x.im + k.im x.re (numpy's
+    complex product fuses multiply-adds), summed in _next_state's order
+    from -0.0 (a plain reduce starts from +0.0, turning a -0.0 sum into
+    +0.0)."""
+    n = len(x_re)
+    x_re, x_im = x_re[:, None], x_im[:, None]
+    re = np.add.reduce(k_re[:n] * x_re - k_im[:n] * x_im, axis=0, initial=-0.0)
+    im = np.add.reduce(k_re[:n] * x_im + k_im[:n] * x_re, axis=0, initial=-0.0)
+    if len(k_re) > n:  # the constant
+        re += k_re[n]
+        im += k_im[n]
+    return re, im
 
 
 def _batched_history(configs, L: int) -> np.ndarray:
-    """(L + 1, 5, cells): the _RECORDED parts of a_s, g_ss and h_ss after j
-    rounds, for cells that differ only in r1 and r2."""
-    gather, coefficients = _batched_table(configs)
-    start = [complex(v) for v in _INITIAL_STATE] + [1 + 1j]
-    x = np.repeat([[v.real] for v in start] + [[v.imag] for v in start], len(configs), axis=1)
-    x_next = x.copy()
-    products = np.empty((len(gather), len(configs)))
-    history = np.empty((L + 1, len(_RECORDED), len(configs)))
-    history[0] = x[list(_RECORDED)]
-    for j in range(1, L + 1):
-        np.take(x, gather, axis=0, out=products)
-        products *= coefficients
-        terms = products[: len(gather) // 2]
-        terms += products[len(gather) // 2 :]  # cr * x + cd * swap(x)
-        terms = terms.reshape(_SLOTS, 2, len(_TERMS), len(configs))
-        out = x_next.reshape(2, _ROWS, len(configs))[:, : len(_TERMS)]
-        np.add(terms[0], terms[1], out=out)
-        for t in range(2, _SLOTS):
-            out += terms[t]
-        x_next[_ROWS + 5 :: 2] = 0.0  # h_ss and h_ee are real parts
-        x, x_next = x_next, x
-        np.take(x, _RECORDED, axis=0, out=history[j])
+    """(L + 1, 5, cells): the real parts of a_s, g_ss and h_ss and the
+    imaginary parts of a_s and g_ss after j rounds, for cells that differ
+    only in r1 and r2.
+
+    Each of _next_state's three groups of sums reads only its own entries:
+    the amplitudes (a_s, a_e), the bilinear sums (g_ss, g_se, g_ee) and the
+    Hermitian sums over (h_ss, h_se, conj h_se, h_ee).  Each group runs as
+    real and imaginary float arrays (terms, cells), with each cell's
+    _round_constants as coefficients (terms, entries, cells).
+    """
+    tables = [_round_constants(mixing_block(c.r1, c.r2, c.phi_shift)) for c in configs]
+    a_s, a_e, g_ss, g_se, g_ee, h_ss, h_se, h_ee = _INITIAL_STATE
+    coefficients, state = [], []
+    for rows, start in ((slice(0, 2), (a_s, a_e)), (slice(2, 5), (g_ss, g_se, g_ee)),
+                        (slice(5, 8), (h_ss, h_se, h_se.conjugate(), h_ee))):
+        k = np.array([table[rows] for table in tables]).transpose(2, 1, 0)
+        x = np.array(start)[:, None].repeat(len(configs), axis=1)
+        coefficients.append((k.real.copy(), k.imag.copy()))
+        state.append((x.real, x.imag))
+    zero = np.zeros(len(configs))
+
+    def step(state, _):
+        a, g, (h_re, h_im) = (_grouped_sums(*k, *x) for k, x in zip(coefficients, state))
+        # h_ss and h_ee keep imaginary part +0.0; conj(h_se) follows h_se
+        return a, g, (h_re.take([0, 1, 1, 2], axis=0), np.array([zero, h_im[1], -h_im[1], zero]))
+
+    history = np.empty((L + 1, 5, len(configs)))
+    states = itertools.accumulate(range(L), step, initial=state)
+    for j, ((a_re, a_im), (g_re, g_im), (h_re, _)) in enumerate(states):
+        history[j] = a_re[0], g_re[0], h_re[0], a_im[0], g_im[0]
     return history
 
 
@@ -422,7 +399,7 @@ def env_mode_cms(config: SimulationConfig, modes) -> np.ndarray:
     rows = []
     for k in modes:
         a_s, a_e, _, _, g_ee, _, _, h_ee = state = states[k - 1]
-        rows += [_coefficients(0, 0j, 1 + 0j, 1.0), _coefficients(k - 1, a_e, g_ee, h_ee),
+        rows += [_coefficients(0, 0j, 1 + 0j, 1.0), _coefficients(k - 1, a_e, g_ee, h_ee.real),
                  _coefficients(k, m[0] * a_s + m[1] * a_e, _bilinear(g_terms, state),
                                _hermitian(h_terms, state).real)]
     return joint_cm_stack(*coefficient_columns(rows)[:3], config.joint, config.env)

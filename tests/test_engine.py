@@ -370,6 +370,24 @@ class TestBatchedRecurrence:
                 assert column.dtype == expected.dtype and column.shape == expected.shape
                 assert column.tobytes() == expected.tobytes(), name
 
+    @pytest.mark.parametrize("phi", [0.0, math.pi])
+    def test_signed_zeros_equal_run(self, phi):
+        # r1, r2 in {0, 1} and phi in {0, pi} make sums of signed zeros, which
+        # the draws above reach only by chance; the four cells are one chunk.
+        configs = [SimulationConfig(r1=a, r2=b, phi_shift=phi, L=6)
+                   for a in (0.0, 1.0) for b in (0.0, 1.0)]
+        for config, traj in zip(configs, iter_trajectories(configs)):
+            ref = run(config)
+            for name in COLUMNS:
+                assert getattr(traj, name).tobytes() == getattr(ref, name).tobytes(), name
+
+    @pytest.mark.parametrize("phi", [0.0, math.pi, 0.9])
+    def test_scalar_state_is_complex(self, phi):
+        # Every product in _next_state is complex x complex, so its bits do
+        # not depend on how a Python version promotes a float operand.
+        for state in engine._states(SimulationConfig(r1=0.4, r2=1.0, phi_shift=phi, L=4)):
+            assert all(type(v) is complex for v in state)
+
     def test_grids_fit_one_chunk(self, monkeypatch):
         sizes, history = [], engine._batched_history
 
