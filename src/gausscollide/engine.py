@@ -1,15 +1,15 @@
 """Collision-chain evolution engine.
 
-Runs the tunable beam-splitter chain for L rounds.  `run` turns each step's
-network coefficients into columns (c22, |c22|^2, W, H) once and builds the
-joint ancilla-system covariances from them in one closed-form call, which
-`env_mode_cms` applies to the three rows of chosen environment modes.  Both
-read a recurrence with O(1) state per step (`_states`), never the (L+3)^2
-composed unitary.  `iter_trajectories` runs the same recurrence for many
-grid cells at once, as real and imaginary float arrays, with the same bits.
-An optional oracle path propagates the full (L+3)-mode covariance matrix
-symplectically, the reference the tests and `evolve --oracle` check the
-closed forms against.
+Runs the tunable beam-splitter chain for L rounds through one recurrence
+with O(1) state per step (`_next_state`), never the (L+3)^2 composed
+unitary.  `_trajectory` turns a run's c22, W and H columns into a
+`Trajectory` (|c22|^2, the normalization check, the closed-form joint
+ancilla-system covariances) for `run` and for `iter_trajectories`, which
+steps a chunk of grid cells at once as float arrays with the same bits.
+`env_mode_cms` applies the closed form to the three rows of chosen
+environment modes.  An optional oracle path propagates the full (L+3)-mode
+covariance matrix symplectically, the reference the tests and `evolve
+--oracle` check the closed forms against.
 """
 
 import itertools
@@ -104,8 +104,8 @@ class Trajectory:
 
 
 def coefficient_columns(coeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(c22, |c22|^2, W, H) arrays over an iterable of CCoefficients; |c22|^2
-    is each step's c22_abs_sq, since numpy's abs rounds differently."""
+    """(c22, |c22|^2, W, H) arrays over CCoefficients, for the scalar closed
+    forms; |c22|^2 is each c22_abs_sq, since numpy's abs rounds differently."""
     rows = [(co.c22, co.c22_abs_sq, co.env_square_sum, co.env_abs_square_sum) for co in coeffs]
     return tuple(np.array(col) for col in zip(*rows))
 
@@ -223,30 +223,21 @@ def _round_constants(block: np.ndarray) -> tuple:
             _hermitian_terms(s_row, f_conj), _hermitian_terms(f_row, f_conj))
 
 
-def _bilinear(k, state):
-    """A bilinear sum from its _bilinear_terms k."""
-    _, _, g_ss, g_se, g_ee, *_ = state
-    return k[0] * g_ss + k[1] * g_se + k[2] * g_ee + k[3]
-
-
-def _hermitian(k, state):
-    """A Hermitian sum from its _hermitian_terms k."""
-    *_, h_ss, h_se, h_ee = state
-    return k[0] * h_ss + k[1] * h_se + k[2] * h_se.conjugate() + k[3] * h_ee + k[4]
-
-
 def _next_state(k, state):
-    """State after one round, from the round's constants k."""
-    a_s, a_e, *_ = state
+    """State after one round, from the round's constants k, each sum in the
+    order _round_constants lists its terms."""
+    a_s, a_e, g_ss, g_se, g_ee, h_ss, h_se, h_ee = state
+    h_es = h_se.conjugate()
+    (s_s, s_e), (f_s, f_e), g1, g2, g3, h1, h2, h3 = k
     return (
-        k[0][0] * a_s + k[0][1] * a_e,
-        k[1][0] * a_s + k[1][1] * a_e,
-        _bilinear(k[2], state),
-        _bilinear(k[3], state),
-        _bilinear(k[4], state),
-        complex(_hermitian(k[5], state).real),
-        _hermitian(k[6], state),
-        complex(_hermitian(k[7], state).real),
+        s_s * a_s + s_e * a_e,
+        f_s * a_s + f_e * a_e,
+        g1[0] * g_ss + g1[1] * g_se + g1[2] * g_ee + g1[3],
+        g2[0] * g_ss + g2[1] * g_se + g2[2] * g_ee + g2[3],
+        g3[0] * g_ss + g3[1] * g_se + g3[2] * g_ee + g3[3],
+        complex((h1[0] * h_ss + h1[1] * h_se + h1[2] * h_es + h1[3] * h_ee + h1[4]).real),
+        h2[0] * h_ss + h2[1] * h_se + h2[2] * h_es + h2[3] * h_ee + h2[4],
+        complex((h3[0] * h_ss + h3[1] * h_se + h3[2] * h_es + h3[3] * h_ee + h3[4]).real),
     )
 
 
@@ -279,14 +270,14 @@ def _states(config: SimulationConfig):
 
 # Bytes one batched chunk may hold: its state history, 40 B per cell-step,
 # and each cell's coefficient tables and step buffers (2.4-2.9 kB measured
-# with tracemalloc at L = 1) ...
+# with tracemalloc at L = 1).
 CHUNK_BYTES = 2**24
 CELL_STEP_BYTES = 40
 CELL_BYTES = 6 * 2**10
-# ... but never fewer cells than this, so that the batched step's fixed cost
-# (about 60 us per step plus 0.3 us per cell-step, on 2 CPUs) stays within
-# twice that of one `run` per cell (about 8 us per step).
-MIN_CHUNK_CELLS = 4
+# A chunk of fewer cells runs `run` per cell instead: the batched step's
+# fixed cost (about 65 us per round plus 0.3 us per cell-round, on 2 CPUs)
+# exceeds that many `run` steps (5-8 us each, |c22|^2 and joint_cm included).
+MIN_BATCH_CELLS = 8
 
 
 def _grouped_sums(k_re, k_im, x_re, x_im):
@@ -345,9 +336,10 @@ def iter_trajectories(configs):
     differ only in r1 and r2.
 
     The recurrence runs for a chunk of cells at a time as one array
-    computation, bit-identical to `run`'s scalar loop; each cell's
-    witnesses then read its own trajectory.  Refuses, before the first
-    step, an L whose chunk and trajectory cannot fit in physical memory.
+    computation, bit-identical to `run`'s scalar loop, or through `run` per
+    cell for a chunk below MIN_BATCH_CELLS; each cell's witnesses then read
+    its own trajectory.  Refuses, before the first step, an L whose chunk
+    and trajectory cannot fit in physical memory.
     """
     configs = list(configs)
     base = configs[0]
@@ -355,24 +347,30 @@ def iter_trajectories(configs):
         raise ValueError("configurations differ in more than r1 and r2")
     L = base.L
     cell_bytes = CELL_BYTES + CELL_STEP_BYTES * (L + 1)
-    size = min(len(configs), max(MIN_CHUNK_CELLS, CHUNK_BYTES // cell_bytes))
+    size = min(len(configs), max(1, CHUNK_BYTES // cell_bytes))
     require_memory(L, size * cell_bytes + (L + 1) * STEP_BYTES)
     for start in range(0, len(configs), size):
         chunk = configs[start : start + size]
+        if len(chunk) < MIN_BATCH_CELLS:
+            yield from map(run, chunk)
+            continue
         history = _batched_history(chunk, L)
         for i, config in enumerate(chunk):
             a_re, g_re, h, a_im, g_im = history[:, :, i].T
-            c22, w = _conjugate(a_re, a_im), _conjugate(g_re, g_im)
-            # Python's abs(c22) ** 2: np.hypot is abs, but numpy squares round differently.
-            hypot = np.hypot(c22.real, c22.imag).tolist()
-            c_sq = np.fromiter(map(math.pow, hypot, itertools.repeat(2.0)), float, L + 1)
-            h = h.copy()
-            total = c_sq + h
-            defect = np.abs(total - 1.0) > NORMALIZATION_TOL
-            if defect.any():
-                check_normalization(float(total[np.argmax(defect)]))
-            joint_cm = joint_cm_stack(c22, c_sq, w, config.joint, config.env)
-            yield Trajectory(config, c22, c_sq, w, h, joint_cm)
+            yield _trajectory(config, _conjugate(a_re, a_im), _conjugate(g_re, g_im), h.copy())
+
+
+def _trajectory(config: SimulationConfig, c22, w, h, full_cm=None) -> Trajectory:
+    """config's Trajectory from its c22, W and H columns, each step checked."""
+    # Python's abs(c22) ** 2: np.hypot is abs, but numpy squares round differently.
+    c_sq = np.fromiter(map(math.pow, np.hypot(c22.real, c22.imag).tolist(), itertools.repeat(2.0)),
+                       float, len(c22))
+    total = c_sq + h
+    defect = np.abs(total - 1.0) > NORMALIZATION_TOL
+    if defect.any():
+        check_normalization(float(total[np.argmax(defect)]))
+    joint_cm = joint_cm_stack(c22, c_sq, w, config.joint, config.env)
+    return Trajectory(config, c22, c_sq, w, h, joint_cm, full_cm)
 
 
 def _conjugate(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -393,15 +391,14 @@ def env_mode_cms(config: SimulationConfig, modes) -> np.ndarray:
         if not 1 <= k <= config.L + 1:
             raise ValueError(f"environment index {k} out of range 1..{config.L + 1}")
     states = {j: s for j, s in zip(range(max(modes)), _states(config)) if j + 1 in modes}
-    middle = mixing_block(config.r1, config.r2, config.phi_shift)[1]
-    m, m_conj = middle.tolist(), middle.conj().tolist()
-    g_terms, h_terms = _bilinear_terms(m, m), _hermitian_terms(m, m_conj)
+    # the round with the middle row in the system row's place
+    middle = _round_constants(mixing_block(config.r1, config.r2, config.phi_shift)[[1, 1, 2]])
     rows = []
     for k in modes:
-        a_s, a_e, _, _, g_ee, _, _, h_ee = state = states[k - 1]
+        _, a_e, _, _, g_ee, _, _, h_ee = state = states[k - 1]
+        a_m, _, g_m, _, _, h_m, *_ = _next_state(middle, state)
         rows += [_coefficients(0, 0j, 1 + 0j, 1.0), _coefficients(k - 1, a_e, g_ee, h_ee.real),
-                 _coefficients(k, m[0] * a_s + m[1] * a_e, _bilinear(g_terms, state),
-                               _hermitian(h_terms, state).real)]
+                 _coefficients(k, a_m, g_m, h_m.real)]
     return joint_cm_stack(*coefficient_columns(rows)[:3], config.joint, config.env)
 
 
@@ -424,13 +421,16 @@ def run(config: SimulationConfig) -> Trajectory:
     """Evolve the chain and collect its per-step columns, j = 0 .. L."""
     oracle_bytes = 8 * (2 * config.L + 6) ** 2 if config.oracle_enabled else 0
     require_memory(config.L, (config.L + 1) * (STEP_BYTES + oracle_bytes))
+    # Steps through iter_steps, looked up in this module at each call, rather
+    # than _states: the benchmark's per-layer trace patches engine.iter_steps
+    # and divides run's own time by the steps it sees there.
     chain = iter_steps(config)
     if config.oracle_enabled:  # sigma is a view of the running array
         chain = [(j, coeffs, sigma.copy()) for j, coeffs, sigma in chain]
-    c22, c_sq, w, h = coefficient_columns(coeffs for _, coeffs, _ in chain)
+    c22, w, h = map(np.array, zip(*[(co.c22, co.env_square_sum, co.env_abs_square_sum)
+                                    for _, co, _ in chain]))
     full_cm = [sigma for *_, sigma in chain] if config.oracle_enabled else None
-    joint_cm = joint_cm_stack(c22, c_sq, w, config.joint, config.env)
-    return Trajectory(config, c22, c_sq, w, h, joint_cm, full_cm)
+    return _trajectory(config, c22, w, h, full_cm)
 
 
 def env_ancilla_cm(full_cm: np.ndarray | None, k: int) -> np.ndarray:

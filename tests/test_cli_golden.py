@@ -4,7 +4,8 @@ commands and of the benchmark workloads.
 Each argv's stdout is pinned by its sha256 digest.  The README scan runs
 its grid at --L 40 --jobs 1 to keep the test short.  The three argvs after
 the README ones are the seed-1 workloads of perfbench/run.py (evolve-long,
-scan-grid, transport-chain); the last is a transport in JSON lines.  A
+scan-grid, transport-chain); then come a transport in JSON lines and an
+evolve with skipped divisibility steps, in CSV and JSON lines.  A
 changed digest is a changed output: it needs a reason, not a new digest.
 """
 
@@ -49,6 +50,11 @@ GOLDEN = [
     ("transport --r1 0.2 --r2 0.1 --phi 0.6 --xi 2.5 --env squeezed-thermal --n 0.02"
      " --zeta 0.2 --phi-env 0.7 --L 12 --modes 1,6,13 --format jsonl", 0,
      "83895238fb9d837c6034e34494e3ea75454291432a6f43de6a312d92f6380022"),
+    # r1 = 0: every other step has c22 = 0, so the next one is skipped (skip_flag = 1).
+    ("evolve --r1 0 --r2 0.5 --xi 0.7 --env thermal --n 0.3 --L 12", 0,
+     "2ad6d457c60531e6a8598053d2f71dac3d54962f42e4a27fff8d33d48697133f"),
+    ("evolve --r1 0 --r2 0.5 --xi 0.7 --env thermal --n 0.3 --L 12 --format jsonl", 0,
+     "72188dceb0142efff7074a6ec60dd317ceb911917e0d974231d414ab97020095"),
 ]
 
 

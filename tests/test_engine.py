@@ -102,15 +102,21 @@ class TestTrajectory:
         )
 
     def test_steps_view_matches_iter_steps(self):
+        # run builds |c22|^2 itself; it must keep CCoefficients' abs(c22) ** 2,
+        # also where r in {0, 1} and phi in {0, pi} make signed zeros
         env = EnvironmentSpec(n=0.4, zeta=0.3, phi_env=0.7)
-        config = SimulationConfig(r1=0.55, r2=0.35, phi_shift=1.1, env=env, L=40)
-        traj = run(config)
-        expected = [coeffs for _, coeffs, _ in iter_steps(config)]
-        assert [s.coeffs for s in traj.steps] == expected
-        for name in ("c22", "c22_abs_sq", "env_square_sum", "env_abs_square_sum"):
-            got = np.array([getattr(s.coeffs, name) for s in traj.steps])
-            assert got.tobytes() == np.array([getattr(c, name) for c in expected]).tobytes()
-        assert np.array([s.joint_cm for s in traj.steps]).tobytes() == traj.joint_cm.tobytes()
+        edges = [(r1, r2, phi) for r1 in (0.0, 1.0) for r2 in (0.0, 1.0, 0.35)
+                 for phi in (0.0, math.pi)]
+        for r1, r2, phi in [(0.55, 0.35, 1.1), *edges]:
+            config = SimulationConfig(r1=r1, r2=r2, phi_shift=phi, env=env, L=40)
+            traj = run(config)
+            expected = [coeffs for _, coeffs, _ in iter_steps(config)]
+            assert [s.coeffs for s in traj.steps] == expected
+            for name in ("c22", "c22_abs_sq", "env_square_sum", "env_abs_square_sum"):
+                column = np.array([getattr(c, name) for c in expected]).tobytes()
+                assert getattr(traj, name).tobytes() == column, (name, r1, r2, phi)
+                assert np.array([getattr(s.coeffs, name) for s in traj.steps]).tobytes() == column
+            assert np.array([s.joint_cm for s in traj.steps]).tobytes() == traj.joint_cm.tobytes()
 
     def test_compares_by_identity_and_hashes(self):
         config = SimulationConfig(r1=0.4, r2=0.3, L=3)
@@ -357,9 +363,10 @@ class TestBatchedRecurrence:
     )
     def test_columns_equal_run_bit_for_bit(self, points, phi, env, L, chunk):
         configs = [SimulationConfig(r1=a, r2=b, phi_shift=phi, env=env, L=L) for a, b in points]
-        with pytest.MonkeyPatch.context() as mp:  # chunks of `chunk` cells
-            mp.setattr(engine, "CHUNK_BYTES", 1)
-            mp.setattr(engine, "MIN_CHUNK_CELLS", chunk)
+        with pytest.MonkeyPatch.context() as mp:  # batched chunks of `chunk` cells
+            cell_bytes = engine.CELL_BYTES + engine.CELL_STEP_BYTES * (L + 1)
+            mp.setattr(engine, "CHUNK_BYTES", chunk * cell_bytes)
+            mp.setattr(engine, "MIN_BATCH_CELLS", 0)
             trajectories = list(iter_trajectories(configs))
         assert len(trajectories) == len(configs)
         for config, traj in zip(configs, trajectories):
@@ -371,9 +378,10 @@ class TestBatchedRecurrence:
                 assert column.tobytes() == expected.tobytes(), name
 
     @pytest.mark.parametrize("phi", [0.0, math.pi])
-    def test_signed_zeros_equal_run(self, phi):
+    def test_signed_zeros_equal_run(self, phi, monkeypatch):
         # r1, r2 in {0, 1} and phi in {0, pi} make sums of signed zeros, which
         # the draws above reach only by chance; the four cells are one chunk.
+        monkeypatch.setattr(engine, "MIN_BATCH_CELLS", 0)
         configs = [SimulationConfig(r1=a, r2=b, phi_shift=phi, L=6)
                    for a in (0.0, 1.0) for b in (0.0, 1.0)]
         for config, traj in zip(configs, iter_trajectories(configs)):
@@ -387,6 +395,19 @@ class TestBatchedRecurrence:
         # not depend on how a Python version promotes a float operand.
         for state in engine._states(SimulationConfig(r1=0.4, r2=1.0, phi_shift=phi, L=4)):
             assert all(type(v) is complex for v in state)
+
+    def test_small_chunk_runs_each_cell(self, monkeypatch):
+        def no_steps(configs, L):
+            raise AssertionError("a 2-cell chunk was batched")
+
+        configs = [SimulationConfig(r1=r1, r2=0.3, phi_shift=math.pi, L=20) for r1 in (0.0, 0.4)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "MIN_BATCH_CELLS", 0)
+            batched = list(iter_trajectories(configs))
+        monkeypatch.setattr(engine, "_batched_history", no_steps)
+        for traj, ref in zip(iter_trajectories(configs), batched, strict=True):
+            for name in COLUMNS:
+                assert getattr(traj, name).tobytes() == getattr(ref, name).tobytes(), name
 
     def test_grids_fit_one_chunk(self, monkeypatch):
         sizes, history = [], engine._batched_history
@@ -409,6 +430,7 @@ class TestBatchedRecurrence:
             return ((k[0][0] * 1.01, k[0][1] * 1.01), *k[1:])
 
         monkeypatch.setattr(engine, "_round_constants", leaky)
+        monkeypatch.setattr(engine, "MIN_BATCH_CELLS", 0)
         config = SimulationConfig(r1=0.4, r2=0.3, L=5)
         with pytest.raises(ValueError, match="^coefficient column not normalized: sum") as scalar:
             run(config)
