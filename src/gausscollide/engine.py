@@ -3,13 +3,13 @@
 Runs the tunable beam-splitter chain for L rounds through one recurrence
 with O(1) state per step (`_next_state`), never the (L+3)^2 composed
 unitary.  `_trajectory` turns a run's c22, W and H columns into a
-`Trajectory` (|c22|^2, the normalization check, the closed-form joint
-ancilla-system covariances) for `run` and for `iter_trajectories`, which
-steps a chunk of grid cells at once as float arrays with the same bits.
-`env_mode_cms` applies the closed form to the three rows of chosen
-environment modes.  An optional oracle path propagates the full (L+3)-mode
-covariance matrix symplectically, the reference the tests and `evolve
---oracle` check the closed forms against.
+`Trajectory` (|c22|^2 and the normalization check; its closed-form joint
+ancilla-system covariances are built only on access) for `run` and for
+`iter_trajectories`, which steps a chunk of grid cells at once as float
+arrays with the same bits.  `env_mode_columns` gives the same columns for
+the three rows of chosen environment modes.  An optional oracle path
+propagates the full (L+3)-mode covariance matrix symplectically, the
+reference the tests and `evolve --oracle` check the closed forms against.
 """
 
 import itertools
@@ -36,9 +36,11 @@ from .states import (
     tmsv_cm,
 )
 
-# A bound on the peak-RSS growth per step of an `evolve` run (measured
-# between L = 5e4 and 1.5e5: about 0.76 kB per step).
-STEP_BYTES = 1200
+# A bound on the peak-RSS growth per step of an `evolve` run: measured
+# between L = 5e4 and 1.5e5 at about 0.49 kB per step, plus a 20% margin.
+# It stays below the 0.76 kB per step of a run that keeps a 4x4 joint
+# covariance and a joined output string, so CI's memory step catches that.
+STEP_BYTES = 600
 
 
 @dataclass(frozen=True)
@@ -80,19 +82,25 @@ class StepRecord:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Per-step columns j = 0 .. L: c22, |c22|^2, W and H, the (L+1, 4, 4)
-    joint covariances, and the full-chain covariances if the oracle ran."""
+    """Per-step columns j = 0 .. L: c22, |c22|^2, W and H, and the
+    full-chain covariances if the oracle ran."""
 
     config: SimulationConfig
     c22: np.ndarray
     c22_abs_sq: np.ndarray
     env_square_sum: np.ndarray
     env_abs_square_sum: np.ndarray
-    joint_cm: np.ndarray
     full_cm: list[np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.c22)
+
+    @cached_property
+    def joint_cm(self) -> np.ndarray:
+        """The (L+1, 4, 4) closed-form ancilla-system covariances, built on
+        first access (128 B per step): steering reads the columns instead."""
+        return joint_cm_stack(self.c22, self.c22_abs_sq, self.env_square_sum,
+                              self.config.joint, self.config.env)
 
     @cached_property
     def steps(self) -> list[StepRecord]:
@@ -369,8 +377,7 @@ def _trajectory(config: SimulationConfig, c22, w, h, full_cm=None) -> Trajectory
     defect = np.abs(total - 1.0) > NORMALIZATION_TOL
     if defect.any():
         check_normalization(float(total[np.argmax(defect)]))
-    joint_cm = joint_cm_stack(c22, c_sq, w, config.joint, config.env)
-    return Trajectory(config, c22, c_sq, w, h, joint_cm, full_cm)
+    return Trajectory(config, c22, c_sq, w, h, full_cm)
 
 
 def _conjugate(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -380,8 +387,8 @@ def _conjugate(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
-def env_mode_cms(config: SimulationConfig, modes) -> np.ndarray:
-    """(3 len(modes), 4, 4) closed-form (ancilla, E_k) covariances, three per k.
+def env_mode_columns(config: SimulationConfig, modes) -> tuple[np.ndarray, ...]:
+    """(c22, |c22|^2, W, H) arrays of E_k's rows, three per k in modes.
 
     E_k's row is the unit row before step k - 1, the carried row E at
     j = k - 1 and round k's middle row from j = k on; the last two come
@@ -399,7 +406,13 @@ def env_mode_cms(config: SimulationConfig, modes) -> np.ndarray:
         a_m, _, g_m, _, _, h_m, *_ = _next_state(middle, state)
         rows += [_coefficients(0, 0j, 1 + 0j, 1.0), _coefficients(k - 1, a_e, g_ee, h_ee.real),
                  _coefficients(k, a_m, g_m, h_m.real)]
-    return joint_cm_stack(*coefficient_columns(rows)[:3], config.joint, config.env)
+    return coefficient_columns(rows)
+
+
+def env_mode_cms(config: SimulationConfig, modes) -> np.ndarray:
+    """(3 len(modes), 4, 4) closed-form (ancilla, E_k) covariances of the rows
+    `env_mode_columns` lists."""
+    return joint_cm_stack(*env_mode_columns(config, modes)[:3], config.joint, config.env)
 
 
 def physical_memory() -> int:

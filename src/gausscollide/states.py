@@ -23,6 +23,14 @@ _Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 MAX_CM_ENTRY = np.finfo(float).max ** 0.25 / 2
 # Largest squeezing whose cosh is such an entry (about 177.4).
 MAX_SQUEEZING = math.acosh(MAX_CM_ENTRY)
+# Largest environment squeezing |zeta| (43 dB; experiments reach about 15 dB,
+# zeta = 1.7).  Steering reads N(1 - |c22|^2) - M|W|, which is
+# (2n+1)[e^-zeta H + sinh zeta (H - |W|)] with H - |W| >= 0 often exactly 0,
+# so a rounding error in H - |W| counts e^(2 zeta) times.  Against a 60-digit
+# recurrence (L up to 10^4) G is off by at most 2.5e-13 at zeta = 5, 1.9e-12
+# at 7, 9e-11 at 8 and 7e-9 at 10; from about zeta = 18.4 cosh zeta and
+# sinh zeta round to the same double.
+MAX_ENV_SQUEEZING = 5.0
 
 
 def require_finite(name: str, value: float, squeezing: bool = False) -> None:
@@ -76,10 +84,13 @@ class EnvironmentSpec:
 
     def __post_init__(self):
         require_finite("n", self.n)
-        require_finite("zeta", self.zeta, squeezing=True)
+        require_finite("zeta", self.zeta)
         require_finite("phi_env", self.phi_env)
         if self.n < 0:
             raise ValueError(f"n must be non-negative, got {self.n}")
+        if abs(self.zeta) > MAX_ENV_SQUEEZING:
+            raise ValueError(f"zeta = {self.zeta} is too large (|zeta| <= {MAX_ENV_SQUEEZING:g}: "
+                             "beyond it double precision cannot resolve the steering)")
         if (2.0 * self.n + 1.0) * math.exp(abs(self.zeta)) > MAX_CM_ENTRY:
             raise ValueError(f"n = {self.n} with zeta = {self.zeta} overflows the covariance "
                              f"((2n+1) e^|zeta| <= {MAX_CM_ENTRY:.6g})")

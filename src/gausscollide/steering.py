@@ -4,13 +4,21 @@ closed-form steerability thresholds.
 For a bipartite covariance matrix sigma = [[V_A, V_J], [V_J^T, V_B]] the
 steering A -> B is G = max{0, 1/2 ln(det V_A / det sigma)} (nats): the
 steering party's reduced determinant sits in the numerator.
+
+The chain's (ancilla, X) covariances have V_An = cosh(xi) I and V_J
+sinh(xi)|c| times a reflection, so every determinant is a scalar in |c|^2
+and |W| (`reduced_determinants`); `steering_columns` and `steering_series`
+evaluate G from those scalars, and the 4x4 `steerability` is the reference
+they are tested against.
 """
 
 import enum
 
 import numpy as np
 
+from .divisibility import env_noise_scales
 from .errors import DegenerateCovarianceError
+from .network import NORMALIZATION_TOL
 
 ZERO_TOL = 1e-12
 DET_FLOOR = 1e-300
@@ -59,14 +67,73 @@ def g_system_to_ancilla(joint_cm: np.ndarray) -> float:
     return steerability(joint_cm, Direction.B_TO_A)
 
 
+def reduced_determinants(c_sq, w, joint, env) -> tuple[np.ndarray, np.ndarray]:
+    """(det sigma / det V_An, det V_X) of the closed-form (ancilla, X)
+    covariances whose X row has weight c_sq = |c|^2 and bilinear sum w = W;
+    det V_An = cosh^2 xi.
+
+    The Schur complement of V_An is V_X - sinh(xi) tanh(xi)|c|^2 I.  With
+    (N, M) = env_noise_scales(env) and |V| = |W|,
+
+        alpha = |c|^2 / cosh(xi) + N (1 - |c|^2)
+        beta  = cosh(xi) |c|^2 + N (1 - |c|^2)
+
+    give det sigma / det V_An = (alpha - M|V|)(alpha + M|V|) and
+    det V_X = (beta - M|V|)(beta + M|V|).  Nothing here scales as cosh^4 xi,
+    so G keeps its digits for every accepted xi.  A row's weight
+    H = 1 - |c|^2 is at least |W| (Cauchy-Schwarz), so where rounding puts
+    1 - |c|^2 below |W| the weight is taken as |W|: then
+    N H - M|W| >= (N - M)|W| >= 0 and det sigma stays positive.
+    """
+    ch = np.cosh(joint.xi)
+    n_scale, m_scale = env_noise_scales(env)
+    v = np.abs(w)
+    noise = n_scale * np.maximum(1.0 - c_sq, v)
+    mv = m_scale * v
+    alpha = c_sq / ch + noise
+    beta = ch * c_sq + noise
+    return (alpha - mv) * (alpha + mv), (beta - mv) * (beta + mv)
+
+
+def steering_columns(c_sq, w, joint, env, direction: Direction) -> np.ndarray:
+    """Steering of each closed-form (ancilla, X) covariance given by the
+    columns c_sq = |c|^2 and w = W, as `steerability` would compute it on
+    the 4x4 matrices: A_TO_B is An -> X, B_TO_A is X -> An.  The first
+    degenerate row raises with its position as `index`, and so does a row
+    whose |W| exceeds 1 - |c|^2 by more than the normalization tolerance:
+    no physical row does.
+    """
+    excess = np.abs(w) - (1.0 - c_sq)
+    i = int(np.argmax(excess))
+    if excess[i] > NORMALIZATION_TOL:
+        raise DegenerateCovarianceError(
+            f"|W| = {float(abs(w[i]))!r} exceeds 1 - |c|^2 = {float(1.0 - c_sq[i])!r}", index=i)
+    schur, det_vx = reduced_determinants(c_sq, w, joint, env)
+    det_sigma = np.cosh(joint.xi) ** 2 * schur
+    i = int(np.argmax(det_sigma <= DET_FLOOR))
+    if det_sigma[i] <= DET_FLOOR:
+        raise DegenerateCovarianceError(f"det sigma = {float(det_sigma[i])!r} below floor {DET_FLOOR}",
+                                        index=i)
+    if direction is Direction.A_TO_B:
+        raw = -0.5 * np.log(schur)
+    elif direction is Direction.B_TO_A:
+        raw = 0.5 * np.log(det_vx / det_sigma)
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    return np.where(raw > ZERO_TOL, raw, 0.0)
+
+
 def steering_series(trajectory, direction: Direction) -> np.ndarray:
-    """Per-step steering values G(j), j = 0 .. L, along the trajectory.
+    """Per-step steering values G(j), j = 0 .. L, along the trajectory,
+    from its |c22|^2 and W columns.
 
     The joint covariance is (ancilla, system)-ordered, so A_TO_B is
     An -> S and B_TO_A is S -> An.  A degeneracy error names its step.
     """
+    config = trajectory.config
     try:
-        return steerability(trajectory.joint_cm, direction)
+        return steering_columns(trajectory.c22_abs_sq, trajectory.env_square_sum,
+                                config.joint, config.env, direction)
     except DegenerateCovarianceError as exc:
         raise DegenerateCovarianceError(f"step {exc.index}: {exc}") from None
 

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 import gausscollide.cli as cli
 import gausscollide.engine as engine
-import gausscollide.steering as steering
 from gausscollide.cli import ENV_FAMILIES, main, parse_angle, parse_values
 from gausscollide.divisibility import nm_cptp
 from gausscollide.engine import SimulationConfig, env_ancilla_cm, iter_steps, run
@@ -156,9 +155,17 @@ class TestUsageErrors:
             (("transport", "--modes", "1"), "step 0, column g_s_to_an:"),
         ],
     )
-    def test_degeneracy_names_the_step(self, capsys, argv, where):
-        code, _, err = run_cli(capsys, *argv, "--r1", "0.4", "--r2", "0.3", "--L", "3",
-                               "--xi", "20")
+    def test_degeneracy_names_the_step(self, capsys, monkeypatch, argv, where):
+        run = cli.run
+
+        def unphysical_at_step_0(config):
+            traj = run(config)
+            w = traj.env_square_sum.copy()
+            w[0] = 10.0  # |W| <= 1 - |c22|^2 on a physical row
+            return replace(traj, env_square_sum=w)
+
+        monkeypatch.setattr(cli, "run", unphysical_at_step_0)
+        code, _, err = run_cli(capsys, *argv, "--r1", "0.4", "--r2", "0.3", "--L", "3")
         assert code == 3
         assert where in err
 
@@ -170,6 +177,31 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "evolve", "--r1", "0.4", "--r2", "0.3", "--L", "3")
         assert code == 3
         assert "degeneracy" in err
+
+    def test_environment_squeezing_bound(self, capsys):
+        argv = ("evolve", "--r1", "0.4", "--r2", "0.3", "--L", "3", "--env", "squeezed")
+        assert run_cli(capsys, *argv, "--zeta", "5")[0] == 0
+        for value in ("5.000001", "-6", "40"):
+            code, out, err = run_cli(capsys, *argv, "--zeta", value)
+            assert code == 2 and out == ""
+            assert err.startswith("error: zeta ") and "|zeta| <= 5" in err
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        xi=st.one_of(st.just(177.0), st.floats(0.0, 177.0)),
+        zeta=st.one_of(st.just(5.0), st.floats(0.0, 5.0)),
+        n=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+        r=st.floats(0.0, 1.0),
+        phi=st.floats(-4.0, 4.0),
+    )
+    def test_accepted_extremes_never_exit_3(self, xi, zeta, n, r, phi):
+        common = [f"--r1={r!r}", f"--r2={1.0 - r!r}", f"--phi={phi!r}", f"--xi={xi!r}",
+                  "--env=squeezed-thermal", f"--n={n!r}", f"--zeta={zeta!r}", "--L=30"]
+        for argv in (["evolve", *common], ["transport", *common, "--modes=1,15,31"]):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(argv) == 0
+            assert "nan" not in buf.getvalue() and "inf" not in buf.getvalue()
 
 
 class TestEvolve:
@@ -238,15 +270,44 @@ class TestEvolve:
 
         def perturbed(config):
             traj = run(config)
-            joint_cm = traj.joint_cm.copy()
-            joint_cm[7, 2, 2] += 1e-6
-            return replace(traj, joint_cm=joint_cm)
+            c_sq = traj.c22_abs_sq.copy()
+            c_sq[7] -= 1e-6  # joint_cm[7] and both steering columns follow
+            return replace(traj, c22_abs_sq=c_sq)
 
         monkeypatch.setattr(cli, "run", perturbed)
         code, out, err = run_cli(capsys, "evolve", "--r1", ".4", "--r2", ".3", "--L", "12",
                                  "--oracle")
         assert code == 3 and out == ""
         assert "oracle mismatch at step 7:" in err
+
+    def test_oracle_checks_the_printed_steering(self, capsys, monkeypatch):
+        steering_series = cli.steering_series
+
+        def perturbed(traj, direction):
+            series = steering_series(traj, direction)
+            if direction is Direction.A_TO_B:
+                series[5] += 1e-6
+            return series
+
+        monkeypatch.setattr(cli, "steering_series", perturbed)
+        code, out, err = run_cli(capsys, "evolve", "--r1", ".4", "--r2", ".3", "--L", "12",
+                                 "--oracle")
+        assert code == 3 and out == ""
+        assert "oracle mismatch at step 5: max deviation 1e-06 in g_an_to_s" in err
+
+    def test_oracle_allows_for_the_conditioning_of_its_determinants(self, capsys):
+        # At xi = 12 the 4x4 determinants resolve G only to about 1e-6.
+        code, out, _ = run_cli(capsys, "evolve", "--r1", ".4", "--r2", ".3", "--L", "12",
+                               "--xi", "12", "--oracle")
+        assert code == 0 and len(out.split("\n")) == 15
+
+    @pytest.mark.parametrize("xi", ["10", "20", "100", "177"])
+    def test_large_squeezing_prints_ln_cosh_xi(self, capsys, xi):
+        code, out, _ = run_cli(capsys, "evolve", "--r1", "0.4", "--r2", "0.3", "--L", "3",
+                               "--xi", xi)
+        assert code == 0
+        token = format(math.log(math.cosh(float(xi))), ".12g")
+        assert out.split("\n")[1].split(",")[4:6] == [token, token]
 
     def test_oracle_memory_guard(self, capsys, monkeypatch):
         monkeypatch.setattr(engine, "physical_memory", lambda: 10 * 2**20)
@@ -314,6 +375,27 @@ class TestEmit:
                                  "--L", "10", "--format", fmt)
         assert code == 3 and out == ""
         assert err.startswith("error: ") and "column n_cptp" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_rows_are_written_in_chunks(self, capsys, monkeypatch, fmt):
+        rows = [(j, j / 7, None, j % 2 == 0, "x") for j in range(10)]
+        header = ["j", "v", "none", "flag", "s"]
+        cli.emit(header, rows, fmt, None)
+        whole = capsys.readouterr().out
+        writes = []
+        monkeypatch.setattr(cli, "EMIT_ROWS", 3)
+        monkeypatch.setattr(cli.sys, "stdout", SimpleNamespace(writelines=writes.extend))
+        cli.emit(header, rows, fmt, None)
+        assert "".join(writes) == whole
+        assert len(writes) == (5 if fmt == "csv" else 4)  # the header, then 3 + 3 + 3 + 1 rows
+
+    def test_late_non_finite_value_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "EMIT_ROWS", 2)
+        target = tmp_path / "table"
+        rows = [(j, float(j)) for j in range(9)] + [(9, math.inf)]
+        with pytest.raises(GaussCollideError, match="output row 9, column b: non-finite"):
+            cli.emit(["a", "b"], rows, "csv", str(target))
+        assert not target.exists()
 
     def test_jsonl_strings_are_escaped(self, capsys):
         text = 'say "hi"\\\n'
@@ -508,8 +590,24 @@ class TestTransport:
             columns.append([line.split(",")[column] for line in buf.getvalue().split("\n")[1:-1]])
         assert columns[0] == columns[1]
 
+    @pytest.mark.parametrize("xi", ["0", "2.5", "14", "20", "177"])
+    def test_system_column_bytes_equal_evolve_at_any_xi(self, xi):
+        common = ["--r1=0.7", "--r2=0.2", "--phi=1.3", f"--xi={xi}", "--env=squeezed-thermal",
+                  "--n=0.4", "--zeta=1.1", "--phi-env=0.5", "--L=40", "--format=jsonl"]
+        columns = []
+        for argv, key in ((["evolve", *common], "g_s_to_an"),
+                          (["transport", *common, "--modes=1,20,41"], "g_s_to_an")):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(argv) == 0
+            columns.append([line.split(f'"{key}": ')[1].split(",")[0]
+                            for line in buf.getvalue().split("\n")[:-1]])
+        assert columns[0] == columns[1]
+        assert columns[0][0] == format(math.log(math.cosh(float(xi))), ".12g")
+
     def test_out_of_memory_length(self, capsys, monkeypatch):
-        monkeypatch.setattr(engine, "physical_memory", lambda: 10 * 2**20)
+        # 10^4 steps of STEP_BYTES + MODE_STEP_BYTES (700 B) need about 7 MB
+        monkeypatch.setattr(engine, "physical_memory", lambda: 5 * 2**20)
         code, out, err = run_cli(capsys, "transport", "--r1", ".4", "--r2", ".3",
                                  "--L", "10000", "--modes", "1")
         assert code == 2
@@ -576,15 +674,22 @@ class TestTransport:
                 if j >= k:
                     assert rows[j][column] == rows[k][column]
 
+    @staticmethod
+    def unphysical_rows(monkeypatch, rows):
+        """Make env_mode_columns' rows at the given positions unphysical:
+        |W| = 10 > 1 - |c|^2."""
+        columns = cli.env_mode_columns
+
+        def patched(config, modes):
+            c22, c_sq, w, h = columns(config, modes)
+            w = w.copy()
+            w[rows] = 10.0
+            return c22, c_sq, w, h
+
+        monkeypatch.setattr(cli, "env_mode_columns", patched)
+
     def test_degeneracy_names_step_and_column(self, capsys, monkeypatch):
-        closed_form = cli.env_mode_cms
-
-        def singular_at_step_2(config, modes):
-            cms = closed_form(config, modes)
-            cms[4] = 0.0  # E_3's carried row, printed at j = k - 1 = 2
-            return cms
-
-        monkeypatch.setattr(cli, "env_mode_cms", singular_at_step_2)
+        self.unphysical_rows(monkeypatch, [4])  # E_3's carried row, printed at j = k - 1 = 2
         code, out, err = run_cli(capsys, "transport", "--r1", "0.4", "--r2", "0.3",
                                  "--L", "5", "--modes", "1,3,5")
         assert code == 3
@@ -592,26 +697,19 @@ class TestTransport:
         assert "step 2, column g_e3_to_an:" in err
 
     def test_unprinted_covariances_are_not_checked(self, capsys, monkeypatch):
-        closed_form = cli.env_mode_cms
         argv = ("transport", "--r1", "0.4", "--r2", "0.3", "--L", "5", "--modes", "1,6")
         _, expected, _ = run_cli(capsys, *argv)
-
-        def singular_unprinted(config, modes):
-            cms = closed_form(config, modes)
-            cms[0] = cms[5] = 0.0  # E_1's unit row, E_6's middle row
-            return cms
-
-        monkeypatch.setattr(cli, "env_mode_cms", singular_unprinted)
+        self.unphysical_rows(monkeypatch, [0, 5])  # E_1's unit row, E_6's middle row
         assert run_cli(capsys, *argv) == (0, expected, "")
 
     def test_steers_each_distinct_covariance_once(self, capsys, monkeypatch):
-        stacks, steerability = [], steering.steerability
+        stacks, steering_columns = [], cli.steering_columns
 
-        def counted(cms, direction):
-            stacks.append(len(cms))
-            return steerability(cms, direction)
+        def counted(c_sq, *args):
+            stacks.append(len(c_sq))
+            return steering_columns(c_sq, *args)
 
-        monkeypatch.setattr(steering, "steerability", counted)
+        monkeypatch.setattr(cli, "steering_columns", counted)
         code, out, _ = run_cli(capsys, "transport", "--r1", "0.4", "--r2", "0.3",
                                "--L", "30", "--modes", "1,15,31")
         assert code == 0 and len(out.strip().split("\n")) == 32
@@ -624,6 +722,23 @@ class TestTransport:
                        "--L", "5", "--modes", "x")[0] == 2
         assert run_cli(capsys, "transport", "--r1", "0.4", "--r2", "0.3",
                        "--L", "5")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("evolve", "--r1", "0.4", "--r2", "0.3", "--L", "30"),
+    ("scan", "--grid-r1", "0.2,0.8", "--grid-r2", "0.3:0.9:3", "--L", "30"),
+    ("scan", "--grid-r1", "0.2:0.8:3", "--grid-r2", "0.3:0.9:3", "--L", "30"),
+    ("transport", "--r1", "0.4", "--r2", "0.3", "--L", "30", "--modes", "1,15,31"),
+], ids=["evolve", "scan-per-cell", "scan-batched", "transport"])
+def test_production_paths_take_no_matrix_determinant(capsys, monkeypatch, argv):
+    def refused(*args, **kwargs):
+        raise AssertionError("a 4x4 covariance was built or decomposed")
+
+    monkeypatch.setattr(np.linalg, "det", refused)
+    monkeypatch.setattr(engine, "joint_cm_stack", refused)
+    code, out, _ = run_cli(capsys, *argv, "--env", "squeezed-thermal", "--n", "0.3",
+                           "--zeta", "0.4")
+    assert code == 0 and out.count("\n") > 6
 
 
 class TestThresholds:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gausscollide.states import (
+    MAX_ENV_SQUEEZING,
     MAX_SQUEEZING,
     EnvironmentSpec,
     JointSpec,
@@ -52,6 +53,14 @@ class TestSpecs:
                             ("n", 1e300), ("zeta", 177.0)):
             with pytest.raises(ValueError, match=name):
                 EnvironmentSpec(**{name: value})
+
+
+    def test_env_squeezing_bound(self):
+        for zeta in (MAX_ENV_SQUEEZING, -MAX_ENV_SQUEEZING):
+            EnvironmentSpec(n=3.0, zeta=zeta)
+        for zeta in (math.nextafter(MAX_ENV_SQUEEZING, math.inf), -40.0):
+            with pytest.raises(ValueError, match="^zeta = .* is too large"):
+                EnvironmentSpec(zeta=zeta)
 
 
 class TestTmsv:

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gausscollide.engine import SimulationConfig, joint_cm_closed_form, run
 from gausscollide.errors import DegenerateCovarianceError
@@ -16,6 +18,7 @@ from gausscollide.steering import (
     g_ancilla_to_system,
     g_system_to_ancilla,
     nm_from_steering,
+    reduced_determinants,
     steerability,
     steering_series,
     threshold_an_to_s_squeezed_vac,
@@ -124,10 +127,10 @@ class TestSteeringSeries:
 
     def test_degeneracy_names_its_step(self):
         traj = run(SimulationConfig(r1=0.4, r2=0.3, L=4))
-        joint_cm = traj.joint_cm.copy()
-        joint_cm[2] = np.zeros((4, 4))
-        traj = dataclasses.replace(traj, joint_cm=joint_cm)
-        with pytest.raises(DegenerateCovarianceError, match="^step 2: det sigma"):
+        w = traj.env_square_sum.copy()
+        w[2] = 10.0  # |W| <= 1 - |c22|^2 on a physical row
+        traj = dataclasses.replace(traj, env_square_sum=w)
+        with pytest.raises(DegenerateCovarianceError, match=r"^step 2: \|W\| = 10.0 exceeds"):
             steering_series(traj, Direction.A_TO_B)
 
     def test_memoryless_chain_never_increases(self):
@@ -135,6 +138,63 @@ class TestSteeringSeries:
         for direction in Direction:
             g = steering_series(traj, direction)
             assert np.all(np.diff(g) <= 1e-10)
+
+
+physical_configs = st.builds(
+    lambda r1, r2, phi, xi, n, zeta, phi_env, L: SimulationConfig(
+        r1=r1, r2=r2, phi_shift=phi, joint=JointSpec(xi=xi),
+        env=EnvironmentSpec(n=n, zeta=zeta, phi_env=phi_env), L=L),
+    r1=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    r2=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    phi=st.one_of(st.just(0.0), st.floats(-4.0, 4.0)),
+    xi=st.floats(0.0, 3.0),
+    n=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    zeta=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    phi_env=st.floats(0.0, 6.3),
+    L=st.integers(1, 60),
+)
+
+
+class TestClosedFormSteering:
+    """steering_series' scalar determinants against the 4x4 reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(config=physical_configs)
+    def test_matches_steerability_of_joint_cm(self, config):
+        traj = run(config)
+        # The 4x4 determinants resolve G to a few eps times cond(sigma).
+        resolution = 4 * np.finfo(float).eps * np.linalg.cond(traj.joint_cm)
+        for direction in Direction:
+            closed = steering_series(traj, direction)
+            reference = steerability(traj.joint_cm, direction)
+            assert np.all(np.abs(closed - reference) <= 1e-12 * np.abs(reference) + resolution)
+
+    @settings(max_examples=80, deadline=None)
+    @given(config=physical_configs)
+    def test_det_sigma_of_a_physical_state_is_at_least_one(self, config):
+        traj = run(config)
+        schur, det_v_s = reduced_determinants(traj.c22_abs_sq, traj.env_square_sum,
+                                              config.joint, config.env)
+        assert np.all(math.cosh(config.joint.xi) ** 2 * schur >= 1.0 - 1e-12)
+        assert np.all(det_v_s >= 1.0 - 1e-12)
+
+    @pytest.mark.parametrize("xi", [10.0, 14.0, 18.0, 20.0, 100.0, 177.0])
+    def test_initial_steering_is_ln_cosh_xi(self, xi):
+        traj = run(SimulationConfig(r1=0.4, r2=0.3, joint=JointSpec(xi=xi),
+                                    env=EnvironmentSpec(n=0.5, zeta=1.0), L=3))
+        for direction in Direction:
+            assert steering_series(traj, direction)[0] == pytest.approx(
+                math.log(math.cosh(xi)), rel=1e-14)
+
+    def test_no_determinant_of_a_matrix(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a matrix determinant was taken")
+
+        monkeypatch.setattr(np.linalg, "det", refused)
+        traj = run(SimulationConfig(r1=0.4, r2=0.3, env=EnvironmentSpec(n=0.3, zeta=0.4), L=20))
+        for direction in Direction:
+            assert steering_series(traj, direction)[0] > 0.0
+        assert "joint_cm" not in vars(traj)  # steering never built the 4x4 stack
 
 
 class TestNmFromSteering:
