@@ -81,15 +81,18 @@ def reduced_determinants(c_sq, w, joint, env) -> tuple[np.ndarray, np.ndarray]:
     give det sigma / det V_An = (alpha - M|V|)(alpha + M|V|) and
     det V_X = (beta - M|V|)(beta + M|V|).  Nothing here scales as cosh^4 xi,
     so G keeps its digits for every accepted xi.  A row's weight
-    H = 1 - |c|^2 is at least |W| (Cauchy-Schwarz), so where rounding puts
-    1 - |c|^2 below |W| the weight is taken as |W|: then
-    N H - M|W| >= (N - M)|W| >= 0 and det sigma stays positive.
+    H = 1 - |c|^2 is at least |W| (Cauchy-Schwarz), so |c|^2 is taken as
+    at most 1 and |W| as at most H: then N H - M|W| >= (N - M) H >= 0 and
+    det sigma stays positive.  Rounding that puts |W| above H moves G by
+    M (|W| - H) at most, not at all for M = 0: clamping H up to |W| would
+    move it by N (|W| - H).
     """
     ch = np.cosh(joint.xi)
     n_scale, m_scale = env_noise_scales(env)
-    v = np.abs(w)
-    noise = n_scale * np.maximum(1.0 - c_sq, v)
-    mv = m_scale * v
+    c_sq = np.minimum(c_sq, 1.0)
+    h = 1.0 - c_sq
+    noise = n_scale * h
+    mv = m_scale * np.minimum(np.abs(w), h)
     alpha = c_sq / ch + noise
     beta = ch * c_sq + noise
     return (alpha - mv) * (alpha + mv), (beta - mv) * (beta + mv)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausscollide.engine import SimulationConfig, joint_cm_closed_form, run
+from gausscollide.engine import SimulationConfig, joint_cm_closed_form, joint_cm_stack, run
 from gausscollide.errors import DegenerateCovarianceError
 from gausscollide.network import CCoefficients
 from gausscollide.states import EnvironmentSpec, JointSpec, squeezed_thermal_cm, tmsv_cm
@@ -162,11 +162,19 @@ class TestClosedFormSteering:
     @given(config=physical_configs)
     def test_matches_steerability_of_joint_cm(self, config):
         traj = run(config)
+        # reduced_determinants reads H = 1 - |c|^2 as at least 0 and |W| as
+        # at most H; the reference is built on columns rounding left inside
+        # those bounds, and on the bounded columns where it did not.
+        c_sq = np.minimum(traj.c22_abs_sq, 1.0)
+        c = traj.c22 / np.sqrt(np.maximum(traj.c22_abs_sq, 1.0))
+        v = np.abs(traj.env_square_sum)
+        w = traj.env_square_sum * np.minimum(1.0, (1.0 - c_sq) / np.where(v > 0.0, v, 1.0))
+        cm = joint_cm_stack(c, c_sq, w, config.joint, config.env)
         # The 4x4 determinants resolve G to a few eps times cond(sigma).
-        resolution = 4 * np.finfo(float).eps * np.linalg.cond(traj.joint_cm)
+        resolution = 4 * np.finfo(float).eps * np.linalg.cond(cm)
         for direction in Direction:
             closed = steering_series(traj, direction)
-            reference = steerability(traj.joint_cm, direction)
+            reference = steerability(cm, direction)
             assert np.all(np.abs(closed - reference) <= 1e-12 * np.abs(reference) + resolution)
 
     @settings(max_examples=80, deadline=None)
