@@ -2,14 +2,13 @@
 
 Runs the tunable beam-splitter chain for L rounds through one recurrence
 with O(1) state per step (`_next_state`), never the (L+3)^2 composed
-unitary.  `_trajectory` turns a run's c22, W and H columns into a
-`Trajectory` (|c22|^2 and the normalization check; its closed-form joint
-ancilla-system covariances are built only on access) for `run` and for
-`iter_trajectories`, which steps a chunk of grid cells at once as float
-arrays with the same bits.  `env_mode_columns` gives the same columns for
-the three rows of chosen environment modes.  An optional oracle path
-propagates the full (L+3)-mode covariance matrix symplectically, the
-reference the tests and `evolve --oracle` check the closed forms against.
+unitary.  `_columns` turns c22, W and H arrays into checked (c22, |c22|^2,
+W, H) columns for `run`, for `iter_trajectories`, which steps a chunk of
+grid cells at once as float arrays with the same bits, and for the rows of
+chosen environment modes (`env_mode_columns`).  With `oracle_enabled`,
+`iter_steps` also propagates the full (L+3)-mode covariance matrix
+symplectically, the reference the tests and `evolve --oracle` check the
+closed forms against.
 """
 
 import itertools
@@ -50,7 +49,8 @@ class SimulationConfig:
     r1, r2 are the two beam-splitter reflectivities, phi_shift the phase
     on the system arm, joint the ancilla-system preparation, env the
     (identical) preparation of every environment mode, L the number of
-    rounds.  oracle_enabled turns on full-chain covariance propagation.
+    rounds.  oracle_enabled makes `iter_steps` also yield the full-chain
+    covariance at each step; `run` refuses it.
     """
 
     r1: float
@@ -72,25 +72,24 @@ class SimulationConfig:
 
 @dataclass(frozen=True, eq=False)
 class StepRecord:
-    """State of the chain after `j` rounds (j = 0 is the initial state)."""
+    """State of the chain after `j` rounds (j = 0 is the initial state): its
+    coefficients and closed-form ancilla-system covariance."""
 
     j: int
     coeffs: CCoefficients
     joint_cm: np.ndarray
-    full_cm: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Per-step columns j = 0 .. L: c22, |c22|^2, W and H, and the
-    full-chain covariances if the oracle ran."""
+    """Per-step columns j = 0 .. L: c22, |c22|^2, W and H.  The full-chain
+    covariances are not kept; `iter_steps` streams them."""
 
     config: SimulationConfig
     c22: np.ndarray
     c22_abs_sq: np.ndarray
     env_square_sum: np.ndarray
     env_abs_square_sum: np.ndarray
-    full_cm: list[np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.c22)
@@ -106,21 +105,13 @@ class Trajectory:
     def steps(self) -> list[StepRecord]:
         """One StepRecord per step, built from the columns on first access."""
         sums = (self.c22.tolist(), self.env_square_sum.tolist(), self.env_abs_square_sum.tolist())
-        full = self.full_cm or [None] * len(self)
-        return [StepRecord(j, CCoefficients(j, c, env_square_sum=w, env_abs_square_sum=h), cm, f)
-                for j, (c, w, h, cm, f) in enumerate(zip(*sums, self.joint_cm, full))]
-
-
-def coefficient_columns(coeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(c22, |c22|^2, W, H) arrays over CCoefficients, for the scalar closed
-    forms; |c22|^2 is each c22_abs_sq, since numpy's abs rounds differently."""
-    rows = [(co.c22, co.c22_abs_sq, co.env_square_sum, co.env_abs_square_sum) for co in coeffs]
-    return tuple(np.array(col) for col in zip(*rows))
+        return [StepRecord(j, CCoefficients(j, c, env_square_sum=w, env_abs_square_sum=h), cm)
+                for j, (c, w, h, cm) in enumerate(zip(*sums, self.joint_cm))]
 
 
 def joint_cm_stack(c, csq, w, joint: JointSpec, env: EnvironmentSpec) -> np.ndarray:
     """(n, 4, 4) ancilla-system covariances from the columns c = c22,
-    csq = |c22|^2 and w = W of `coefficient_columns`.
+    csq = |c22|^2 and w = W of a trajectory or `env_mode_columns`.
 
     Closed form in the network coefficients: with c = c22,
     W = sum_m (env amplitude)^2 and V = e^{-i phi_env} W,
@@ -157,7 +148,8 @@ def joint_cm_closed_form(
     coeffs: CCoefficients, joint: JointSpec, env: EnvironmentSpec
 ) -> np.ndarray:
     """4x4 ancilla-system covariance matrix after the recorded step."""
-    return joint_cm_stack(*coefficient_columns([coeffs])[:3], joint, env)[0]
+    columns = coeffs.c22, coeffs.c22_abs_sq, coeffs.env_square_sum
+    return joint_cm_stack(*(np.array([v]) for v in columns), joint, env)[0]
 
 
 def initial_full_cm(config: SimulationConfig) -> np.ndarray:
@@ -186,7 +178,7 @@ def apply_collision_to_cm(
 
 
 def iter_steps(config: SimulationConfig):
-    """Yield (j, coeffs, full_cm) for j = 0 .. L.
+    """Yield (j, coeffs, full_cm) for j = 0 .. L, the one full-chain oracle path.
 
     full_cm is None unless config.oracle_enabled; when present it is a
     *view* of the running array, valid only until the next iteration —
@@ -196,11 +188,11 @@ def iter_steps(config: SimulationConfig):
     if config.oracle_enabled:
         require_memory(config.L, 8 * (2 * config.L + 6) ** 2)
     sigma = initial_full_cm(config) if config.oracle_enabled else None
-    for j, state in enumerate(_states(config)):
+    for j, (a_s, _, g_ss, _, _, h_ss, *_) in enumerate(_states(config)):
         if sigma is not None and j > 0:
             apply_collision_to_cm(sigma, j, config.r1, config.r2, config.phi_shift)
-        a_s, _, g_ss, _, _, h_ss, *_ = state
-        yield j, _coefficients(j, a_s, g_ss, h_ss.real), sigma
+        yield j, CCoefficients(j, a_s.conjugate(), env_square_sum=g_ss.conjugate(),
+                               env_abs_square_sum=h_ss.real), sigma
 
 
 def _bilinear_terms(p, q):
@@ -247,11 +239,6 @@ def _next_state(k, state):
         h2[0] * h_ss + h2[1] * h_se + h2[2] * h_es + h2[3] * h_ee + h2[4],
         complex((h3[0] * h_ss + h3[1] * h_se + h3[2] * h_es + h3[3] * h_ee + h3[4]).real),
     )
-
-
-def _coefficients(step: int, a: complex, g: complex, h: float) -> CCoefficients:
-    """A row's coefficients from its amplitude a and its sums g and h."""
-    return CCoefficients(step, a.conjugate(), env_square_sum=g.conjugate(), env_abs_square_sum=h)
 
 
 _INITIAL_STATE = (1 + 0j, 0j, 0j, 0j, 1 + 0j, 0j, 0j, 1 + 0j)  # S = e_1, E = e_2
@@ -346,13 +333,15 @@ def iter_trajectories(configs):
     The recurrence runs for a chunk of cells at a time as one array
     computation, bit-identical to `run`'s scalar loop, or through `run` per
     cell for a chunk below MIN_BATCH_CELLS; each cell's witnesses then read
-    its own trajectory.  Refuses, before the first step, an L whose chunk
-    and trajectory cannot fit in physical memory.
+    its own trajectory.  Refuses, before the first step, the oracle (as
+    `run` does) and an L whose chunk and trajectory cannot fit in physical
+    memory.
     """
     configs = list(configs)
     base = configs[0]
     if any(replace(c, r1=base.r1, r2=base.r2) != base for c in configs):
         raise ValueError("configurations differ in more than r1 and r2")
+    _refuse_oracle(base)
     L = base.L
     cell_bytes = CELL_BYTES + CELL_STEP_BYTES * (L + 1)
     size = min(len(configs), max(1, CHUNK_BYTES // cell_bytes))
@@ -365,11 +354,13 @@ def iter_trajectories(configs):
         history = _batched_history(chunk, L)
         for i, config in enumerate(chunk):
             a_re, g_re, h, a_im, g_im = history[:, :, i].T
-            yield _trajectory(config, _conjugate(a_re, a_im), _conjugate(g_re, g_im), h.copy())
+            c22, w = _conjugate(a_re, a_im), _conjugate(g_re, g_im)
+            yield Trajectory(config, *_columns(c22, w, h.copy()))
 
 
-def _trajectory(config: SimulationConfig, c22, w, h, full_cm=None) -> Trajectory:
-    """config's Trajectory from its c22, W and H columns, each step checked."""
+def _columns(c22, w, h) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(c22, |c22|^2, W, H) from the c22, W and H arrays, each row's
+    normalization |c22|^2 + H = 1 checked."""
     # Python's abs(c22) ** 2: np.hypot is abs, but numpy squares round differently.
     c_sq = np.fromiter(map(math.pow, np.hypot(c22.real, c22.imag).tolist(), itertools.repeat(2.0)),
                        float, len(c22))
@@ -377,7 +368,7 @@ def _trajectory(config: SimulationConfig, c22, w, h, full_cm=None) -> Trajectory
     defect = np.abs(total - 1.0) > NORMALIZATION_TOL
     if defect.any():
         check_normalization(float(total[np.argmax(defect)]))
-    return Trajectory(config, c22, c_sq, w, h, full_cm)
+    return c22, c_sq, w, h
 
 
 def _conjugate(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -400,13 +391,13 @@ def env_mode_columns(config: SimulationConfig, modes) -> tuple[np.ndarray, ...]:
     states = {j: s for j, s in zip(range(max(modes)), _states(config)) if j + 1 in modes}
     # the round with the middle row in the system row's place
     middle = _round_constants(mixing_block(config.r1, config.r2, config.phi_shift)[[1, 1, 2]])
-    rows = []
+    rows = []  # (a, g, h) of each row, as _states carries it
     for k in modes:
         _, a_e, _, _, g_ee, _, _, h_ee = state = states[k - 1]
         a_m, _, g_m, _, _, h_m, *_ = _next_state(middle, state)
-        rows += [_coefficients(0, 0j, 1 + 0j, 1.0), _coefficients(k - 1, a_e, g_ee, h_ee.real),
-                 _coefficients(k, a_m, g_m, h_m.real)]
-    return coefficient_columns(rows)
+        rows += [(0j, 1 + 0j, 1 + 0j), (a_e, g_ee, h_ee), (a_m, g_m, h_m)]
+    a, g, h = map(np.array, zip(*rows))
+    return _columns(a.conj(), g.conj(), h.real)
 
 
 def env_mode_cms(config: SimulationConfig, modes) -> np.ndarray:
@@ -432,28 +423,32 @@ def require_memory(L: int, need: int) -> None:
 
 def run(config: SimulationConfig) -> Trajectory:
     """Evolve the chain and collect its per-step columns, j = 0 .. L."""
-    oracle_bytes = 8 * (2 * config.L + 6) ** 2 if config.oracle_enabled else 0
-    require_memory(config.L, (config.L + 1) * (STEP_BYTES + oracle_bytes))
+    _refuse_oracle(config)
+    require_memory(config.L, (config.L + 1) * STEP_BYTES)
     # Steps through iter_steps, looked up in this module at each call, rather
     # than _states: the benchmark's per-layer trace patches engine.iter_steps
     # and divides run's own time by the steps it sees there.
-    chain = iter_steps(config)
-    if config.oracle_enabled:  # sigma is a view of the running array
-        chain = [(j, coeffs, sigma.copy()) for j, coeffs, sigma in chain]
     c22, w, h = map(np.array, zip(*[(co.c22, co.env_square_sum, co.env_abs_square_sum)
-                                    for _, co, _ in chain]))
-    full_cm = [sigma for *_, sigma in chain] if config.oracle_enabled else None
-    return _trajectory(config, c22, w, h, full_cm)
+                                    for _, co, _ in iter_steps(config)]))
+    return Trajectory(config, *_columns(c22, w, h))
+
+
+def _refuse_oracle(config: SimulationConfig) -> None:
+    """Raise before the first step: the full-chain covariances stream through iter_steps."""
+    if config.oracle_enabled:
+        raise ValueError("a Trajectory keeps no full-chain covariance; "
+                         "iterate iter_steps(config) for the oracle")
 
 
 def env_ancilla_cm(full_cm: np.ndarray | None, k: int) -> np.ndarray:
     """4x4 reduced covariance of (E_k, ancilla), in that order.
 
-    Requires the full-chain covariance matrix; run with
-    oracle_enabled=True to record it.
+    Requires a full-chain covariance matrix, which `iter_steps` yields with
+    oracle_enabled=True.
     """
     if full_cm is None:
-        raise ValueError("full covariance not recorded; run with oracle_enabled=True")
+        raise ValueError("full covariance not given; "
+                         "iterate iter_steps with oracle_enabled=True for it")
     n_modes = full_cm.shape[0] // 2
     if not 1 <= k <= n_modes - 2:
         raise IndexError(f"environment index k = {k} out of range 1..{n_modes - 2}")

@@ -48,20 +48,16 @@ class JointSpec:
     Parameters
     ----------
     xi : float
-        Squeezing parameter (>= 0).  xi = 0 is the two-mode vacuum.
-    theta : float
-        Squeezing phase.  Only theta = 0 is supported.
+        Squeezing parameter (>= 0).  xi = 0 is the two-mode vacuum; the
+        squeezing phase is 0.
     """
 
     xi: float
-    theta: float = 0.0
 
     def __post_init__(self):
         require_finite("xi", self.xi, squeezing=True)
         if self.xi < 0:
             raise ValueError(f"xi must be non-negative, got {self.xi}")
-        if self.theta != 0.0:
-            raise ValueError("only theta = 0 is supported")
 
 
 @dataclass(frozen=True)

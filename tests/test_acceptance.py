@@ -5,6 +5,7 @@ PASS line (visible with -s or in captured output) when it holds.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from gausscollide import (
     divisibility_records,
     env_ancilla_cm,
     intermediate_cp_matrix,
+    iter_steps,
+    joint_cm_closed_form,
     nm_cptp,
     nm_from_steering,
     run,
@@ -90,11 +93,11 @@ def test_03_oracle_equivalence():
             r1=config.r1, r2=config.r2, phi_shift=config.phi_shift,
             joint=config.joint, env=env, L=25, oracle_enabled=True,
         )
-        for step in run(config).steps:
-            reduced = step.full_cm[:4, :4]
-            dev = float(np.max(np.abs(step.joint_cm - reduced)))
+        for j, coeffs, sigma in iter_steps(config):
+            reduced = sigma[:4, :4]
+            dev = float(np.max(np.abs(joint_cm_closed_form(coeffs, config.joint, env) - reduced)))
             worst = max(worst, dev)
-            assert dev < 1e-10, (i, step.j)
+            assert dev < 1e-10, (i, j)
     _report(3, f"closed-form joint CM matches propagation (worst dev {worst:.2e})")
 
 
@@ -154,7 +157,7 @@ def test_06_environment_scale_law():
 
 
 def test_07_sudden_death_and_birth():
-    config = SimulationConfig(r1=0.4, r2=0.3, L=10, oracle_enabled=True)
+    config = SimulationConfig(r1=0.4, r2=0.3, L=10)
     traj = run(config)
     g_san = steering_series(traj, Direction.B_TO_A)
 
@@ -168,7 +171,9 @@ def test_07_sudden_death_and_birth():
     assert crossings >= 2
 
     assert g_san[1] == 0.0
-    g_e2 = steerability(env_ancilla_cm(traj.steps[1].full_cm, 2), Direction.A_TO_B)
+    oracle = iter_steps(replace(config, oracle_enabled=True))
+    _, (*_, sigma) = next(oracle), next(oracle)  # sigma after round 1
+    g_e2 = steerability(env_ancilla_cm(sigma, 2), Direction.A_TO_B)
     assert g_e2 > 0.0
     _report(7, "steering dies, revives, and visits the second environment mode")
 

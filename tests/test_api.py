@@ -1,5 +1,7 @@
 """The public API: the names `gausscollide.__all__` exports."""
 
+from pathlib import Path
+
 import gausscollide
 
 PUBLIC_NAMES = [
@@ -23,3 +25,13 @@ def test_all_is_pinned_and_resolves():
     assert sorted(gausscollide.__all__) == PUBLIC_NAMES
     for name in gausscollide.__all__:
         assert getattr(gausscollide, name) is not None, name
+
+
+def test_readme_library_block_runs(capsys):
+    """The Python block under the README's Library heading runs as shown."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    block = library.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert "steering revivals:" in out and "sigma after 20 rounds: (46, 46)" in out

@@ -301,6 +301,29 @@ class TestEvolve:
                                "--xi", "12", "--oracle")
         assert code == 0 and len(out.split("\n")) == 15
 
+    LARGE_XI = ("evolve", "--r1", ".4", "--r2", ".3", "--L", "50", "--xi", "18",
+                "--env", "squeezed-thermal", "--n", "0.3", "--zeta", "0.5")
+
+    def test_oracle_scales_its_covariance_tolerance_with_the_entries(self, capsys):
+        # At xi = 18 the entries reach cosh 18 = 3.3e7, so rounding alone moves them by 1e-8.
+        _, plain, _ = run_cli(capsys, *self.LARGE_XI)
+        code, out, err = run_cli(capsys, *self.LARGE_XI, "--oracle")
+        assert (code, out, err) == (0, plain, "")
+
+    def test_oracle_still_checks_covariances_with_large_entries(self, capsys, monkeypatch):
+        run = cli.run
+
+        def perturbed(config):
+            traj = run(config)
+            c22 = traj.c22.copy()
+            c22[22] *= 1 + 1e-6  # only joint_cm follows; steering reads |c22|^2
+            return replace(traj, c22=c22)
+
+        monkeypatch.setattr(cli, "run", perturbed)
+        code, out, err = run_cli(capsys, *self.LARGE_XI, "--oracle")
+        assert code == 3 and out == ""
+        assert "oracle mismatch at step 22:" in err and "in joint_cm" in err
+
     @pytest.mark.parametrize("xi", ["10", "20", "100", "177"])
     def test_large_squeezing_prints_ln_cosh_xi(self, capsys, xi):
         code, out, _ = run_cli(capsys, "evolve", "--r1", "0.4", "--r2", "0.3", "--L", "3",

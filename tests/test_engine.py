@@ -14,6 +14,7 @@ from gausscollide.engine import (
     SimulationConfig,
     env_ancilla_cm,
     env_mode_cms,
+    env_mode_columns,
     initial_full_cm,
     iter_steps,
     iter_trajectories,
@@ -22,6 +23,7 @@ from gausscollide.engine import (
 )
 from gausscollide.network import (
     NORMALIZATION_TOL,
+    CCoefficients,
     apply_collision_inplace,
     extract_c_coefficients,
     mode_unitary_to_symplectic,
@@ -71,13 +73,14 @@ class TestConfig:
 
 class TestTrajectory:
     def test_step_count_and_initial_state(self):
-        traj = run(SimulationConfig(r1=0.4, r2=0.3, L=7))
+        config = SimulationConfig(r1=0.4, r2=0.3, L=7)
+        traj = run(config)
         assert len(traj) == 8
         assert [s.j for s in traj.steps] == list(range(8))
         first = traj.steps[0]
         assert first.coeffs.c22 == 1.0 + 0.0j
         np.testing.assert_allclose(first.joint_cm, tmsv_cm(JointSpec(xi=1.0)), atol=1e-14)
-        assert first.full_cm is None
+        assert all(sigma is None for *_, sigma in iter_steps(config))
 
     def test_one_round_vacuum_closed_form(self):
         traj = run(SimulationConfig(r1=0.4, r2=0.3, L=1))
@@ -173,9 +176,10 @@ class TestClosedFormAgainstPropagation:
             r1=0.55, r2=0.35, phi_shift=1.1, joint=JointSpec(xi=0.8), env=env,
             L=20, oracle_enabled=True,
         )
-        for step in run(config).steps:
+        for _, coeffs, sigma in iter_steps(config):
             np.testing.assert_allclose(
-                step.joint_cm, reduce_to_modes(step.full_cm, [0, 1]), atol=1e-10
+                joint_cm_closed_form(coeffs, config.joint, config.env),
+                reduce_to_modes(sigma, [0, 1]), atol=1e-10,
             )
 
     def test_initial_full_cm_layout(self):
@@ -193,8 +197,8 @@ class TestClosedFormAgainstPropagation:
 
     def test_global_purity_with_vacuum_environment(self):
         config = SimulationConfig(r1=0.6, r2=0.25, L=15, oracle_enabled=True)
-        for step in run(config).steps:
-            sign, logdet = np.linalg.slogdet(step.full_cm)
+        for *_, sigma in iter_steps(config):
+            sign, logdet = np.linalg.slogdet(sigma)
             assert sign == 1.0
             assert abs(logdet) < 1e-8
 
@@ -203,9 +207,9 @@ class TestClosedFormAgainstPropagation:
             r1=0.7, r2=0.45, phi_shift=0.4, env=EnvironmentSpec(n=0.3), L=12,
             oracle_enabled=True,
         )
-        for step in run(config).steps:
+        for *_, sigma in iter_steps(config):
             np.testing.assert_allclose(
-                reduce_to_modes(step.full_cm, [0]), math.cosh(1.0) * np.eye(2), atol=1e-11
+                reduce_to_modes(sigma, [0]), math.cosh(1.0) * np.eye(2), atol=1e-11
             )
 
     def test_full_cm_stays_physical(self):
@@ -214,13 +218,9 @@ class TestClosedFormAgainstPropagation:
             env=EnvironmentSpec(n=0.4, zeta=0.6, phi_env=1.0), L=10,
             oracle_enabled=True,
         )
-        ok, min_eig = physicality_check(run(config).steps[-1].full_cm)
+        *_, (*_, sigma) = iter_steps(config)
+        ok, min_eig = physicality_check(sigma)
         assert ok, min_eig
-
-    def test_records_are_copies(self):
-        traj = run(SimulationConfig(r1=0.4, r2=0.3, L=2, oracle_enabled=True))
-        assert traj.steps[0].full_cm is not traj.steps[1].full_cm
-        assert not np.allclose(traj.steps[0].full_cm, traj.steps[1].full_cm)
 
 
 class TestMemorylessLimit:
@@ -248,34 +248,36 @@ class TestMemorylessLimit:
             np.testing.assert_allclose(traj.steps[j].joint_cm[2:, 2:], vs, atol=1e-11)
 
 
+def full_cms(config):
+    """Copies of the full-chain covariance after each round, j = 0 .. L."""
+    return [sigma.copy() for *_, sigma in iter_steps(replace(config, oracle_enabled=True))]
+
+
 class TestEnvAncilla:
     def test_requires_oracle(self):
-        traj = run(SimulationConfig(r1=0.4, r2=0.3, L=2))
-        with pytest.raises(ValueError, match="oracle_enabled"):
-            env_ancilla_cm(traj.steps[1].full_cm, 1)
+        _, (*_, sigma), _ = iter_steps(SimulationConfig(r1=0.4, r2=0.3, L=2))
+        with pytest.raises(ValueError, match="iter_steps with oracle_enabled"):
+            env_ancilla_cm(sigma, 1)
 
     def test_index_range(self):
-        traj = run(SimulationConfig(r1=0.4, r2=0.3, L=2, oracle_enabled=True))
+        sigma = full_cms(SimulationConfig(r1=0.4, r2=0.3, L=2))[1]
         with pytest.raises(IndexError):
-            env_ancilla_cm(traj.steps[1].full_cm, 0)
+            env_ancilla_cm(sigma, 0)
         with pytest.raises(IndexError):
-            env_ancilla_cm(traj.steps[1].full_cm, 4)
+            env_ancilla_cm(sigma, 4)
 
     def test_initial_product_structure(self):
         env = EnvironmentSpec(n=0.5, zeta=0.3)
-        traj = run(
-            SimulationConfig(r1=0.4, r2=0.3, env=env, L=2, oracle_enabled=True)
-        )
-        cm = env_ancilla_cm(traj.steps[0].full_cm, 2)
+        sigma = full_cms(SimulationConfig(r1=0.4, r2=0.3, env=env, L=2))[0]
+        cm = env_ancilla_cm(sigma, 2)
         np.testing.assert_allclose(cm[:2, :2], squeezed_thermal_cm(env))
         np.testing.assert_allclose(cm[2:, 2:], math.cosh(1.0) * np.eye(2))
         np.testing.assert_allclose(cm[:2, 2:], 0.0, atol=1e-14)
 
     def test_untouched_modes_stay_uncorrelated(self):
-        config = SimulationConfig(r1=0.4, r2=0.3, L=8, oracle_enabled=True)
-        traj = run(config)
+        sigma = full_cms(SimulationConfig(r1=0.4, r2=0.3, L=8))[2]
         # after 2 rounds only E_1..E_3 have collided; E_6 is beyond the light cone
-        cm = env_ancilla_cm(traj.steps[2].full_cm, 6)
+        cm = env_ancilla_cm(sigma, 6)
         np.testing.assert_allclose(cm[:2, 2:], 0.0, atol=1e-13)
 
 
@@ -293,24 +295,19 @@ class TestRecurrenceAgainstDenseReference:
     unitary: the system row at every step, and each E_k row."""
 
     @staticmethod
-    def env_rows(config, modes, monkeypatch):
-        """Per mode, the unit, carried and middle rows env_mode_cms builds."""
-        seen, columns = [], engine.coefficient_columns
+    def env_rows(config, modes):
+        """Per mode, the unit, carried and middle rows of env_mode_columns."""
+        c22, _, w, h = env_mode_columns(config, modes)
+        rows = [CCoefficients(0, c, env_square_sum=g, env_abs_square_sum=a)
+                for c, g, a in zip(c22.tolist(), w.tolist(), h.tolist())]
+        return [rows[i : i + 3] for i in range(0, len(rows), 3)]
 
-        def keep(rows):
-            seen.extend(rows)
-            return columns(rows)
-
-        monkeypatch.setattr(engine, "coefficient_columns", keep)
-        env_mode_cms(config, modes)
-        return [seen[i : i + 3] for i in range(0, len(seen), 3)]
-
-    def check(self, config, steps, monkeypatch):
+    def check(self, config, steps):
         """Every E_k row at each j in steps, the system row at every j: E_k's
         row is the unit row before j = k - 1, the carried row at k - 1 and
         the middle row from k on."""
         modes = range(1, config.L + 2)
-        env_rows = self.env_rows(config, modes, monkeypatch)
+        env_rows = self.env_rows(config, modes)
         u = np.eye(config.L + 3, dtype=complex)
         for j, coeffs, _ in iter_steps(config):
             if j > 0:
@@ -322,17 +319,17 @@ class TestRecurrenceAgainstDenseReference:
                     assert_same_row(row, extract_c_coefficients(u, j, m=k + 1), (j, k))
 
     @pytest.mark.parametrize("r1,r2", EDGE_REFLECTIVITIES)
-    def test_edge_reflectivities(self, r1, r2, monkeypatch):
+    def test_edge_reflectivities(self, r1, r2):
         config = SimulationConfig(r1=r1, r2=r2, phi_shift=0.9, L=30)
-        self.check(config, range(config.L + 1), monkeypatch)
+        self.check(config, range(config.L + 1))
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_random_configurations(self, seed, monkeypatch):
+    def test_random_configurations(self, seed):
         rng = np.random.default_rng(seed)
         config = SimulationConfig(
             r1=rng.uniform(), r2=rng.uniform(), phi_shift=rng.uniform(-3, 3), L=400
         )
-        self.check(config, {0, 1, 2, 199, 200, 201, 399, 400}, monkeypatch)
+        self.check(config, {0, 1, 2, 199, 200, 201, 399, 400})
 
     def test_normalization_holds_at_long_chains(self):
         # The check runs in CCoefficients on every step; the defect stays
@@ -445,13 +442,6 @@ class TestBatchedRecurrence:
 
 
 class TestMemoryGuard:
-    def test_oracle_copies_are_counted(self, monkeypatch):
-        monkeypatch.setattr(engine, "physical_memory", lambda: 10 * 2**20)
-        # 201 copies of the (2L + 6)^2 covariance: about 265 MB
-        with pytest.raises(MemoryError, match="L = 200"):
-            run(SimulationConfig(r1=0.4, r2=0.3, L=200, oracle_enabled=True))
-        assert len(run(SimulationConfig(r1=0.4, r2=0.3, L=200))) == 201
-
     def test_refuses_before_the_first_step(self, monkeypatch):
         def no_steps(config):
             raise AssertionError("run started stepping")
@@ -461,6 +451,18 @@ class TestMemoryGuard:
         monkeypatch.setattr(engine, "iter_steps", no_steps)
         with pytest.raises(MemoryError, match="L = 10000 "):
             run(SimulationConfig(r1=0.4, r2=0.3, L=10_000))
+
+    def test_oracle_is_refused_before_the_first_step(self, monkeypatch):
+        def no_steps(config):
+            raise AssertionError("run started stepping")
+
+        # a Trajectory keeps no (2L + 6)^2 covariance; iter_steps streams them
+        monkeypatch.setattr(engine, "iter_steps", no_steps)
+        config = SimulationConfig(r1=0.4, r2=0.3, L=3, oracle_enabled=True)
+        with pytest.raises(ValueError, match=r"iter_steps\(config\)"):
+            run(config)
+        with pytest.raises(ValueError, match=r"iter_steps\(config\)"):
+            list(iter_trajectories([config] * 8))
 
 
 class TestEnvAncillaClosedForm:
@@ -490,13 +492,11 @@ class TestEnvAncillaClosedForm:
 def test_iter_steps_streams_views():
     config = SimulationConfig(r1=0.4, r2=0.3, L=3, oracle_enabled=True)
     seen = [sigma for _, _, sigma in iter_steps(config)]
-    # the generator reuses one buffer; run() is responsible for copying
+    # the generator reuses one buffer; a caller copies what it keeps
     assert all(s is seen[0] for s in seen)
 
 
 def test_closed_form_rejects_unnormalized_input():
-    from gausscollide.network import CCoefficients
-
     with pytest.raises(ValueError):
         bad = CCoefficients(step=1, c22=1.0, env_column=np.array([0.5]))
         joint_cm_closed_form(bad, JointSpec(xi=1.0), EnvironmentSpec())

@@ -38,7 +38,7 @@ class TestSpecs:
     def test_joint_validation(self):
         with pytest.raises(ValueError):
             JointSpec(xi=-0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             JointSpec(xi=1.0, theta=0.3)
         for xi in (math.nan, math.inf, math.nextafter(MAX_SQUEEZING, math.inf)):
             with pytest.raises(ValueError, match="xi"):
