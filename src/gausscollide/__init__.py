@@ -13,7 +13,6 @@ from .divisibility import (
     channel_xy,
     divisibility_eigenvalues,
     divisibility_records,
-    env_noise_scales,
     intermediate_cp_matrix,
     nm_cptp,
 )
@@ -40,6 +39,7 @@ from .network import (
 from .states import (
     EnvironmentSpec,
     JointSpec,
+    env_noise_scales,
     physicality_check,
     reduce_to_modes,
     squeezed_thermal_cm,

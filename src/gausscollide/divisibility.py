@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import SingularIntermediateMapError
 from .network import CCoefficients
-from .states import EnvironmentSpec
+from .states import EnvironmentSpec, env_noise_scales
 
 # |c22(j-1)|^2 below this is treated as a singular previous channel and
 # the step is skipped (flagged) rather than divided through.
@@ -51,12 +51,6 @@ class DivisibilityRecord:
 class DivisibilityMeasure:
     value: float
     skipped_steps: tuple
-
-
-def env_noise_scales(env: EnvironmentSpec) -> tuple[float, float]:
-    """(N, M) = ((2n+1) cosh zeta, (2n+1) sinh zeta)."""
-    nf = 2.0 * env.n + 1.0
-    return nf * float(np.cosh(env.zeta)), nf * float(np.sinh(env.zeta))
 
 
 def channel_xy(coeffs: CCoefficients, env: EnvironmentSpec) -> ChannelPair:

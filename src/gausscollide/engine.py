@@ -12,7 +12,6 @@ closed forms against.
 """
 
 import itertools
-import math
 import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -29,6 +28,7 @@ from .network import (
 from .states import (
     EnvironmentSpec,
     JointSpec,
+    env_noise_scales,
     reduce_to_modes,
     require_finite,
     squeezed_thermal_cm,
@@ -128,19 +128,18 @@ def joint_cm_stack(c, csq, w, joint: JointSpec, env: EnvironmentSpec) -> np.ndar
     e = np.exp(-1j * env.phi_env)
     v_re = e.real * w.real - e.imag * w.imag
     v_im = e.real * w.imag + e.imag * w.real
-    nf = 2.0 * env.n + 1.0
+    n_scale, m_scale = env_noise_scales(env)
     ch_x, sh_x = np.cosh(joint.xi), np.sinh(joint.xi)
-    ch_z, sh_z = np.cosh(env.zeta), np.sinh(env.zeta)
 
     cm = np.zeros((len(c), 4, 4))
     cm[:, 0, 0] = cm[:, 1, 1] = ch_x
     cm[:, 0, 2] = cm[:, 2, 0] = sh_x * c.real
     cm[:, 0, 3] = cm[:, 3, 0] = cm[:, 1, 2] = cm[:, 2, 1] = -sh_x * c.imag
     cm[:, 1, 3] = cm[:, 3, 1] = -sh_x * c.real
-    base = ch_x * csq + nf * ch_z * (1.0 - csq)
-    cm[:, 2, 2] = base + nf * sh_z * v_re
-    cm[:, 3, 3] = base - nf * sh_z * v_re
-    cm[:, 2, 3] = cm[:, 3, 2] = -nf * sh_z * v_im
+    base = ch_x * csq + n_scale * (1.0 - csq)
+    cm[:, 2, 2] = base + m_scale * v_re
+    cm[:, 3, 3] = base - m_scale * v_re
+    cm[:, 2, 3] = cm[:, 3, 2] = -m_scale * v_im
     return cm
 
 
@@ -360,12 +359,11 @@ def iter_trajectories(configs):
 
 def _columns(c22, w, h) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(c22, |c22|^2, W, H) from the c22, W and H arrays, each row's
-    normalization |c22|^2 + H = 1 checked."""
-    # Python's abs(c22) ** 2: np.hypot is abs, but numpy squares round differently.
-    c_sq = np.fromiter(map(math.pow, np.hypot(c22.real, c22.imag).tolist(), itertools.repeat(2.0)),
-                       float, len(c22))
+    normalization |c22|^2 + H = 1 checked.  |c22|^2 is CCoefficients'
+    a * a of a = abs(c22): np.hypot is abs, and an array ** 2 is x * x."""
+    c_sq = np.hypot(c22.real, c22.imag) ** 2
     total = c_sq + h
-    defect = np.abs(total - 1.0) > NORMALIZATION_TOL
+    defect = ~(np.abs(total - 1.0) <= NORMALIZATION_TOL)  # NaN is a defect
     if defect.any():
         check_normalization(float(total[np.argmax(defect)]))
     return c22, c_sq, w, h
@@ -398,12 +396,6 @@ def env_mode_columns(config: SimulationConfig, modes) -> tuple[np.ndarray, ...]:
         rows += [(0j, 1 + 0j, 1 + 0j), (a_e, g_ee, h_ee), (a_m, g_m, h_m)]
     a, g, h = map(np.array, zip(*rows))
     return _columns(a.conj(), g.conj(), h.real)
-
-
-def env_mode_cms(config: SimulationConfig, modes) -> np.ndarray:
-    """(3 len(modes), 4, 4) closed-form (ancilla, E_k) covariances of the rows
-    `env_mode_columns` lists."""
-    return joint_cm_stack(*env_mode_columns(config, modes)[:3], config.joint, config.env)
 
 
 def physical_memory() -> int:

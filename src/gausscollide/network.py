@@ -44,16 +44,17 @@ class CCoefficients:
             object.__setattr__(self, "env_abs_square_sum", float(np.sum(np.abs(env) ** 2)))
         elif self.env_square_sum is None or self.env_abs_square_sum is None:
             raise ValueError("give env_column, or both env_square_sum and env_abs_square_sum")
-        check_normalization(abs(self.c22) ** 2 + self.env_abs_square_sum)
+        check_normalization(self.c22_abs_sq + self.env_abs_square_sum)
 
     @property
     def c22_abs_sq(self) -> float:
-        return abs(self.c22) ** 2
+        a = abs(self.c22)  # a * a is correctly rounded; a ** 2 is the platform's pow
+        return a * a
 
 
 def check_normalization(total: float) -> None:
     """Raise ValueError unless total = |c22|^2 + H is 1 within NORMALIZATION_TOL."""
-    if abs(total - 1.0) > NORMALIZATION_TOL:
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
         raise ValueError(f"coefficient column not normalized: sum of squares = {total!r}")
 
 

@@ -92,6 +92,12 @@ class EnvironmentSpec:
                              f"((2n+1) e^|zeta| <= {MAX_CM_ENTRY:.6g})")
 
 
+def env_noise_scales(env: EnvironmentSpec) -> tuple[float, float]:
+    """(N, M) = ((2n+1) cosh zeta, (2n+1) sinh zeta)."""
+    nf = 2.0 * env.n + 1.0
+    return nf * float(np.cosh(env.zeta)), nf * float(np.sinh(env.zeta))
+
+
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Symplectic form Omega for `n_modes` modes, interleaved ordering."""
     if n_modes < 0:

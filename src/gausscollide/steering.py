@@ -16,9 +16,9 @@ import enum
 
 import numpy as np
 
-from .divisibility import env_noise_scales
 from .errors import DegenerateCovarianceError
 from .network import NORMALIZATION_TOL
+from .states import env_noise_scales
 
 ZERO_TOL = 1e-12
 DET_FLOOR = 1e-300
@@ -42,8 +42,8 @@ def steerability(cm4: np.ndarray, direction: Direction) -> float | np.ndarray:
     if not np.all(np.abs(cms - np.swapaxes(cms, -1, -2)) <= 1e-10):
         raise ValueError("covariance matrix is not symmetric")
     det_sigma = np.linalg.det(cms)
-    i = int(np.argmax(det_sigma <= DET_FLOOR))
-    if det_sigma.flat[i] <= DET_FLOOR:
+    i = _first(det_sigma <= DET_FLOOR)
+    if i is not None:
         det = float(det_sigma.flat[i])
         raise DegenerateCovarianceError(f"det sigma = {det!r} below floor {DET_FLOOR}", index=i)
     if direction is Direction.A_TO_B:
@@ -55,6 +55,11 @@ def steerability(cm4: np.ndarray, direction: Direction) -> float | np.ndarray:
     raw = 0.5 * np.log(np.linalg.det(block) / det_sigma)
     values = np.where(raw > ZERO_TOL, raw, 0.0)
     return float(values) if cms.ndim == 2 else values
+
+
+def _first(mask) -> int | None:
+    """Position of the first true entry of mask, None if there is none."""
+    return next(iter(np.flatnonzero(mask).tolist()), None)
 
 
 def g_ancilla_to_system(joint_cm: np.ndarray) -> float:
@@ -106,15 +111,15 @@ def steering_columns(c_sq, w, joint, env, direction: Direction) -> np.ndarray:
     whose |W| exceeds 1 - |c|^2 by more than the normalization tolerance:
     no physical row does.
     """
-    excess = np.abs(w) - (1.0 - c_sq)
-    i = int(np.argmax(excess))
-    if excess[i] > NORMALIZATION_TOL:
+    i = _first(np.abs(w) - (1.0 - c_sq) > NORMALIZATION_TOL)
+    if i is not None:
         raise DegenerateCovarianceError(
             f"|W| = {float(abs(w[i]))!r} exceeds 1 - |c|^2 = {float(1.0 - c_sq[i])!r}", index=i)
     schur, det_vx = reduced_determinants(c_sq, w, joint, env)
-    det_sigma = np.cosh(joint.xi) ** 2 * schur
-    i = int(np.argmax(det_sigma <= DET_FLOOR))
-    if det_sigma[i] <= DET_FLOOR:
+    ch = np.cosh(joint.xi)
+    det_sigma = ch * ch * schur
+    i = _first(det_sigma <= DET_FLOOR)
+    if i is not None:
         raise DegenerateCovarianceError(f"det sigma = {float(det_sigma[i])!r} below floor {DET_FLOOR}",
                                         index=i)
     if direction is Direction.A_TO_B:

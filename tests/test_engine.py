@@ -3,6 +3,7 @@ symplectic propagation, and trajectory bookkeeping."""
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,12 +14,12 @@ from gausscollide import engine
 from gausscollide.engine import (
     SimulationConfig,
     env_ancilla_cm,
-    env_mode_cms,
     env_mode_columns,
     initial_full_cm,
     iter_steps,
     iter_trajectories,
     joint_cm_closed_form,
+    joint_cm_stack,
     run,
 )
 from gausscollide.network import (
@@ -470,7 +471,8 @@ class TestEnvAncillaClosedForm:
     def test_matches_full_chain_propagation(self, env):
         config = SimulationConfig(r1=0.55, r2=0.35, phi_shift=1.1, env=env, L=9)
         modes = (1, 4, 9, 10)
-        env_cms = env_mode_cms(config, modes).reshape(len(modes), 3, 4, 4)
+        env_cms = joint_cm_stack(*env_mode_columns(config, modes)[:3], config.joint, config.env)
+        env_cms = env_cms.reshape(len(modes), 3, 4, 4)
         oracle = iter_steps(replace(config, oracle_enabled=True))
         u = np.eye(config.L + 3, dtype=complex)
         for (j, coeffs, _), (_, ref, sigma) in zip(iter_steps(config), oracle):
@@ -486,7 +488,46 @@ class TestEnvAncillaClosedForm:
         config = SimulationConfig(r1=0.4, r2=0.3, L=2)
         for k in (0, 4):
             with pytest.raises(ValueError, match="out of range"):
-                env_mode_cms(config, [k])
+                joint_cm_stack(*env_mode_columns(config, [k])[:3], config.joint, config.env)
+
+
+@pytest.mark.parametrize("c22, h", [
+    (complex("nan"), 0.0), (complex("nan+1j"), 0.0), (math.inf, 0.0), (-math.inf, 0.0),
+    (complex(0.0, math.inf), 0.0), (0.6, math.nan), (0.0, math.inf), (0.0, -math.inf),
+])
+def test_columns_reject_non_finite_rows(c22, h):
+    c22s, hs = np.array([1.0, c22], dtype=complex), np.array([0.0, h])
+    with pytest.raises(ValueError, match="^coefficient column not normalized: sum"):
+        engine._columns(c22s, np.zeros(2, dtype=complex), hs)
+
+
+class TestCorrectlyRoundedAbsSquare:
+    """|c22|^2 is the correctly rounded square of h = abs(c22) = hypot(re, im),
+    which math.pow(h, 2) misses on some platforms (3 of these 4001 rows with
+    glibc 2.36)."""
+
+    # the evolve-long benchmark argv of tests/test_cli_golden.py
+    CONFIG = SimulationConfig(
+        r1=0.51721, r2=0.482887, phi_shift=2.356796, joint=JointSpec(xi=0.908478),
+        env=EnvironmentSpec(n=0.87214, zeta=0.364692, phi_env=2.805858), L=4000,
+    )
+
+    @staticmethod
+    def square(h: float) -> float:
+        return float(Fraction(h) ** 2)
+
+    def test_columns(self):
+        traj = run(self.CONFIG)
+        h = np.hypot(traj.c22.real, traj.c22.imag).tolist()
+        assert traj.c22_abs_sq.tolist() == [self.square(a) for a in h]
+
+    def test_coefficients(self):
+        traj = run(self.CONFIG)
+        for j in (0, 1, 943, 1446, 3688, 4000):
+            coeffs = CCoefficients(j, complex(traj.c22[j]),
+                                   env_square_sum=complex(traj.env_square_sum[j]),
+                                   env_abs_square_sum=float(traj.env_abs_square_sum[j]))
+            assert coeffs.c22_abs_sq == self.square(abs(coeffs.c22)) == traj.c22_abs_sq[j]
 
 
 def test_iter_steps_streams_views():

@@ -161,6 +161,15 @@ class TestCoefficients:
         with pytest.raises(ValueError, match="env_column"):
             CCoefficients(step=1, c22=0.6, env_square_sum=0.64)
 
+    @pytest.mark.parametrize("c22, h", [
+        (complex("nan"), 0.0), (complex("nan+1j"), 0.0), (math.inf, 0.0), (-math.inf, 0.0),
+        (complex(0.0, math.inf), 0.0), (0.6, math.nan), (0.0, math.inf), (0.0, -math.inf),
+    ])
+    def test_non_finite_rejected(self, c22, h):
+        # abs(total - 1) > tol is False for NaN; the check accepts only <= tol
+        with pytest.raises(ValueError, match="not normalized"):
+            CCoefficients(step=0, c22=c22, env_square_sum=0j, env_abs_square_sum=h)
+
     def test_sums_without_a_column(self):
         coeffs = CCoefficients(step=1, c22=0.6, env_square_sum=0.64j, env_abs_square_sum=0.64)
         assert coeffs.env_column is None

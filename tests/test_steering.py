@@ -20,6 +20,7 @@ from gausscollide.steering import (
     nm_from_steering,
     reduced_determinants,
     steerability,
+    steering_columns,
     steering_series,
     threshold_an_to_s_squeezed_vac,
     threshold_an_to_s_thermal,
@@ -75,6 +76,13 @@ class TestSteerability:
     def test_degenerate_covariance_raises(self):
         with pytest.raises(DegenerateCovarianceError):
             steerability(1e-76 * np.eye(4), Direction.A_TO_B)
+
+    def test_empty_stack(self):
+        for direction in Direction:
+            assert steerability(np.empty((0, 4, 4)), direction).shape == (0,)
+            values = steering_columns(np.empty(0), np.empty(0, dtype=complex), JointSpec(xi=1.0),
+                                      EnvironmentSpec(), direction)
+            assert values.shape == (0,)
 
     def test_stack_matches_single_matrices_bit_for_bit(self):
         rng = np.random.default_rng(4)
