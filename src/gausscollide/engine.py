@@ -2,9 +2,11 @@
 
 Runs the tunable beam-splitter chain for L rounds through one recurrence
 with O(1) state per step (`_next_state`), never the (L+3)^2 composed
-unitary.  `_columns` turns c22, W and H arrays into checked (c22, |c22|^2,
-W, H) columns for `run`, for `iter_trajectories`, which steps a chunk of
-grid cells at once as float arrays with the same bits, and for the rows of
+unitary.  The state carries what the witnesses read: the amplitude behind
+c22 and the bilinear sum behind W.  `_columns` turns c22 and W arrays into
+(c22, |c22|^2, W, H = 1 - |c22|^2) columns, each row checked against
+|W| <= H, for `run`, for `iter_trajectories`, which steps a chunk of grid
+cells at once as float arrays with the same bits, and for the rows of
 chosen environment modes (`env_mode_columns`).  With `oracle_enabled`,
 `iter_steps` also propagates the full (L+3)-mode covariance matrix
 symplectically, the reference the tests and `evolve --oracle` check the
@@ -21,7 +23,6 @@ import numpy as np
 from .network import (
     NORMALIZATION_TOL,
     CCoefficients,
-    check_normalization,
     mixing_block,
     mode_unitary_to_symplectic,
 )
@@ -82,8 +83,8 @@ class StepRecord:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Per-step columns j = 0 .. L: c22, |c22|^2, W and H.  The full-chain
-    covariances are not kept; `iter_steps` streams them."""
+    """Per-step columns j = 0 .. L: c22, |c22|^2, W and H = 1 - |c22|^2.
+    The full-chain covariances are not kept; `iter_steps` streams them."""
 
     config: SimulationConfig
     c22: np.ndarray
@@ -187,25 +188,19 @@ def iter_steps(config: SimulationConfig):
     if config.oracle_enabled:
         require_memory(config.L, 8 * (2 * config.L + 6) ** 2)
     sigma = initial_full_cm(config) if config.oracle_enabled else None
-    for j, (a_s, _, g_ss, _, _, h_ss, *_) in enumerate(_states(config)):
+    for j, (a_s, _, g_ss, *_) in enumerate(_states(config)):
         if sigma is not None and j > 0:
             apply_collision_to_cm(sigma, j, config.r1, config.r2, config.phi_shift)
-        yield j, CCoefficients(j, a_s.conjugate(), env_square_sum=g_ss.conjugate(),
-                               env_abs_square_sum=h_ss.real), sigma
+        c22 = a_s.conjugate()
+        a = abs(c22)  # _columns' H bit for bit
+        yield j, CCoefficients(j, c22, env_square_sum=g_ss.conjugate(),
+                               env_abs_square_sum=1.0 - a * a), sigma
 
 
 def _bilinear_terms(p, q):
     """Coefficients of sum_m (p.x)_m (q.x)_m over the environment columns,
     x = (S, E, F): of g_ss, g_se and g_ee, then the constant."""
     return p[0] * q[0], p[0] * q[1] + p[1] * q[0], p[1] * q[1], p[2] * q[2]
-
-
-def _hermitian_terms(p, q_conj):
-    """Coefficients of sum_m (p.x)_m conj((q.x)_m) over the environment
-    columns, q_conj = conj(q): of h_ss, h_se, conj(h_se) and h_ee, then the
-    constant."""
-    return (p[0] * q_conj[0], p[0] * q_conj[1], p[1] * q_conj[0], p[1] * q_conj[1],
-            p[2] * q_conj[2])
 
 
 def _round_constants(block: np.ndarray) -> tuple:
@@ -215,32 +210,26 @@ def _round_constants(block: np.ndarray) -> tuple:
     configuration in Python complex arithmetic, associated as the per-round
     sums were, so that both evaluators reproduce every state bit for bit."""
     s_row, _, f_row = block.tolist()
-    s_conj, _, f_conj = block.conj().tolist()
     return ((s_row[0], s_row[1]), (f_row[0], f_row[1]),
             _bilinear_terms(s_row, s_row), _bilinear_terms(s_row, f_row),
-            _bilinear_terms(f_row, f_row), _hermitian_terms(s_row, s_conj),
-            _hermitian_terms(s_row, f_conj), _hermitian_terms(f_row, f_conj))
+            _bilinear_terms(f_row, f_row))
 
 
 def _next_state(k, state):
     """State after one round, from the round's constants k, each sum in the
     order _round_constants lists its terms."""
-    a_s, a_e, g_ss, g_se, g_ee, h_ss, h_se, h_ee = state
-    h_es = h_se.conjugate()
-    (s_s, s_e), (f_s, f_e), g1, g2, g3, h1, h2, h3 = k
+    a_s, a_e, g_ss, g_se, g_ee = state
+    (s_s, s_e), (f_s, f_e), g1, g2, g3 = k
     return (
         s_s * a_s + s_e * a_e,
         f_s * a_s + f_e * a_e,
         g1[0] * g_ss + g1[1] * g_se + g1[2] * g_ee + g1[3],
         g2[0] * g_ss + g2[1] * g_se + g2[2] * g_ee + g2[3],
         g3[0] * g_ss + g3[1] * g_se + g3[2] * g_ee + g3[3],
-        complex((h1[0] * h_ss + h1[1] * h_se + h1[2] * h_es + h1[3] * h_ee + h1[4]).real),
-        h2[0] * h_ss + h2[1] * h_se + h2[2] * h_es + h2[3] * h_ee + h2[4],
-        complex((h3[0] * h_ss + h3[1] * h_se + h3[2] * h_es + h3[3] * h_ee + h3[4]).real),
     )
 
 
-_INITIAL_STATE = (1 + 0j, 0j, 0j, 0j, 1 + 0j, 0j, 0j, 1 + 0j)  # S = e_1, E = e_2
+_INITIAL_STATE = (1 + 0j, 0j, 0j, 0j, 1 + 0j)  # S = e_1, E = e_2
 
 
 def _states(config: SimulationConfig):
@@ -249,12 +238,11 @@ def _states(config: SimulationConfig):
     Round j maps the rows x = (S, E_j, F = E_{j+1}) of the composed unitary
     to mixing_block @ x; before it F is still a unit row, orthogonal to S
     and E_j.  So the state is, for the system row S and the environment row
-    E handed to the next round, the system-column amplitude a, the bilinear
-    sum g = sum u_m^2 and the Hermitian sum h = sum |u_m|^2 over the
-    environment columns, and the cross sums g_se = sum S_m E_m and
-    h_se = sum S_m conj(E_m): (a_s, a_e, g_ss, g_se, g_ee, h_ss, h_se, h_ee).
-    Every entry is complex, h_ss and h_ee with imaginary part +0.0.  A row's
-    coefficients are c22 = conj(a), W = conj(g) and H = Re h.
+    E handed to the next round, the system-column amplitude a and the
+    bilinear sum g = sum u_m^2 over the environment columns, and the cross
+    sum g_se = sum S_m E_m: (a_s, a_e, g_ss, g_se, g_ee), every entry
+    complex.  A row's coefficients are c22 = conj(a) and W = conj(g); its
+    H = sum |u_m|^2 is 1 - |c22|^2, the row being a unit vector.
     """
     k = _round_constants(mixing_block(config.r1, config.r2, config.phi_shift))
     rounds = itertools.repeat(k, config.L)
@@ -262,15 +250,15 @@ def _states(config: SimulationConfig):
                                 initial=_INITIAL_STATE)
 
 
-# Bytes one batched chunk may hold: its state history, 40 B per cell-step,
-# and each cell's coefficient tables and step buffers (2.4-2.9 kB measured
-# with tracemalloc at L = 1).
+# Bytes one batched chunk may hold: its state history, 32 B per cell-step,
+# and each cell's coefficient tables and step buffers (1.8-2.3 kB measured
+# with tracemalloc at L = 1, 8 to 441 cells).
 CHUNK_BYTES = 2**24
-CELL_STEP_BYTES = 40
+CELL_STEP_BYTES = 32
 CELL_BYTES = 6 * 2**10
 # A chunk of fewer cells runs `run` per cell instead: the batched step's
-# fixed cost (about 65 us per round plus 0.3 us per cell-round, on 2 CPUs)
-# exceeds that many `run` steps (5-8 us each, |c22|^2 and joint_cm included).
+# fixed cost (about 25 us per round plus 0.1 us per cell-round, on 2 CPUs)
+# exceeds that many `run` steps (about 3.5 us each, |c22|^2 included).
 MIN_BATCH_CELLS = 8
 
 
@@ -292,36 +280,29 @@ def _grouped_sums(k_re, k_im, x_re, x_im):
 
 
 def _batched_history(configs, L: int) -> np.ndarray:
-    """(L + 1, 5, cells): the real parts of a_s, g_ss and h_ss and the
-    imaginary parts of a_s and g_ss after j rounds, for cells that differ
-    only in r1 and r2.
+    """(L + 1, 4, cells): the real and imaginary parts of a_s and of g_ss
+    after j rounds, for cells that differ only in r1 and r2.
 
-    Each of _next_state's three groups of sums reads only its own entries:
-    the amplitudes (a_s, a_e), the bilinear sums (g_ss, g_se, g_ee) and the
-    Hermitian sums over (h_ss, h_se, conj h_se, h_ee).  Each group runs as
-    real and imaginary float arrays (terms, cells), with each cell's
-    _round_constants as coefficients (terms, entries, cells).
+    Each of _next_state's two groups of sums reads only its own entries:
+    the amplitudes (a_s, a_e) and the bilinear sums (g_ss, g_se, g_ee).
+    Each group runs as real and imaginary float arrays (terms, cells), with
+    each cell's _round_constants as coefficients (terms, entries, cells).
     """
     tables = [_round_constants(mixing_block(c.r1, c.r2, c.phi_shift)) for c in configs]
-    a_s, a_e, g_ss, g_se, g_ee, h_ss, h_se, h_ee = _INITIAL_STATE
     coefficients, state = [], []
-    for rows, start in ((slice(0, 2), (a_s, a_e)), (slice(2, 5), (g_ss, g_se, g_ee)),
-                        (slice(5, 8), (h_ss, h_se, h_se.conjugate(), h_ee))):
+    for rows in (slice(0, 2), slice(2, 5)):
         k = np.array([table[rows] for table in tables]).transpose(2, 1, 0)
-        x = np.array(start)[:, None].repeat(len(configs), axis=1)
+        x = np.array(_INITIAL_STATE[rows])[:, None].repeat(len(configs), axis=1)
         coefficients.append((k.real.copy(), k.imag.copy()))
         state.append((x.real, x.imag))
-    zero = np.zeros(len(configs))
 
     def step(state, _):
-        a, g, (h_re, h_im) = (_grouped_sums(*k, *x) for k, x in zip(coefficients, state))
-        # h_ss and h_ee keep imaginary part +0.0; conj(h_se) follows h_se
-        return a, g, (h_re.take([0, 1, 1, 2], axis=0), np.array([zero, h_im[1], -h_im[1], zero]))
+        return [_grouped_sums(*k, *x) for k, x in zip(coefficients, state)]
 
-    history = np.empty((L + 1, 5, len(configs)))
+    history = np.empty((L + 1, 4, len(configs)))
     states = itertools.accumulate(range(L), step, initial=state)
-    for j, ((a_re, a_im), (g_re, g_im), (h_re, _)) in enumerate(states):
-        history[j] = a_re[0], g_re[0], h_re[0], a_im[0], g_im[0]
+    for j, ((a_re, a_im), (g_re, g_im)) in enumerate(states):
+        history[j] = a_re[0], a_im[0], g_re[0], g_im[0]
     return history
 
 
@@ -352,20 +333,23 @@ def iter_trajectories(configs):
             continue
         history = _batched_history(chunk, L)
         for i, config in enumerate(chunk):
-            a_re, g_re, h, a_im, g_im = history[:, :, i].T
-            c22, w = _conjugate(a_re, a_im), _conjugate(g_re, g_im)
-            yield Trajectory(config, *_columns(c22, w, h.copy()))
+            a_re, a_im, g_re, g_im = history[:, :, i].T
+            yield Trajectory(config, *_columns(_conjugate(a_re, a_im), _conjugate(g_re, g_im)))
 
 
-def _columns(c22, w, h) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(c22, |c22|^2, W, H) from the c22, W and H arrays, each row's
-    normalization |c22|^2 + H = 1 checked.  |c22|^2 is CCoefficients'
-    a * a of a = abs(c22): np.hypot is abs, and an array ** 2 is x * x."""
+def _columns(c22, w) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(c22, |c22|^2, W, H) from the c22 and W arrays, with H = 1 - |c22|^2
+    and each row checked against |W| <= H (Cauchy-Schwarz on the unit row).
+    |c22|^2 is CCoefficients' a * a of a = abs(c22): np.hypot is abs, and
+    an array ** 2 is x * x."""
     c_sq = np.hypot(c22.real, c22.imag) ** 2
-    total = c_sq + h
-    defect = ~(np.abs(total - 1.0) <= NORMALIZATION_TOL)  # NaN is a defect
+    h = 1.0 - c_sq
+    abs_w = np.abs(w)
+    defect = ~(abs_w <= h + NORMALIZATION_TOL)  # NaN and inf are defects
     if defect.any():
-        check_normalization(float(total[np.argmax(defect)]))
+        i = int(np.argmax(defect))
+        raise ValueError(f"coefficient column not normalized at row {i}: |W| = "
+                         f"{float(abs_w[i])!r} exceeds H = 1 - |c22|^2 = {float(h[i])!r}")
     return c22, c_sq, w, h
 
 
@@ -389,13 +373,13 @@ def env_mode_columns(config: SimulationConfig, modes) -> tuple[np.ndarray, ...]:
     states = {j: s for j, s in zip(range(max(modes)), _states(config)) if j + 1 in modes}
     # the round with the middle row in the system row's place
     middle = _round_constants(mixing_block(config.r1, config.r2, config.phi_shift)[[1, 1, 2]])
-    rows = []  # (a, g, h) of each row, as _states carries it
+    rows = []  # (a, g) of each row, as _states carries it
     for k in modes:
-        _, a_e, _, _, g_ee, _, _, h_ee = state = states[k - 1]
-        a_m, _, g_m, _, _, h_m, *_ = _next_state(middle, state)
-        rows += [(0j, 1 + 0j, 1 + 0j), (a_e, g_ee, h_ee), (a_m, g_m, h_m)]
-    a, g, h = map(np.array, zip(*rows))
-    return _columns(a.conj(), g.conj(), h.real)
+        _, a_e, _, _, g_ee = state = states[k - 1]
+        a_m, _, g_m, *_ = _next_state(middle, state)
+        rows += [(0j, 1 + 0j), (a_e, g_ee), (a_m, g_m)]
+    a, g = map(np.array, zip(*rows))
+    return _columns(a.conj(), g.conj())
 
 
 def physical_memory() -> int:
@@ -420,9 +404,8 @@ def run(config: SimulationConfig) -> Trajectory:
     # Steps through iter_steps, looked up in this module at each call, rather
     # than _states: the benchmark's per-layer trace patches engine.iter_steps
     # and divides run's own time by the steps it sees there.
-    c22, w, h = map(np.array, zip(*[(co.c22, co.env_square_sum, co.env_abs_square_sum)
-                                    for _, co, _ in iter_steps(config)]))
-    return Trajectory(config, *_columns(c22, w, h))
+    c22, w = map(np.array, zip(*[(co.c22, co.env_square_sum) for _, co, _ in iter_steps(config)]))
+    return Trajectory(config, *_columns(c22, w))
 
 
 def _refuse_oracle(config: SimulationConfig) -> None:

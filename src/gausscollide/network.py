@@ -25,8 +25,9 @@ class CCoefficients:
     unitary.  Over its system->E_m amplitudes, m = 1 .. L + 1,
     env_square_sum W is the sum of squares and env_abs_square_sum H the sum
     of squared moduli.  Either env_column gives those amplitudes (W and H
-    are then derived from it), or W and H are given without it.  Column
-    normalization |c22|^2 + H = 1 is enforced at construction.
+    are then derived from it), or W and H are given without it; the
+    engine's rows give H = 1 - |c22|^2, which holds for a unit column.
+    Column normalization |c22|^2 + H = 1 is enforced at construction.
     """
 
     step: int

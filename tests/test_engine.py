@@ -27,6 +27,7 @@ from gausscollide.network import (
     CCoefficients,
     apply_collision_inplace,
     extract_c_coefficients,
+    mixing_block,
     mode_unitary_to_symplectic,
 )
 from gausscollide.states import (
@@ -333,14 +334,52 @@ class TestRecurrenceAgainstDenseReference:
         self.check(config, {0, 1, 2, 199, 200, 201, 399, 400})
 
     def test_normalization_holds_at_long_chains(self):
-        # The check runs in CCoefficients on every step; the defect stays
-        # far below its tolerance even with r1 near 1 and L = 1e5.
+        # The engine takes H = 1 - |c22|^2; against an H summed on its own,
+        # the defect stays far below the tolerance with r1 near 1 and L = 1e5.
         config = SimulationConfig(r1=0.999, r2=0.3, phi_shift=0.7, L=100_000)
-        defect = max(
-            abs(coeffs.c22_abs_sq + coeffs.env_abs_square_sum - 1.0)
-            for _, coeffs, _ in iter_steps(config)
-        )
+        rows = zip(iter_steps(config), hermitian_sums(config), strict=True)
+        defect = max(abs(coeffs.c22_abs_sq + h_ref - 1.0) for (_, coeffs, _), h_ref in rows)
         assert defect < NORMALIZATION_TOL / 10
+
+
+def hermitian_sums(config):
+    """H = sum_m |S_m|^2 of the system row S over the environment columns,
+    j = 0 .. L, from a scalar recurrence of its own.
+
+    Round j maps the rows x = (S, E, F) to p.x for each row p of the
+    mixing block, F a unit row orthogonal to S and E, so the Hermitian sums
+    h(p.x, q.x) = sum_m (p.x)_m conj((q.x)_m) of the rows S and E handed on
+    follow from h_ss, h_se = h(S, E) and h_ee.
+    """
+    s_row, _, f_row = mixing_block(config.r1, config.r2, config.phi_shift).tolist()
+
+    def h(p, q, h_ss, h_se, h_ee):
+        p_s, p_e, p_f = p
+        q_s, q_e, q_f = (v.conjugate() for v in q)
+        return (p_s * q_s * h_ss + p_s * q_e * h_se + p_e * q_s * h_se.conjugate()
+                + p_e * q_e * h_ee + p_f * q_f)
+
+    sums = (0j, 0j, 1 + 0j)  # S = e_1, E = e_2
+    yield 0.0
+    for _ in range(config.L):
+        sums = h(s_row, s_row, *sums), h(s_row, f_row, *sums), h(f_row, f_row, *sums)
+        yield sums[0].real
+
+
+@pytest.mark.parametrize("phi", [0.0, math.pi])
+def test_cauchy_schwarz_margin(phi):
+    # Every row of every route keeps |W| <= H = 1 - |c22|^2 far inside the
+    # tolerance _columns allows, also where r1 rounds to 1.
+    configs = [SimulationConfig(r1=r1, r2=r2, phi_shift=phi, L=3000)
+               for r1 in (0.0, 1.0, 1.0 - 1e-16, 0.37) for r2 in (0.0, 1.0, 0.61)]
+    batched = list(iter_trajectories(configs))  # one chunk of 12 cells
+    margins = []
+    for config, traj in zip(configs, batched, strict=True):
+        for columns in (run(config), traj):
+            margins.append(np.abs(columns.env_square_sum) - columns.env_abs_square_sum)
+        _, _, w, h = env_mode_columns(config, range(1, config.L + 2))
+        margins.append(np.abs(w) - h)
+    assert max(m.max() for m in margins) <= NORMALIZATION_TOL / 100
 
 
 COLUMNS = ("c22", "c22_abs_sq", "env_square_sum", "env_abs_square_sum", "joint_cm")
@@ -430,11 +469,19 @@ class TestBatchedRecurrence:
         monkeypatch.setattr(engine, "_round_constants", leaky)
         monkeypatch.setattr(engine, "MIN_BATCH_CELLS", 0)
         config = SimulationConfig(r1=0.4, r2=0.3, L=5)
-        with pytest.raises(ValueError, match="^coefficient column not normalized: sum") as scalar:
+        # caught at row 1: |W| = t1^2 = 0.84 > H = 1 - (1.01 r1)^2 = 0.836784
+        with pytest.raises(ValueError, match=r"^coefficient column not normalized at row 1: "
+                           r"\|W\| = 0\.84") as scalar:
             run(config)
         with pytest.raises(ValueError) as batched:
             list(iter_trajectories([config, replace(config, r1=0.5)]))
         assert str(batched.value) == str(scalar.value)
+
+    def test_history_takes_its_chunk_guard(self):
+        # iter_trajectories sizes a chunk from CELL_STEP_BYTES
+        configs = [SimulationConfig(r1=r1, r2=0.3, L=17) for r1 in (0.1, 0.4, 0.9)]
+        history = engine._batched_history(configs, 17)
+        assert history.nbytes == engine.CELL_STEP_BYTES * (17 + 1) * len(configs)
 
     def test_configurations_must_share_all_but_reflectivities(self):
         config = SimulationConfig(r1=0.4, r2=0.3, L=5)
@@ -491,14 +538,14 @@ class TestEnvAncillaClosedForm:
                 joint_cm_stack(*env_mode_columns(config, [k])[:3], config.joint, config.env)
 
 
-@pytest.mark.parametrize("c22, h", [
+@pytest.mark.parametrize("c22, w", [
     (complex("nan"), 0.0), (complex("nan+1j"), 0.0), (math.inf, 0.0), (-math.inf, 0.0),
     (complex(0.0, math.inf), 0.0), (0.6, math.nan), (0.0, math.inf), (0.0, -math.inf),
 ])
-def test_columns_reject_non_finite_rows(c22, h):
-    c22s, hs = np.array([1.0, c22], dtype=complex), np.array([0.0, h])
-    with pytest.raises(ValueError, match="^coefficient column not normalized: sum"):
-        engine._columns(c22s, np.zeros(2, dtype=complex), hs)
+def test_columns_reject_non_finite_rows(c22, w):
+    c22s, ws = np.array([1.0, c22], dtype=complex), np.array([0.0, w], dtype=complex)
+    with pytest.raises(ValueError, match="^coefficient column not normalized at row 1: "):
+        engine._columns(c22s, ws)
 
 
 class TestCorrectlyRoundedAbsSquare:
