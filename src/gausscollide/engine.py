@@ -1,19 +1,24 @@
 """Collision-chain evolution engine.
 
-Runs the tunable beam-splitter chain for L rounds through one recurrence
-with O(1) state per step (`_next_state`), never the (L+3)^2 composed
-unitary.  The state carries what the witnesses read: the amplitude behind
-c22 and the bilinear sum behind W.  `_columns` turns c22 and W arrays into
-(c22, |c22|^2, W, H = 1 - |c22|^2) columns, each row checked against
-|W| <= H, for `run`, for `iter_trajectories`, which steps a chunk of grid
-cells at once as float arrays with the same bits, and for the rows of
-chosen environment modes (`env_mode_columns`).  With `oracle_enabled`,
+Runs the tunable beam-splitter chain for L rounds without the (L+3)^2
+composed unitary.  Round j mixes only the rows (S, E_j, E_{j+1}), so a
+five-entry state carries what the witnesses read, the amplitudes behind
+c22 and the bilinear sums behind W, and one round maps each group by a
+constant matrix K (`_round_matrices`; the sums' map is affine, made linear
+by a constant 1).  Every column is then K^j x_0, which one block-power
+evaluator (`_blocks`) computes for a batch of configurations in
+O(sqrt(L)) array operations, block by block of about sqrt(L) steps, each
+configuration's bits independent of the batch.  `_columns` turns c22 and
+W arrays into (c22, |c22|^2, W, H = 1 - |c22|^2) columns, each row checked
+against |W| <= H, for `run` (through `iter_steps`), for `iter_trajectories`,
+which evaluates a chunk of grid cells at once, and for the rows of chosen
+environment modes (`env_mode_columns`).  With `oracle_enabled`,
 `iter_steps` also propagates the full (L+3)-mode covariance matrix
 symplectically, the reference the tests and `evolve --oracle` check the
 closed forms against.
 """
 
-import itertools
+import math
 import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -180,21 +185,22 @@ def apply_collision_to_cm(
 def iter_steps(config: SimulationConfig):
     """Yield (j, coeffs, full_cm) for j = 0 .. L, the one full-chain oracle path.
 
-    full_cm is None unless config.oracle_enabled; when present it is a
-    *view* of the running array, valid only until the next iteration —
-    copy it to keep it.  The oracle's one (2L+6)^2 covariance must fit in
-    physical memory.
+    The coefficients are evaluated one block of about sqrt(L) steps at a
+    time, so the stream holds O(sqrt(L)) of them.  full_cm is None unless
+    config.oracle_enabled; when present it is a *view* of the running
+    array, valid only until the next iteration — copy it to keep it.  The
+    oracle's one (2L+6)^2 covariance must fit in physical memory.
     """
     if config.oracle_enabled:
         require_memory(config.L, 8 * (2 * config.L + 6) ** 2)
     sigma = initial_full_cm(config) if config.oracle_enabled else None
-    for j, (a_s, _, g_ss, *_) in enumerate(_states(config)):
+    steps = (step for c22s, ws in _column_blocks([config], config.L)
+             for step in zip(c22s[0].tolist(), ws[0].tolist()))
+    for j, (c22, w) in enumerate(steps):
         if sigma is not None and j > 0:
             apply_collision_to_cm(sigma, j, config.r1, config.r2, config.phi_shift)
-        c22 = a_s.conjugate()
         a = abs(c22)  # _columns' H bit for bit
-        yield j, CCoefficients(j, c22, env_square_sum=g_ss.conjugate(),
-                               env_abs_square_sum=1.0 - a * a), sigma
+        yield j, CCoefficients(j, c22, env_square_sum=w, env_abs_square_sum=1.0 - a * a), sigma
 
 
 def _bilinear_terms(p, q):
@@ -205,117 +211,114 @@ def _bilinear_terms(p, q):
 
 def _round_constants(block: np.ndarray) -> tuple:
     """One round's coefficients, one tuple per entry of the next state
-    (S <- block[0].x, E <- block[2].x): those of its group's entries in
-    summation order, then the constant, if any.  Built once per
-    configuration in Python complex arithmetic, associated as the per-round
-    sums were, so that both evaluators reproduce every state bit for bit."""
+    (S <- block[0].x, E <- block[2].x): those of its group's entries, then
+    the constant, if any.
+
+    Round j maps the rows x = (S, E_j, F = E_{j+1}) of the composed unitary
+    to block @ x; before it F is still a unit row, orthogonal to S and E_j.
+    So the state is, for the system row S and the environment row E handed
+    to the next round, the system-column amplitude a and the bilinear sum
+    g = sum u_m^2 over the environment columns, and the cross sum
+    g_se = sum S_m E_m: (a_s, a_e, g_ss, g_se, g_ee).  A row's coefficients
+    are c22 = conj(a) and W = conj(g); its H = sum |u_m|^2 is 1 - |c22|^2,
+    the row being a unit vector.
+    """
     s_row, _, f_row = block.tolist()
     return ((s_row[0], s_row[1]), (f_row[0], f_row[1]),
             _bilinear_terms(s_row, s_row), _bilinear_terms(s_row, f_row),
             _bilinear_terms(f_row, f_row))
 
 
-def _next_state(k, state):
-    """State after one round, from the round's constants k, each sum in the
-    order _round_constants lists its terms."""
-    a_s, a_e, g_ss, g_se, g_ee = state
-    (s_s, s_e), (f_s, f_e), g1, g2, g3 = k
-    return (
-        s_s * a_s + s_e * a_e,
-        f_s * a_s + f_e * a_e,
-        g1[0] * g_ss + g1[1] * g_se + g1[2] * g_ee + g1[3],
-        g2[0] * g_ss + g2[1] * g_se + g2[2] * g_ee + g2[3],
-        g3[0] * g_ss + g3[1] * g_se + g3[2] * g_ee + g3[3],
-    )
+def _round_matrices(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices K of one round on the conjugate state: on the amplitudes
+    conj(a_s, a_e), and on the bilinear sums conj(g_ss, g_se, g_ee) with a
+    constant 1.  After j rounds, the first entries of K^j x_0 are c22 and W."""
+    (s_s, s_e), (f_s, f_e), *sums = _round_constants(block)
+    return np.conj([[s_s, s_e], [f_s, f_e]]), np.conj([*sums, [0, 0, 0, 1]])
 
 
-_INITIAL_STATE = (1 + 0j, 0j, 0j, 0j, 1 + 0j)  # S = e_1, E = e_2
+# x_0 of each matrix: S = e_1 and E = e_2, so a_s = g_ee = 1; then the constant 1.
+_INITIAL_STATES = (np.array([1, 0], dtype=complex), np.array([0, 0, 1, 1], dtype=complex))
 
 
-def _states(config: SimulationConfig):
-    """Iterator over the recurrence state after j rounds, j = 0 .. L.
-
-    Round j maps the rows x = (S, E_j, F = E_{j+1}) of the composed unitary
-    to mixing_block @ x; before it F is still a unit row, orthogonal to S
-    and E_j.  So the state is, for the system row S and the environment row
-    E handed to the next round, the system-column amplitude a and the
-    bilinear sum g = sum u_m^2 over the environment columns, and the cross
-    sum g_se = sum S_m E_m: (a_s, a_e, g_ss, g_se, g_ee), every entry
-    complex.  A row's coefficients are c22 = conj(a) and W = conj(g); its
-    H = sum |u_m|^2 is 1 - |c22|^2, the row being a unit vector.
-    """
-    k = _round_constants(mixing_block(config.r1, config.r2, config.phi_shift))
-    rounds = itertools.repeat(k, config.L)
-    return itertools.accumulate(rounds, lambda state, k: _next_state(k, state),
-                                initial=_INITIAL_STATE)
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over the last two axes, broadcast over the leading ones, one
+    inner index at a time in elementwise ufuncs.  No matmul, einsum or
+    reduce, whose kernels round by the shapes they meet, so a cell's bits
+    do not depend on its batch."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for i in range(1, a.shape[-1]):
+        out += a[..., :, i : i + 1] * b[..., i : i + 1, :]
+    return out
 
 
-# Bytes one batched chunk may hold: its state history, 32 B per cell-step,
-# and each cell's coefficient tables and step buffers (1.8-2.3 kB measured
-# with tracemalloc at L = 1, 8 to 441 cells).
+def _blocks(k: np.ndarray, x0: np.ndarray, L: int, rows):
+    """Yield the given rows of x_j = K^j x_0, j = 0 .. L, for a batch of
+    matrices k (cells, n, n), one block of at most B = isqrt(L + 1) steps
+    at a time, as complex arrays (cells, steps, rows).
+
+    In long double (numpy's clongdouble, a 64-bit significand on x86-64,
+    whose ufuncs have no vector kernels): the powers K^t, t <= B, one
+    product from the last; then block m is one product of their rows with
+    X_m = (K^B)^m x_0, and X_{m + 1} one more.  About 2 sqrt(L) array
+    products in all, each entry rounded to complex once."""
+    b, k = math.isqrt(L + 1), k.astype(np.clongdouble)
+    power, picked = np.broadcast_to(np.eye(k.shape[-1], dtype=k.dtype), k.shape), []
+    for _ in range(b):
+        picked.append(power[:, rows])
+        power = _matmul(power, k)
+    table = np.concatenate(picked, axis=1)
+    state = np.broadcast_to(x0.astype(k.dtype)[:, None], (len(k), len(x0), 1))
+    for start in range(0, L + 1, b):
+        block = _matmul(table, state)[..., 0].astype(complex)
+        yield block.reshape(len(k), b, -1)[:, : L + 1 - start]
+        state = _matmul(power, state)
+
+
+def _column_blocks(configs, L: int):
+    """Yield c22 and W after j = 0 .. L rounds, block by block, as complex
+    arrays (cells, steps), for configurations that differ only in r1 and r2."""
+    matrices = zip(*(_round_matrices(mixing_block(c.r1, c.r2, c.phi_shift)) for c in configs))
+    blocks = (_blocks(np.array(k), x0, L, [0]) for k, x0 in zip(matrices, _INITIAL_STATES))
+    for c22, w in zip(*blocks):
+        yield c22[..., 0], w[..., 0]
+
+
+def _trajectory_columns(configs, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """c22 and W after j = 0 .. L rounds, each (cells, L + 1)."""
+    c22, w = (np.empty((len(configs), L + 1), complex) for _ in range(2))
+    start = 0
+    for c_block, w_block in _column_blocks(configs, L):
+        stop = start + c_block.shape[1]
+        c22[:, start:stop], w[:, start:stop] = c_block, w_block
+        start = stop
+    return c22, w
+
+
+# Bytes one chunk of iter_trajectories may hold, and the bytes it takes
+# per cell (`_cell_bytes`), measured with tracemalloc for L = 1 .. 16000:
+# c22 and W, 32 B per step; the power tables, what building them holds at
+# once and one block's products, about 520 B per step of a block; then
+# about 4.3 kB per cell.
 CHUNK_BYTES = 2**24
 CELL_STEP_BYTES = 32
+CELL_BLOCK_BYTES = 640
 CELL_BYTES = 6 * 2**10
-# A chunk of fewer cells runs `run` per cell instead: the batched step's
-# fixed cost (about 25 us per round plus 0.1 us per cell-round, on 2 CPUs)
-# exceeds that many `run` steps (about 3.5 us each, |c22|^2 included).
-MIN_BATCH_CELLS = 8
 
 
-def _grouped_sums(k_re, k_im, x_re, x_im):
-    """Real and imaginary parts (entries, cells) of sum_t k[t] x[t], plus
-    k[T] if k has one row more than x: each product as CPython forms it,
-    re = k.re x.re - k.im x.im and im = k.re x.im + k.im x.re (numpy's
-    complex product fuses multiply-adds), summed in _next_state's order
-    from -0.0 (a plain reduce starts from +0.0, turning a -0.0 sum into
-    +0.0)."""
-    n = len(x_re)
-    x_re, x_im = x_re[:, None], x_im[:, None]
-    re = np.add.reduce(k_re[:n] * x_re - k_im[:n] * x_im, axis=0, initial=-0.0)
-    im = np.add.reduce(k_re[:n] * x_im + k_im[:n] * x_re, axis=0, initial=-0.0)
-    if len(k_re) > n:  # the constant
-        re += k_re[n]
-        im += k_im[n]
-    return re, im
-
-
-def _batched_history(configs, L: int) -> np.ndarray:
-    """(L + 1, 4, cells): the real and imaginary parts of a_s and of g_ss
-    after j rounds, for cells that differ only in r1 and r2.
-
-    Each of _next_state's two groups of sums reads only its own entries:
-    the amplitudes (a_s, a_e) and the bilinear sums (g_ss, g_se, g_ee).
-    Each group runs as real and imaginary float arrays (terms, cells), with
-    each cell's _round_constants as coefficients (terms, entries, cells).
-    """
-    tables = [_round_constants(mixing_block(c.r1, c.r2, c.phi_shift)) for c in configs]
-    coefficients, state = [], []
-    for rows in (slice(0, 2), slice(2, 5)):
-        k = np.array([table[rows] for table in tables]).transpose(2, 1, 0)
-        x = np.array(_INITIAL_STATE[rows])[:, None].repeat(len(configs), axis=1)
-        coefficients.append((k.real.copy(), k.imag.copy()))
-        state.append((x.real, x.imag))
-
-    def step(state, _):
-        return [_grouped_sums(*k, *x) for k, x in zip(coefficients, state)]
-
-    history = np.empty((L + 1, 4, len(configs)))
-    states = itertools.accumulate(range(L), step, initial=state)
-    for j, ((a_re, a_im), (g_re, g_im)) in enumerate(states):
-        history[j] = a_re[0], a_im[0], g_re[0], g_im[0]
-    return history
+def _cell_bytes(L: int) -> int:
+    """Bytes per cell of an iter_trajectories chunk at L rounds."""
+    return CELL_BYTES + CELL_STEP_BYTES * (L + 1) + CELL_BLOCK_BYTES * math.isqrt(L + 1)
 
 
 def iter_trajectories(configs):
     """One Trajectory per configuration, in order, for configurations that
     differ only in r1 and r2.
 
-    The recurrence runs for a chunk of cells at a time as one array
-    computation, bit-identical to `run`'s scalar loop, or through `run` per
-    cell for a chunk below MIN_BATCH_CELLS; each cell's witnesses then read
-    its own trajectory.  Refuses, before the first step, the oracle (as
-    `run` does) and an L whose chunk and trajectory cannot fit in physical
-    memory.
+    The coefficients are evaluated for a chunk of cells at a time, with the
+    bits `run` gets for each cell alone; each cell's witnesses then read its
+    own trajectory.  Refuses, before the first step, the oracle (as `run`
+    does) and an L whose chunk and trajectory cannot fit in physical memory.
     """
     configs = list(configs)
     base = configs[0]
@@ -323,18 +326,13 @@ def iter_trajectories(configs):
         raise ValueError("configurations differ in more than r1 and r2")
     _refuse_oracle(base)
     L = base.L
-    cell_bytes = CELL_BYTES + CELL_STEP_BYTES * (L + 1)
+    cell_bytes = _cell_bytes(L)
     size = min(len(configs), max(1, CHUNK_BYTES // cell_bytes))
     require_memory(L, size * cell_bytes + (L + 1) * STEP_BYTES)
     for start in range(0, len(configs), size):
         chunk = configs[start : start + size]
-        if len(chunk) < MIN_BATCH_CELLS:
-            yield from map(run, chunk)
-            continue
-        history = _batched_history(chunk, L)
-        for i, config in enumerate(chunk):
-            a_re, a_im, g_re, g_im = history[:, :, i].T
-            yield Trajectory(config, *_columns(_conjugate(a_re, a_im), _conjugate(g_re, g_im)))
+        for config, c22, w in zip(chunk, *_trajectory_columns(chunk, L)):
+            yield Trajectory(config, *_columns(c22, w))
 
 
 def _columns(c22, w) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -353,33 +351,33 @@ def _columns(c22, w) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return c22, c_sq, w, h
 
 
-def _conjugate(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """The complex array re - i im, formed without complex arithmetic."""
-    out = np.empty(len(re), dtype=complex)
-    out.real, out.imag = re, -im
-    return out
-
-
 def env_mode_columns(config: SimulationConfig, modes) -> tuple[np.ndarray, ...]:
     """(c22, |c22|^2, W, H) arrays of E_k's rows, three per k in modes.
 
     E_k's row is the unit row before step k - 1, the carried row E at
-    j = k - 1 and round k's middle row from j = k on; the last two come
-    from the state after k - 1 rounds.
+    j = k - 1 and round k's middle row from j = k on.  The last two come
+    from the full state after k - 1 rounds, the middle row as one product
+    of that state with the round whose system row is the middle one.
     """
     for k in modes:
         if not 1 <= k <= config.L + 1:
             raise ValueError(f"environment index {k} out of range 1..{config.L + 1}")
-    states = {j: s for j, s in zip(range(max(modes)), _states(config)) if j + 1 in modes}
-    # the round with the middle row in the system row's place
-    middle = _round_constants(mixing_block(config.r1, config.r2, config.phi_shift)[[1, 1, 2]])
-    rows = []  # (a, g) of each row, as _states carries it
-    for k in modes:
-        _, a_e, _, _, g_ee = state = states[k - 1]
-        a_m, _, g_m, *_ = _next_state(middle, state)
-        rows += [(0j, 1 + 0j), (a_e, g_ee), (a_m, g_m)]
-    a, g = map(np.array, zip(*rows))
-    return _columns(a.conj(), g.conj())
+    block = mixing_block(config.r1, config.r2, config.phi_shift)
+    j = np.array(modes) - 1
+    rows = []  # per matrix: the E row's entry and the middle row's
+    for k, x0, middle, e in zip(_round_matrices(block), _INITIAL_STATES,
+                                _round_matrices(block[[1, 1, 2]]), (1, 2)):
+        state, start = np.empty((len(j), len(x0)), complex), 0  # after j rounds
+        for steps in _blocks(k[None], x0, int(j.max()), slice(None)):
+            inside = (start <= j) & (j < start + steps.shape[1])
+            state[inside] = steps[0, j[inside] - start]
+            start += steps.shape[1]
+        product = _matmul(middle[:1].astype(np.clongdouble), state[..., None])
+        rows.append((state[:, e], product[:, 0, 0].astype(complex)))
+    (a_e, a_m), (g_ee, g_m) = rows
+    c22 = np.stack([np.zeros_like(a_e), a_e, a_m], axis=1).ravel()
+    w = np.stack([np.ones_like(g_ee), g_ee, g_m], axis=1).ravel()
+    return _columns(c22, w)
 
 
 def physical_memory() -> int:
@@ -402,8 +400,8 @@ def run(config: SimulationConfig) -> Trajectory:
     _refuse_oracle(config)
     require_memory(config.L, (config.L + 1) * STEP_BYTES)
     # Steps through iter_steps, looked up in this module at each call, rather
-    # than _states: the benchmark's per-layer trace patches engine.iter_steps
-    # and divides run's own time by the steps it sees there.
+    # than reading _trajectory_columns: the benchmark's per-layer trace patches
+    # engine.iter_steps and divides run's own time by the steps it sees there.
     c22, w = map(np.array, zip(*[(co.c22, co.env_square_sum) for _, co, _ in iter_steps(config)]))
     return Trajectory(config, *_columns(c22, w))
 

@@ -195,9 +195,12 @@ class TestUsageErrors:
         phi=st.floats(-4.0, 4.0),
     )
     def test_accepted_extremes_never_exit_3(self, xi, zeta, n, r, phi):
-        common = [f"--r1={r!r}", f"--r2={1.0 - r!r}", f"--phi={phi!r}", f"--xi={xi!r}",
-                  "--env=squeezed-thermal", f"--n={n!r}", f"--zeta={zeta!r}", "--L=30"]
-        for argv in (["evolve", *common], ["transport", *common, "--modes=1,15,31"]):
+        shared = [f"--phi={phi!r}", f"--xi={xi!r}", "--env=squeezed-thermal", f"--n={n!r}",
+                  f"--zeta={zeta!r}", "--L=30"]
+        common = [f"--r1={r!r}", f"--r2={1.0 - r!r}", *shared]
+        axis = f"{r!r},{1.0 - r!r}"
+        for argv in (["evolve", *common], ["transport", *common, "--modes=1,15,31"],
+                     ["scan", f"--grid-r1={axis}", f"--grid-r2={axis}", *shared]):
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 assert main(argv) == 0
@@ -530,7 +533,7 @@ class TestScan:
         def no_steps(*args):
             raise AssertionError("scan started stepping")
 
-        monkeypatch.setattr(engine, "_batched_history", no_steps)
+        monkeypatch.setattr(engine, "_trajectory_columns", no_steps)
         code, out, err = run_cli(capsys, "scan", "--grid-r1", "0.2,0.8", "--grid-r2", "0.3,0.9",
                                  "--L", "100000000")
         assert code == 2
@@ -567,6 +570,27 @@ class TestScan:
         with contextlib.redirect_stdout(expected):
             cli.emit(["r1", "r2", "n_gs_s_to_an", "n_gs_an_to_s", "n_cptp"], rows, "csv", None)
         assert buf.getvalue() == expected.getvalue()
+
+    @pytest.mark.parametrize("phi", [0.0, math.pi])
+    def test_markovian_line_prints_zero(self, capsys, monkeypatch, phi):
+        # r2 = 1 hands every round a fresh environment mode: |c22|^2 = r1^(2j)
+        # never increases, and every measure is exactly 0, over several blocks
+        # of the block powers and in chunks of one cell and of many.
+        r1s = (0.0, 0.5, 0.9, 0.99, 0.999999)
+        configs = [SimulationConfig(r1=r1, r2=1.0, phi_shift=phi, L=5000) for r1 in r1s]
+        argv = ("scan", "--grid-r1", ",".join(map(repr, r1s)), "--grid-r2", "0.5,1",
+                "--phi", repr(phi), "--env", "thermal", "--n", "0.5", "--L", "5000")
+        outputs = []
+        for cells in (1, len(configs)):
+            monkeypatch.setattr(engine, "CHUNK_BYTES", cells * engine._cell_bytes(5000))
+            for traj in engine.iter_trajectories(configs):
+                assert np.all(np.diff(traj.c22_abs_sq) <= 0.0), traj.config.r1
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+            assert [row[2:] for row in rows if row[1] == "1"] == [["0", "0", "0"]] * len(r1s)
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
     def test_parallel_matches_serial(self, capsys, tmp_path):
         base = ["scan", "--grid-r1", "0.2,0.5,0.8", "--grid-r2", "0.3,0.7",

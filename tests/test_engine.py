@@ -1,7 +1,9 @@
 """Collision-chain engine: closed-form joint covariance against full
 symplectic propagation, and trajectory bookkeeping."""
 
+import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gausscollide import engine
+from gausscollide.divisibility import SKIP_TOL
 from gausscollide.engine import (
     SimulationConfig,
     env_ancilla_cm,
@@ -342,6 +345,35 @@ class TestRecurrenceAgainstDenseReference:
         assert defect < NORMALIZATION_TOL / 10
 
 
+_INITIAL_STATE = (1 + 0j, 0j, 0j, 0j, 1 + 0j)  # S = e_1, E = e_2
+
+
+def _next_state(k, state):
+    """State (a_s, a_e, g_ss, g_se, g_ee) after one round, from the round's
+    constants k (engine._round_constants), each sum in the order they list
+    its terms."""
+    a_s, a_e, g_ss, g_se, g_ee = state
+    (s_s, s_e), (f_s, f_e), g1, g2, g3 = k
+    return (
+        s_s * a_s + s_e * a_e,
+        f_s * a_s + f_e * a_e,
+        g1[0] * g_ss + g1[1] * g_se + g1[2] * g_ee + g1[3],
+        g2[0] * g_ss + g2[1] * g_se + g2[2] * g_ee + g2[3],
+        g3[0] * g_ss + g3[1] * g_se + g3[2] * g_ee + g3[3],
+    )
+
+
+def _states(config, dtype=complex):
+    """The scalar reference for the engine's block powers: the recurrence
+    state after j rounds, j = 0 .. L, one complex step at a time, in Python
+    complex or in numpy's dtype (np.clongdouble for extended precision).
+    A row's coefficients are c22 = conj(a_s) and W = conj(g_ss)."""
+    k = engine._round_constants(mixing_block(config.r1, config.r2, config.phi_shift))
+    return itertools.accumulate(itertools.repeat(k, config.L),
+                                lambda state, k: _next_state(k, state),
+                                initial=tuple(map(dtype, _INITIAL_STATE)))
+
+
 def hermitian_sums(config):
     """H = sum_m |S_m|^2 of the system row S over the environment columns,
     j = 0 .. L, from a scalar recurrence of its own.
@@ -382,6 +414,74 @@ def test_cauchy_schwarz_margin(phi):
     assert max(m.max() for m in margins) <= NORMALIZATION_TOL / 100
 
 
+ACCURACY_CASES = [(r1, r2, phi) for r1 in (0.0, 0.37, 0.999, 1.0) for r2 in (0.0, 0.61, 1.0)
+                  for phi in (0.0, math.pi)]
+
+
+def _accuracy_columns(states):
+    """|c22|^2, the amplitude state's |(a_s, a_e)| and W of reference states."""
+    states = list(states)
+    a = np.array([(s[0], s[1]) for s in states], dtype=np.clongdouble)
+    c_sq = a[:, 0].real ** 2 + a[:, 0].imag ** 2
+    norm = np.sqrt(c_sq + a[:, 1].real ** 2 + a[:, 1].imag ** 2)
+    return c_sq, norm, np.array([complex(s[2].conjugate()) for s in states])
+
+
+@pytest.mark.parametrize("r1, r2, phi", ACCURACY_CASES)
+def test_block_powers_track_the_scalar_recurrence(r1, r2, phi):
+    """At L = 10^4, |c22|^2 is within 1e-12 relative of the scalar
+    reference wherever it exceeds 1e-200, and the step ratio
+    |c22(j)|^2 / |c22(j-1)|^2 within 1e-13 max(1, ratio) wherever the step is
+    not skipped; W is within 1e-12.
+
+    Rounding errors scale with the amplitude state's norm |(a_s, a_e)|, not
+    with |c22| = |a_s|, and where c22 cancels (r2 = 0 with phi = pi makes
+    the amplitude map a rotation) the scalar reference is itself up to
+    1.8e-11 off in |c22|^2, against the recurrence in extended precision.
+    So the relative bounds hold on the rows where k = norm / |c22| <= 10,
+    and everywhere in normwise form: 1e-12 |c22| norm for |c22|^2, and
+    1e-13 max(1, ratio) (k(j) + k(j-1)) / 2 for the ratio."""
+    config = SimulationConfig(r1=r1, r2=r2, phi_shift=phi, L=10_000)
+    c_sq, norm, w = _accuracy_columns(_states(config))
+    c_sq, norm = c_sq.astype(float), norm.astype(float)
+    (traj,) = iter_trajectories([config])
+    assert np.all(np.abs(traj.env_square_sum - w) <= 1e-12)
+
+    c = np.sqrt(c_sq)
+    whole = c >= norm / 10  # k <= 10
+    live = c_sq > 1e-200
+    deviation = np.abs(traj.c22_abs_sq - c_sq)
+    assert np.all(deviation[live] <= 1e-12 * c[live] * norm[live])
+    assert np.all(deviation[live & whole] <= 1e-12 * c_sq[live & whole])
+
+    kept = np.flatnonzero(c_sq[:-1] >= SKIP_TOL) + 1  # the steps j not skipped
+    ratio = c_sq[kept] / c_sq[kept - 1]
+    deviation = np.abs(traj.c22_abs_sq[kept] / traj.c22_abs_sq[kept - 1] - ratio)
+    bound = 1e-13 * np.maximum(1.0, ratio)
+    # the factor (k(j) + k(j-1)) / 2, multiplied through by 2 |c22(j)| |c22(j-1)|
+    scaled = norm[kept] * c[kept - 1] + norm[kept - 1] * c[kept]
+    assert np.all(2 * c[kept] * c[kept - 1] * deviation <= bound * scaled)
+    both = whole[kept] & whole[kept - 1]
+    assert np.all(deviation[both] <= bound[both])
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double has no extra precision on this platform")
+@pytest.mark.parametrize("r1, r2, phi", [c for c in ACCURACY_CASES if 0.0 < c[0] < 1.0])
+def test_block_powers_are_as_accurate_as_the_scalar_recurrence(r1, r2, phi):
+    """Against the recurrence run in extended precision, the block powers'
+    |c22|^2 is within 2 ulp in the median over rows, and in its worst row no
+    further off than the scalar recurrence in its worst."""
+    config = SimulationConfig(r1=r1, r2=r2, phi_shift=phi, L=10_000)
+    exact, _, _ = _accuracy_columns(_states(config, np.clongdouble))
+    scalar, _, _ = _accuracy_columns(_states(config))
+    (traj,) = iter_trajectories([config])
+    live = exact > 1e-200
+    block, step = (np.abs(x[live] - exact[live]) / exact[live] for x in (traj.c22_abs_sq, scalar))
+    assert np.median(block) <= 2 * np.finfo(float).eps
+    assert block.max() <= step.max()
+
+
 COLUMNS = ("c22", "c22_abs_sq", "env_square_sum", "env_abs_square_sum", "joint_cm")
 REFLECTIVITY = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
 
@@ -401,9 +501,7 @@ class TestBatchedRecurrence:
     def test_columns_equal_run_bit_for_bit(self, points, phi, env, L, chunk):
         configs = [SimulationConfig(r1=a, r2=b, phi_shift=phi, env=env, L=L) for a, b in points]
         with pytest.MonkeyPatch.context() as mp:  # batched chunks of `chunk` cells
-            cell_bytes = engine.CELL_BYTES + engine.CELL_STEP_BYTES * (L + 1)
-            mp.setattr(engine, "CHUNK_BYTES", chunk * cell_bytes)
-            mp.setattr(engine, "MIN_BATCH_CELLS", 0)
+            mp.setattr(engine, "CHUNK_BYTES", chunk * engine._cell_bytes(L))
             trajectories = list(iter_trajectories(configs))
         assert len(trajectories) == len(configs)
         for config, traj in zip(configs, trajectories):
@@ -415,10 +513,9 @@ class TestBatchedRecurrence:
                 assert column.tobytes() == expected.tobytes(), name
 
     @pytest.mark.parametrize("phi", [0.0, math.pi])
-    def test_signed_zeros_equal_run(self, phi, monkeypatch):
+    def test_signed_zeros_equal_run(self, phi):
         # r1, r2 in {0, 1} and phi in {0, pi} make sums of signed zeros, which
         # the draws above reach only by chance; the four cells are one chunk.
-        monkeypatch.setattr(engine, "MIN_BATCH_CELLS", 0)
         configs = [SimulationConfig(r1=a, r2=b, phi_shift=phi, L=6)
                    for a in (0.0, 1.0) for b in (0.0, 1.0)]
         for config, traj in zip(configs, iter_trajectories(configs)):
@@ -428,32 +525,19 @@ class TestBatchedRecurrence:
 
     @pytest.mark.parametrize("phi", [0.0, math.pi, 0.9])
     def test_scalar_state_is_complex(self, phi):
-        # Every product in _next_state is complex x complex, so its bits do
-        # not depend on how a Python version promotes a float operand.
-        for state in engine._states(SimulationConfig(r1=0.4, r2=1.0, phi_shift=phi, L=4)):
+        # Every product in the scalar reference is complex x complex, so its
+        # bits do not depend on how a Python version promotes a float operand.
+        for state in _states(SimulationConfig(r1=0.4, r2=1.0, phi_shift=phi, L=4)):
             assert all(type(v) is complex for v in state)
 
-    def test_small_chunk_runs_each_cell(self, monkeypatch):
-        def no_steps(configs, L):
-            raise AssertionError("a 2-cell chunk was batched")
-
-        configs = [SimulationConfig(r1=r1, r2=0.3, phi_shift=math.pi, L=20) for r1 in (0.0, 0.4)]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "MIN_BATCH_CELLS", 0)
-            batched = list(iter_trajectories(configs))
-        monkeypatch.setattr(engine, "_batched_history", no_steps)
-        for traj, ref in zip(iter_trajectories(configs), batched, strict=True):
-            for name in COLUMNS:
-                assert getattr(traj, name).tobytes() == getattr(ref, name).tobytes(), name
-
     def test_grids_fit_one_chunk(self, monkeypatch):
-        sizes, history = [], engine._batched_history
+        sizes, evaluate = [], engine._trajectory_columns
 
         def recorded(configs, L):
             sizes.append(len(configs))
-            return history(configs, L)
+            return evaluate(configs, L)
 
-        monkeypatch.setattr(engine, "_batched_history", recorded)
+        monkeypatch.setattr(engine, "_trajectory_columns", recorded)
         axis = np.linspace(0.05, 0.95, 21).tolist()  # the README scan
         grid = [SimulationConfig(r1=r1, r2=r2, L=250) for r1 in axis for r2 in axis]
         assert len(list(iter_trajectories(grid))) == 441
@@ -467,7 +551,6 @@ class TestBatchedRecurrence:
             return ((k[0][0] * 1.01, k[0][1] * 1.01), *k[1:])
 
         monkeypatch.setattr(engine, "_round_constants", leaky)
-        monkeypatch.setattr(engine, "MIN_BATCH_CELLS", 0)
         config = SimulationConfig(r1=0.4, r2=0.3, L=5)
         # caught at row 1: |W| = t1^2 = 0.84 > H = 1 - (1.01 r1)^2 = 0.836784
         with pytest.raises(ValueError, match=r"^coefficient column not normalized at row 1: "
@@ -478,10 +561,19 @@ class TestBatchedRecurrence:
         assert str(batched.value) == str(scalar.value)
 
     def test_history_takes_its_chunk_guard(self):
-        # iter_trajectories sizes a chunk from CELL_STEP_BYTES
-        configs = [SimulationConfig(r1=r1, r2=0.3, L=17) for r1 in (0.1, 0.4, 0.9)]
-        history = engine._batched_history(configs, 17)
-        assert history.nbytes == engine.CELL_STEP_BYTES * (17 + 1) * len(configs)
+        # iter_trajectories sizes a chunk from engine._cell_bytes(L): the
+        # evaluator's traced peak stays within it, and fills most of it at
+        # L = 4000, where c22 and W, CELL_STEP_BYTES per step, dominate.
+        configs = [SimulationConfig(r1=r1, r2=0.3) for r1 in np.linspace(0.0, 1.0, 32)]
+        for L in (1, 10, 40, 120, 400, 1000, 4000):
+            tracemalloc.start()
+            try:
+                engine._trajectory_columns([replace(c, L=L) for c in configs], L)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= len(configs) * engine._cell_bytes(L), L
+        assert peak > 0.8 * len(configs) * engine._cell_bytes(L)
 
     def test_configurations_must_share_all_but_reflectivities(self):
         config = SimulationConfig(r1=0.4, r2=0.3, L=5)
