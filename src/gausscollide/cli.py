@@ -12,10 +12,9 @@ success, 2 usage/validation error, 3 numerical degeneracy.
 
 import argparse
 import itertools
-import json
-import math
 import re
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -51,14 +50,16 @@ THRESHOLD_FAMILIES = {  # family: (swept parameters, threshold function)
     "an-to-s-squeezed": (("xi", "zeta"), threshold_an_to_s_squeezed_vac),
 }
 
-# A bound on the peak-RSS growth per step of each `transport` mode column
-# (measured at L = 2e5: 44 B with 6 modes, 53 B with 12), on top of
-# STEP_BYTES for the system column (0.62 kB per step in all with 6 modes,
-# between L = 2e4 and 2e5).
-MODE_STEP_BYTES = 100
+# A bound on the peak-RSS growth per step of each `transport` mode column,
+# on top of STEP_BYTES: 8 B (one table cell; L = 2e4 to 2e5, 1 to 24 modes)
+# plus a 20% margin.
+MODE_STEP_BYTES = 10
 
-# Rows that emit formats and writes at a time.
-EMIT_ROWS = 2048
+# Rows that emit formats at a time, at about 90 B per cell beside the table.
+EMIT_ROWS = 256
+
+# Columns not printed as %.12g: the step index, and the skip flag (0/1; false/true in JSON).
+INDEX_COLUMN, FLAG_COLUMN, FLAG_TOKENS = "j", "skip_flag", (("0", "1"), ("false", "true"))
 
 _ANGLE_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)?)pi(?:/(\d+\.?\d*|\.\d+))?$")
 
@@ -131,55 +132,48 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def _token(v, fmt: str) -> str:
-    """One value as a CSV or JSON token."""
+def _blocks(table, blank):
+    """(first row, values, blank cells) of a table, EMIT_ROWS rows at a time."""
+    for start in range(0, len(table), EMIT_ROWS):
+        rows = slice(start, start + EMIT_ROWS)
+        yield start, table[rows], np.zeros_like(table[rows], bool) if blank is None else blank[rows]
+
+
+def _chunks(header, table, blank, fmt: str):
+    """The table's text, EMIT_ROWS rows to a string, one % template per row:
+    that of the row's blank cells, each of which takes its value with %.0s."""
     as_json = fmt == "jsonl"
-    if v is None:
-        return "null" if as_json else ""
-    if isinstance(v, bool):
-        return ("true" if v else "false") if as_json else ("1" if v else "0")
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, float):
-        return format(float(v) + 0.0, ".12g")
-    return json.dumps(v) if as_json else str(v)
+    keys = [f'"{k}": ' if as_json else "" for k in header]
+    filled = [key + {INDEX_COLUMN: "%d", FLAG_COLUMN: "%s"}.get(name, "%.12g")
+              for key, name in zip(keys, header)]
+    empty = [key + "%.0s" + "null" * as_json for key in keys]
+    sep, start, end = (", ", "{", "}\n") if as_json else (",", "", "\n")
+    bits = 1 << np.arange(len(header))  # a row's blank cells as the bits of one int64
+    if not as_json or not len(table):  # an empty JSON-lines table is one empty line
+        yield "\n" if as_json else ",".join(header) + "\n"
+    for _, values, is_blank in _blocks(table, blank):
+        columns = (values + 0.0).T.tolist()  # -0.0 prints as 0
+        for c in (c for c, name in enumerate(header) if name == FLAG_COLUMN):
+            columns[c] = [FLAG_TOKENS[as_json][v != 0.0] for v in columns[c]]
+        _, first, kinds = np.unique(is_blank @ bits, return_index=True, return_inverse=True)
+        templates = [start + sep.join(e if b else f for f, e, b in zip(filled, empty, row)) + end
+                     for row in is_blank[first].tolist()]
+        yield "".join([templates[k] % row for k, row in zip(kinds.tolist(), zip(*columns))])
 
 
-def _require_finite_floats(header, rows) -> None:
-    """Raise, naming the row and column, at the first float that is not finite."""
-    for i, row in enumerate(rows):
-        for name, v in zip(header, row):
-            if isinstance(v, float) and not math.isfinite(v):
-                raise GaussCollideError(f"output row {i}, column {name}: non-finite value {v!r}")
-
-
-def _chunks(header, rows, fmt: str):
-    """The table's text, EMIT_ROWS rows to a string."""
-    if fmt == "csv":
-        yield ",".join(header) + "\n"
-        line = ",".join
-    else:
-        keys = [f'"{k}": ' for k in header]
-
-        def line(tokens):
-            return "{" + ", ".join(k + t for k, t in zip(keys, tokens)) + "}"
-
-        if not rows:  # an empty JSON-lines table is one empty line
-            yield "\n"
-    for start in range(0, len(rows), EMIT_ROWS):
-        yield "".join(line([_token(v, fmt) for v in row]) + "\n"
-                      for row in rows[start : start + EMIT_ROWS])
-
-
-def emit(header, rows, fmt: str, out_path):
-    """Write a CSV or JSON-lines table, formatting EMIT_ROWS rows at a time;
-    nothing is written if any float in it is not finite."""
-    _require_finite_floats(header, rows)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(_chunks(header, rows, fmt))
-    else:
-        sys.stdout.writelines(_chunks(header, rows, fmt))
+def emit(header, table, fmt: str, out_path, blank=None):
+    """Write a numeric (rows, columns) table, with the cells where the
+    boolean array blank is true left blank, as CSV or JSON lines, EMIT_ROWS
+    rows at a time; nothing is written if a cell not blank is not finite."""
+    if blank is not None and blank.shape[1] > 64:
+        raise ValueError(f"{blank.shape[1]} columns: emit leaves cells blank in at most 64")
+    for start, values, is_blank in _blocks(table, blank):
+        for i, c in np.argwhere(~(np.isfinite(values) | is_blank))[:1]:
+            raise GaussCollideError(f"output row {start + i}, column {header[c]}: "
+                                    f"non-finite value {float(values[i, c])!r}")
+    out = open(out_path, "w", encoding="utf-8", newline="") if out_path else nullcontext(sys.stdout)
+    with out as fh:
+        fh.writelines(_chunks(header, table, blank, fmt))
 
 
 def _simulation_config(args, parser, r1, r2) -> SimulationConfig:
@@ -204,24 +198,22 @@ def _simulation_config(args, parser, r1, r2) -> SimulationConfig:
 def cmd_evolve(args, parser) -> int:
     config = _simulation_config(args, parser, args.r1, args.r2)
     traj = run(config)
-    g_san = steering_series(traj, Direction.B_TO_A).tolist()
-    g_ans = steering_series(traj, Direction.A_TO_B).tolist()
+    g_san = steering_series(traj, Direction.B_TO_A)
+    g_ans = steering_series(traj, Direction.A_TO_B)
     if args.oracle:
         _verify_against_oracle(traj, {"g_s_to_an": g_san, "g_an_to_s": g_ans})
 
-    header = [
-        "j", "re_c22", "im_c22", "abs_c22_sq", "g_s_to_an", "g_an_to_s",
-        "nu_set_min", "nu_set_max", "ratio", "skip_flag",
-    ]
+    header = ["j", "re_c22", "im_c22", "abs_c22_sq", "g_s_to_an", "g_an_to_s",
+              "nu_set_min", "nu_set_max", "ratio", "skip_flag"]
     nu_p, nu_m, ratio, skipped = divisibility_columns(traj)
+    table, blank = np.zeros((len(traj), len(header))), np.zeros((len(traj), len(header)), bool)
+    for c, column in enumerate((np.arange(len(traj)), traj.c22.real, traj.c22.imag, traj.c22_abs_sq,
+                                g_san, g_ans, np.minimum(nu_p, nu_m), np.maximum(nu_p, nu_m),
+                                ratio, skipped)):
+        table[-len(column):, c] = column  # the divisibility columns start at step 1
     # Step 0 has no intermediate map; a skipped step shows only its flag.
-    blank = np.concatenate([[True], skipped])
-    div = [np.where(blank, None, np.concatenate([[0.0], column])).tolist()
-           for column in (np.minimum(nu_p, nu_m), np.maximum(nu_p, nu_m), ratio)]
-    flags = np.concatenate([[False], skipped]).tolist()
-    rows = list(zip(range(len(traj)), traj.c22.real.tolist(), traj.c22.imag.tolist(),
-                    traj.c22_abs_sq.tolist(), g_san, g_ans, *div, flags))
-    emit(header, rows, args.format, args.out)
+    blank[np.concatenate([[True], skipped]), 6:9] = True
+    emit(header, table, args.format, args.out, blank)
     return 0
 
 
@@ -233,17 +225,20 @@ def _verify_against_oracle(traj, printed) -> None:
     where its determinant exceeds DET_FLOOR (from xi = 20 it rounds to 0).
     Those determinants resolve G only to a few eps times the condition
     number (cosh^2 xi at step 0), so that column's tolerance is the larger
-    of 1e-8 and 16 eps cond.  The deviation farthest past it is named."""
+    of 1e-8 and 16 eps cond.  The deviation farthest past it is named, or
+    one stderr line counts the steps left unchecked: det <= DET_FLOOR or 0 < G <= tolerance."""
     chain = iter_steps(replace(traj.config, oracle_enabled=True))
     oracle = np.array([reduce_to_modes(sigma, [0, 1]) for _, _, sigma in chain])
     oracle = 0.5 * (oracle + oracle.swapaxes(1, 2))  # symmetric up to rounding
     resolved = np.linalg.det(oracle) > steering.DET_FLOOR
+    steering_tol = np.maximum(1e-8, 16 * np.finfo(float).eps * np.linalg.cond(oracle))
+    unchecked = ~resolved
     deviations = {"joint_cm": np.max(np.abs(traj.joint_cm - oracle), axis=(1, 2))}
     for name, direction in (("g_s_to_an", Direction.B_TO_A), ("g_an_to_s", Direction.A_TO_B)):
         reference = steering.steerability(oracle[resolved], direction)
         deviations[name] = np.zeros(len(oracle))
-        deviations[name][resolved] = np.abs(np.array(printed[name])[resolved] - reference)
-    steering_tol = np.maximum(1e-8, 16 * np.finfo(float).eps * np.linalg.cond(oracle))
+        deviations[name][resolved] = np.abs(printed[name][resolved] - reference)
+        unchecked[resolved] |= (reference > 0.0) & (reference <= steering_tol[resolved])
     tolerances = {"joint_cm": 1e-8 * np.maximum(1.0, np.abs(oracle).max(axis=(1, 2))),
                   "g_s_to_an": steering_tol, "g_an_to_s": steering_tol}
     excess = {name: deviations[name] / tolerances[name] for name in deviations}
@@ -252,6 +247,9 @@ def _verify_against_oracle(traj, printed) -> None:
     if excess[name][j] > 1.0:
         raise GaussCollideError(f"oracle mismatch at step {j}: max deviation "
                                 f"{deviations[name][j]:g} in {name} (tolerance {tolerances[name][j]:g})")
+    if unchecked.any():
+        print(f"warning: --oracle could not check the steering at {unchecked.sum()} of "
+              f"{len(unchecked)} steps, first at step {unchecked.argmax()}", file=sys.stderr)
 
 
 def _scan_cell(traj):
@@ -273,9 +271,9 @@ def cmd_scan(args, parser) -> int:
     base = _simulation_config(args, parser, args.grid_r1[0], args.grid_r2[0])
     cells = [replace(base, r1=r1, r2=r2) for r1 in args.grid_r1 for r2 in args.grid_r2]
     header = ["r1", "r2", "n_gs_s_to_an", "n_gs_an_to_s", "n_cptp"]
-    rows = [(cell.r1, cell.r2, *_scan_cell(traj))
-            for cell, traj in zip(cells, iter_trajectories(cells))]
-    emit(header, rows, args.format, args.out)
+    table = np.array([(cell.r1, cell.r2, *_scan_cell(traj))
+                      for cell, traj in zip(cells, iter_trajectories(cells))])
+    emit(header, table, args.format, args.out)
     return 0
 
 
@@ -290,17 +288,18 @@ def cmd_transport(args, parser) -> int:
 
     header = ["j", "g_s_to_an"] + [f"g_e{k}_to_an" for k in modes]
     require_memory(config.L, (config.L + 1) * (STEP_BYTES + MODE_STEP_BYTES * len(modes)))
-    # E_k's rows print for k - 1, 1 and L + 1 - k steps from steps 0, k - 1 and k
-    # (k = 1's unit row and k = L + 1's middle row for none).
-    counts = np.ravel([(k - 1, 1, config.L + 1 - k) for k in modes])
     _, env_c_sq, env_w, _ = env_mode_columns(config, modes)
     traj = run(config)
-    system = _steer(traj.c22_abs_sq, traj.env_square_sum, config, lambda i: (i, "g_s_to_an"))
+    table = np.empty((len(traj), len(header)))
+    table[:, 0] = np.arange(len(traj))
+    table[:, 1] = _steer(traj.c22_abs_sq, traj.env_square_sum, config, lambda i: (i, "g_s_to_an"))
     places = [(j, header[c]) for c, k in enumerate(modes, 2) for j in (0, k - 1, k)]
-    env = _steer(env_c_sq, env_w, config, lambda i: places[i])
-    env = np.repeat(env, counts).reshape(len(modes), -1)
-    rows = [(j, *row) for j, row in enumerate(np.vstack([system, env]).T.tolist())]
-    emit(header, rows, args.format, args.out)
+    env = _steer(env_c_sq, env_w, config, lambda i: places[i]).reshape(-1, 3).tolist()
+    # E_k's rows print for steps 0 .. k - 2, k - 1 and k .. L
+    # (k = 1's unit row and k = L + 1's middle row for none).
+    for c, (k, (before, middle, after)) in enumerate(zip(modes, env), 2):
+        table[: k - 1, c], table[k - 1, c], table[k:, c] = before, middle, after
+    emit(header, table, args.format, args.out)
     return 0
 
 
@@ -327,8 +326,8 @@ def cmd_thresholds(args, parser) -> int:
     for name in ("xi", "zeta"):
         for value in getattr(args, f"{name}_values") or ():
             require_finite(name, value, squeezing=True)
-    rows = [(*params, threshold(*params)) for params in itertools.product(*axes)]
-    emit([*names, "threshold"], rows, args.format, args.out)
+    table = np.array([(*params, threshold(*params)) for params in itertools.product(*axes)])
+    emit([*names, "threshold"], table.reshape(-1, len(names) + 1), args.format, args.out)
     return 0
 
 

@@ -42,10 +42,10 @@ from .states import (
 )
 
 # A bound on the peak-RSS growth per step of an `evolve` run: measured
-# between L = 5e4 and 1.5e5 at about 0.49 kB per step, plus a 20% margin.
-# It stays below the 0.76 kB per step of a run that keeps a 4x4 joint
-# covariance and a joined output string, so CI's memory step catches that.
-STEP_BYTES = 600
+# between L = 2e4 and 2e5 at about 0.20 kB per step, in CSV and in JSON
+# lines, plus a 20% margin.  It stays below the 0.49 kB per step of a run
+# that turns its columns into row tuples, so CI's memory step catches that.
+STEP_BYTES = 245
 
 
 @dataclass(frozen=True)
@@ -402,7 +402,9 @@ def run(config: SimulationConfig) -> Trajectory:
     # Steps through iter_steps, looked up in this module at each call, rather
     # than reading _trajectory_columns: the benchmark's per-layer trace patches
     # engine.iter_steps and divides run's own time by the steps it sees there.
-    c22, w = map(np.array, zip(*[(co.c22, co.env_square_sum) for _, co, _ in iter_steps(config)]))
+    c22, w = np.empty(config.L + 1, complex), np.empty(config.L + 1, complex)
+    for j, co, _ in iter_steps(config):
+        c22[j], w[j] = co.c22, co.env_square_sum
     return Trajectory(config, *_columns(c22, w))
 
 

@@ -8,8 +8,10 @@ import json
 import math
 import os
 import subprocess
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -331,7 +333,28 @@ class TestEvolve:
     def test_oracle_skips_steering_where_its_determinant_rounds_to_zero(self, capsys, xi):
         argv = ("evolve", "--r1", ".4", "--r2", ".3", "--L", "12", "--xi", xi)
         _, plain, _ = run_cli(capsys, *argv)
-        assert run_cli(capsys, *argv, "--oracle") == (0, plain, "")
+        unchecked = {"20": 1, "100": 3, "177": 4}[xi]
+        assert run_cli(capsys, *argv, "--oracle") == (0, plain, (
+            f"warning: --oracle could not check the steering at {unchecked} of 13 steps, "
+            "first at step 0\n"))
+
+    def test_oracle_names_the_steps_its_tolerance_cannot_resolve(self, capsys, monkeypatch):
+        # At xi = 19 the steering tolerance at step 0 (16 eps cosh^2 xi, about 51)
+        # exceeds G = ln cosh 19, so an error of 5 there passes, but not silently.
+        steering_series = cli.steering_series
+
+        def perturbed(traj, direction):
+            series = steering_series(traj, direction)
+            if direction is Direction.A_TO_B:
+                series[0] += 5.0
+            return series
+
+        monkeypatch.setattr(cli, "steering_series", perturbed)
+        code, out, err = run_cli(capsys, "evolve", "--r1", ".4", "--r2", ".3", "--L", "12",
+                                 "--xi", "19", "--oracle")
+        assert code == 0 and len(out.split("\n")) == 15
+        assert err == ("warning: --oracle could not check the steering at 1 of 13 steps, "
+                       "first at step 0\n")
 
     def test_oracle_checks_covariances_where_it_cannot_check_steering(self, capsys, monkeypatch):
         run = cli.run
@@ -406,13 +429,74 @@ class TestEvolve:
         assert target.read_text() == out
 
 
+def _token(v, fmt: str) -> str:
+    """The reference formatter: one value of a row tuple as a CSV or JSON token."""
+    as_json = fmt == "jsonl"
+    if v is None:
+        return "null" if as_json else ""
+    if isinstance(v, bool):
+        return ("true" if v else "false") if as_json else ("1" if v else "0")
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, float):
+        return format(float(v) + 0.0, ".12g")
+    return json.dumps(v) if as_json else str(v)
+
+
+def _reference_text(header, rows, fmt: str) -> str:
+    """The reference table text, one row tuple at a time (None is blank)."""
+    if fmt == "csv":
+        return "".join([",".join(header) + "\n"]
+                       + [",".join(_token(v, fmt) for v in row) + "\n" for row in rows])
+    keys = [f'"{k}": ' for k in header]
+    lines = ["{" + ", ".join(k + _token(v, fmt) for k, v in zip(keys, row)) + "}\n"
+             for row in rows]
+    return "".join(lines) if rows else "\n"
+
+
+def _table(rows, width):
+    """Row tuples as emit's table and blank cells (NaN where the tuple has None)."""
+    values = [[math.nan if v is None else v for v in row] for row in rows]
+    blank = [[v is None for v in row] for row in rows]
+    return np.array(values, float).reshape(-1, width), np.array(blank, bool).reshape(-1, width)
+
+
+EVOLVE_HEADER = ["j", "re_c22", "im_c22", "abs_c22_sq", "g_s_to_an", "g_an_to_s",
+                 "nu_set_min", "nu_set_max", "ratio", "skip_flag"]
+
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.225073858507201e-308, 2.2250738585072014e-308,
+                     1e300, -1e300, 1e-300, -1e-300, 0.1234567890125, 1.0000000000005,
+                     9.9999999999995, 999999999999.5, 123456789012.5, 2.0**53]),
+    st.integers(-2**53, 2**53).map(float),
+)
+
+
 class TestEmit:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.integers(0, 2**53),
+                                st.lists(st.one_of(st.none(), FINITE), min_size=3, max_size=3),
+                                st.booleans()), max_size=9),
+        fmt=st.sampled_from(["csv", "jsonl"]),
+        emit_rows=st.sampled_from([1, 2, 256]),
+    )
+    def test_bytes_equal_the_reference(self, rows, fmt, emit_rows):
+        header = ["j", "a", "b", "c", "skip_flag"]
+        rows = [(j, *values, flag) for j, values, flag in rows]
+        table, blank = _table(rows, len(header))
+        buf = io.StringIO()
+        with mock.patch.object(cli, "EMIT_ROWS", emit_rows), contextlib.redirect_stdout(buf):
+            cli.emit(header, table, fmt, None, blank)
+        assert buf.getvalue() == _reference_text(header, rows, fmt)
+
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_non_finite_value_is_refused_before_writing(self, tmp_path, fmt):
         target = tmp_path / "table"
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(GaussCollideError, match="output row 1, column b: non-finite"):
-                cli.emit(["a", "b"], [(1.0, 2.0), (3.0, value)], fmt, str(target))
+                cli.emit(["a", "b"], np.array([(1.0, 2.0), (3.0, value)]), fmt, str(target))
         assert not target.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -425,29 +509,67 @@ class TestEmit:
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_rows_are_written_in_chunks(self, capsys, monkeypatch, fmt):
-        rows = [(j, j / 7, None, j % 2 == 0, "x") for j in range(10)]
-        header = ["j", "v", "none", "flag", "s"]
-        cli.emit(header, rows, fmt, None)
+        header = ["j", "v", "none", "skip_flag"]
+        table, blank = _table([(j, j / 7, None, j % 2 == 0) for j in range(10)], len(header))
+        cli.emit(header, table, fmt, None, blank)
         whole = capsys.readouterr().out
         writes = []
         monkeypatch.setattr(cli, "EMIT_ROWS", 3)
         monkeypatch.setattr(cli.sys, "stdout", SimpleNamespace(writelines=writes.extend))
-        cli.emit(header, rows, fmt, None)
+        cli.emit(header, table, fmt, None, blank)
         assert "".join(writes) == whole
         assert len(writes) == (5 if fmt == "csv" else 4)  # the header, then 3 + 3 + 3 + 1 rows
 
     def test_late_non_finite_value_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "EMIT_ROWS", 2)
         target = tmp_path / "table"
-        rows = [(j, float(j)) for j in range(9)] + [(9, math.inf)]
+        table = np.array([(j, float(j)) for j in range(9)] + [(9, math.inf)])
         with pytest.raises(GaussCollideError, match="output row 9, column b: non-finite"):
-            cli.emit(["a", "b"], rows, "csv", str(target))
+            cli.emit(["a", "b"], table, "csv", str(target))
         assert not target.exists()
 
-    def test_jsonl_strings_are_escaped(self, capsys):
-        text = 'say "hi"\\\n'
-        cli.emit(["name"], [(text,)], "jsonl", None)
-        assert json.loads(capsys.readouterr().out) == {"name": text}
+    def test_blank_cells_are_not_checked(self, capsys):
+        table = np.array([[1.0, math.nan], [math.inf, 2.0]])
+        cli.emit(["a", "b"], table, "csv", None, ~np.isfinite(table))
+        assert capsys.readouterr().out == "a,b\n1,\n,2\n"
+
+    def test_blank_cells_in_up_to_64_columns(self, capsys):
+        table, blank = np.zeros((3, 65)), np.zeros((3, 65), bool)
+        blank[1, 63] = blank[2, 0] = True
+        header = [f"c{i}" for i in range(65)]
+        cli.emit(header[:64], table[:, :64], "csv", None, blank[:, :64])
+        assert capsys.readouterr().out.split("\n")[1:4] == [
+            ",".join(["0"] * 64), ",".join(["0"] * 63 + [""]), ",".join([""] + ["0"] * 63)]
+        with pytest.raises(ValueError, match="65 columns"):
+            cli.emit(header, table, "csv", None, blank)
+        assert capsys.readouterr().out == ""
+
+    def test_string_cells_are_refused(self, capsys):
+        with pytest.raises(TypeError):
+            cli.emit(["name"], np.array([['say "hi"']]), "jsonl", None)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_memory_is_bounded_by_the_chunk(self, monkeypatch, fmt):
+        # Beyond the table itself, emit holds one chunk of EMIT_ROWS rows at a
+        # time (about 90 B per cell), whatever the number of rows.
+        n = 10**5
+        rng = np.random.default_rng(n)
+        table = rng.normal(size=(n, len(EVOLVE_HEADER)))
+        table[:, 0], table[:, -1] = np.arange(n), rng.random(n) < 0.1
+        blank = np.zeros(table.shape, bool)
+        blank[table[:, -1] == 1, 6:9] = True
+        written = []
+        monkeypatch.setattr(cli.sys, "stdout", SimpleNamespace(
+            writelines=lambda chunks: written.extend(map(len, chunks))))
+        tracemalloc.start()
+        try:
+            cli.emit(EVOLVE_HEADER, table, fmt, None, blank)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cli.EMIT_ROWS * len(EVOLVE_HEADER) * 128 < table.nbytes / 20, peak
+        assert len(written) == (n // cli.EMIT_ROWS + 1) + (fmt == "csv")  # every row written
 
 
 class TestConfigFile:
@@ -566,10 +688,8 @@ class TestScan:
                 rows.append((a, b, nm_from_steering(steering_series(traj, Direction.B_TO_A)),
                              nm_from_steering(steering_series(traj, Direction.A_TO_B)),
                              nm_cptp(traj).value))
-        expected = io.StringIO()
-        with contextlib.redirect_stdout(expected):
-            cli.emit(["r1", "r2", "n_gs_s_to_an", "n_gs_an_to_s", "n_cptp"], rows, "csv", None)
-        assert buf.getvalue() == expected.getvalue()
+        header = ["r1", "r2", "n_gs_s_to_an", "n_gs_an_to_s", "n_cptp"]
+        assert buf.getvalue() == _reference_text(header, rows, "csv")
 
     @pytest.mark.parametrize("phi", [0.0, math.pi])
     def test_markovian_line_prints_zero(self, capsys, monkeypatch, phi):
@@ -674,8 +794,8 @@ class TestTransport:
         assert columns[0][0] == format(math.log(math.cosh(float(xi))), ".12g")
 
     def test_out_of_memory_length(self, capsys, monkeypatch):
-        # 10^4 steps of STEP_BYTES + MODE_STEP_BYTES (700 B) need about 7 MB
-        monkeypatch.setattr(engine, "physical_memory", lambda: 5 * 2**20)
+        # 10^4 steps of STEP_BYTES + MODE_STEP_BYTES (255 B) need about 2.5 MB
+        monkeypatch.setattr(engine, "physical_memory", lambda: 2 * 2**20)
         code, out, err = run_cli(capsys, "transport", "--r1", ".4", "--r2", ".3",
                                  "--L", "10000", "--modes", "1")
         assert code == 2
@@ -683,8 +803,8 @@ class TestTransport:
         assert err.startswith("error: ") and "--L" in err and err.count("\n") == 1
 
     def test_memory_guard_charges_each_mode_once(self, capsys, monkeypatch):
-        # Six mode columns need about 0.6 kB per step more than one, not 6 x 1.2 kB.
-        monkeypatch.setattr(engine, "physical_memory", lambda: 10 * 2**20)
+        # Six mode columns need 60 B per step more than one, not 6 x 255 B.
+        monkeypatch.setattr(engine, "physical_memory", lambda: 2 * 2**20)
         code, out, _ = run_cli(capsys, "transport", "--r1", ".4", "--r2", ".3", "--L", "4000",
                                "--modes", "1,800,1600,2400,3200,4001")
         assert code == 0 and len(out.split("\n")) == 4003

@@ -586,8 +586,8 @@ class TestMemoryGuard:
         def no_steps(config):
             raise AssertionError("run started stepping")
 
-        # 10^4 steps of STEP_BYTES (600 B) need about 6 MB
-        monkeypatch.setattr(engine, "physical_memory", lambda: 5 * 2**20)
+        # 10^4 steps of STEP_BYTES (245 B) need about 2.4 MB
+        monkeypatch.setattr(engine, "physical_memory", lambda: 2 * 2**20)
         monkeypatch.setattr(engine, "iter_steps", no_steps)
         with pytest.raises(MemoryError, match="L = 10000 "):
             run(SimulationConfig(r1=0.4, r2=0.3, L=10_000))
