@@ -28,7 +28,6 @@ from .engine import (
     iter_steps,
     iter_trajectories,
     require_memory,
-    run,
 )
 from .errors import DegenerateCovarianceError, GaussCollideError
 from .states import EnvironmentSpec, JointSpec, reduce_to_modes, require_finite
@@ -196,8 +195,7 @@ def _simulation_config(args, parser, r1, r2) -> SimulationConfig:
 
 
 def cmd_evolve(args, parser) -> int:
-    config = _simulation_config(args, parser, args.r1, args.r2)
-    traj = run(config)
+    traj = next(iter_trajectories([_simulation_config(args, parser, args.r1, args.r2)]))
     g_san = steering_series(traj, Direction.B_TO_A)
     g_ans = steering_series(traj, Direction.A_TO_B)
     if args.oracle:
@@ -226,19 +224,20 @@ def _verify_against_oracle(traj, printed) -> None:
     Those determinants resolve G only to a few eps times the condition
     number (cosh^2 xi at step 0), so that column's tolerance is the larger
     of 1e-8 and 16 eps cond.  The deviation farthest past it is named, or
-    one stderr line counts the steps left unchecked: det <= DET_FLOOR or 0 < G <= tolerance."""
+    one stderr line counts the steps left unchecked: det <= DET_FLOOR or 0 < G <= 16 eps cond."""
     chain = iter_steps(replace(traj.config, oracle_enabled=True))
     oracle = np.array([reduce_to_modes(sigma, [0, 1]) for _, _, sigma in chain])
     oracle = 0.5 * (oracle + oracle.swapaxes(1, 2))  # symmetric up to rounding
     resolved = np.linalg.det(oracle) > steering.DET_FLOOR
-    steering_tol = np.maximum(1e-8, 16 * np.finfo(float).eps * np.linalg.cond(oracle))
+    conditioning = 16 * np.finfo(float).eps * np.linalg.cond(oracle)
+    steering_tol = np.maximum(1e-8, conditioning)
     unchecked = ~resolved
     deviations = {"joint_cm": np.max(np.abs(traj.joint_cm - oracle), axis=(1, 2))}
     for name, direction in (("g_s_to_an", Direction.B_TO_A), ("g_an_to_s", Direction.A_TO_B)):
         reference = steering.steerability(oracle[resolved], direction)
         deviations[name] = np.zeros(len(oracle))
         deviations[name][resolved] = np.abs(printed[name][resolved] - reference)
-        unchecked[resolved] |= (reference > 0.0) & (reference <= steering_tol[resolved])
+        unchecked[resolved] |= (reference > 0.0) & (reference <= conditioning[resolved])
     tolerances = {"joint_cm": 1e-8 * np.maximum(1.0, np.abs(oracle).max(axis=(1, 2))),
                   "g_s_to_an": steering_tol, "g_an_to_s": steering_tol}
     excess = {name: deviations[name] / tolerances[name] for name in deviations}
@@ -289,7 +288,7 @@ def cmd_transport(args, parser) -> int:
     header = ["j", "g_s_to_an"] + [f"g_e{k}_to_an" for k in modes]
     require_memory(config.L, (config.L + 1) * (STEP_BYTES + MODE_STEP_BYTES * len(modes)))
     _, env_c_sq, env_w, _ = env_mode_columns(config, modes)
-    traj = run(config)
+    traj = next(iter_trajectories([config]))
     table = np.empty((len(traj), len(header)))
     table[:, 0] = np.arange(len(traj))
     table[:, 1] = _steer(traj.c22_abs_sq, traj.env_square_sum, config, lambda i: (i, "g_s_to_an"))

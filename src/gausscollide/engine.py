@@ -10,9 +10,9 @@ evaluator (`_blocks`) computes for a batch of configurations in
 O(sqrt(L)) array operations, block by block of about sqrt(L) steps, each
 configuration's bits independent of the batch.  `_columns` turns c22 and
 W arrays into (c22, |c22|^2, W, H = 1 - |c22|^2) columns, each row checked
-against |W| <= H, for `run` (through `iter_steps`), for `iter_trajectories`,
-which evaluates a chunk of grid cells at once, and for the rows of chosen
-environment modes (`env_mode_columns`).  With `oracle_enabled`,
+against |W| <= H, for `iter_trajectories` (a chunk of configurations at
+once: the command line's one path), the library's `run` (through
+`iter_steps`) and `env_mode_columns`.  With `oracle_enabled`,
 `iter_steps` also propagates the full (L+3)-mode covariance matrix
 symplectically, the reference the tests and `evolve --oracle` check the
 closed forms against.

@@ -158,24 +158,24 @@ class TestUsageErrors:
         ],
     )
     def test_degeneracy_names_the_step(self, capsys, monkeypatch, argv, where):
-        run = cli.run
+        iter_trajectories = cli.iter_trajectories
 
-        def unphysical_at_step_0(config):
-            traj = run(config)
-            w = traj.env_square_sum.copy()
-            w[0] = 10.0  # |W| <= 1 - |c22|^2 on a physical row
-            return replace(traj, env_square_sum=w)
+        def unphysical_at_step_0(configs):
+            for traj in iter_trajectories(configs):
+                w = traj.env_square_sum.copy()
+                w[0] = 10.0  # |W| <= 1 - |c22|^2 on a physical row
+                yield replace(traj, env_square_sum=w)
 
-        monkeypatch.setattr(cli, "run", unphysical_at_step_0)
+        monkeypatch.setattr(cli, "iter_trajectories", unphysical_at_step_0)
         code, _, err = run_cli(capsys, *argv, "--r1", "0.4", "--r2", "0.3", "--L", "3")
         assert code == 3
         assert where in err
 
     def test_degeneracy_exit_code(self, capsys, monkeypatch):
-        def explode(config):
+        def explode(configs):
             raise DegenerateCovarianceError("synthetic")
 
-        monkeypatch.setattr(cli, "run", explode)
+        monkeypatch.setattr(cli, "iter_trajectories", explode)
         code, _, err = run_cli(capsys, "evolve", "--r1", "0.4", "--r2", "0.3", "--L", "3")
         assert code == 3
         assert "degeneracy" in err
@@ -271,15 +271,15 @@ class TestEvolve:
         assert len(out.strip().split("\n")) == 14
 
     def test_oracle_checks_the_printed_covariances(self, capsys, monkeypatch):
-        run = cli.run
+        iter_trajectories = cli.iter_trajectories
 
-        def perturbed(config):
-            traj = run(config)
-            c_sq = traj.c22_abs_sq.copy()
-            c_sq[7] -= 1e-6  # joint_cm[7] and both steering columns follow
-            return replace(traj, c22_abs_sq=c_sq)
+        def perturbed(configs):
+            for traj in iter_trajectories(configs):
+                c_sq = traj.c22_abs_sq.copy()
+                c_sq[7] -= 1e-6  # joint_cm[7] and both steering columns follow
+                yield replace(traj, c22_abs_sq=c_sq)
 
-        monkeypatch.setattr(cli, "run", perturbed)
+        monkeypatch.setattr(cli, "iter_trajectories", perturbed)
         code, out, err = run_cli(capsys, "evolve", "--r1", ".4", "--r2", ".3", "--L", "12",
                                  "--oracle")
         assert code == 3 and out == ""
@@ -316,18 +316,27 @@ class TestEvolve:
         assert (code, out, err) == (0, plain, "")
 
     def test_oracle_still_checks_covariances_with_large_entries(self, capsys, monkeypatch):
-        run = cli.run
+        iter_trajectories = cli.iter_trajectories
 
-        def perturbed(config):
-            traj = run(config)
-            c22 = traj.c22.copy()
-            c22[22] *= 1 + 1e-6  # only joint_cm follows; steering reads |c22|^2
-            return replace(traj, c22=c22)
+        def perturbed(configs):
+            for traj in iter_trajectories(configs):
+                c22 = traj.c22.copy()
+                c22[22] *= 1 + 1e-6  # only joint_cm follows; steering reads |c22|^2
+                yield replace(traj, c22=c22)
 
-        monkeypatch.setattr(cli, "run", perturbed)
+        monkeypatch.setattr(cli, "iter_trajectories", perturbed)
         code, out, err = run_cli(capsys, *self.LARGE_XI, "--oracle")
         assert code == 3 and out == ""
         assert "oracle mismatch at step 22:" in err and "in joint_cm" in err
+
+    def test_oracle_checks_steering_below_its_absolute_floor(self, capsys):
+        # At xi = 1 the conditioning term is far below 1e-8, so a G in (0, 1e-8]
+        # is checked to 1e-8 absolute, not counted as unchecked.
+        argv = ("evolve", "--r1", "0.4", "--r2", "0.3", "--L", "600")
+        _, plain, _ = run_cli(capsys, *argv)
+        g = np.array([line.split(",")[4:6] for line in plain.split("\n")[1:-1]], float)
+        assert np.any((0.0 < g) & (g <= 1e-8))
+        assert run_cli(capsys, *argv, "--oracle") == (0, plain, "")
 
     @pytest.mark.parametrize("xi", ["20", "100", "177"])
     def test_oracle_skips_steering_where_its_determinant_rounds_to_zero(self, capsys, xi):
@@ -357,15 +366,15 @@ class TestEvolve:
                        "first at step 0\n")
 
     def test_oracle_checks_covariances_where_it_cannot_check_steering(self, capsys, monkeypatch):
-        run = cli.run
+        iter_trajectories = cli.iter_trajectories
 
-        def perturbed(config):
-            traj = run(config)
-            c22 = traj.c22.copy()
-            c22[1] *= 1 + 1e-6  # only joint_cm follows; steering reads |c22|^2
-            return replace(traj, c22=c22)
+        def perturbed(configs):
+            for traj in iter_trajectories(configs):
+                c22 = traj.c22.copy()
+                c22[1] *= 1 + 1e-6  # only joint_cm follows; steering reads |c22|^2
+                yield replace(traj, c22=c22)
 
-        monkeypatch.setattr(cli, "run", perturbed)
+        monkeypatch.setattr(cli, "iter_trajectories", perturbed)
         code, out, err = run_cli(capsys, "evolve", "--r1", ".4", "--r2", ".3", "--L", "12",
                                  "--xi", "20", "--oracle")
         assert code == 3 and out == ""
@@ -921,6 +930,27 @@ def test_production_paths_take_no_matrix_determinant(capsys, monkeypatch, argv):
     code, out, _ = run_cli(capsys, *argv, "--env", "squeezed-thermal", "--n", "0.3",
                            "--zeta", "0.4")
     assert code == 0 and out.count("\n") > 6
+
+
+@pytest.mark.parametrize("argv", [
+    ("evolve", "--r1", "0.4", "--r2", "0.3", "--L", "30", "--env", "squeezed-thermal",
+     "--n", "0.3", "--zeta", "0.4"),
+    ("transport", "--r1", "0.4", "--r2", "0.3", "--L", "30", "--modes", "1,15,31"),
+    ("scan", "--grid-r1", "0.2:0.8:3", "--grid-r2", "0.3:0.9:3", "--L", "30"),
+    ("thresholds", "--family", "s-to-an", "--n-values", "0,0.5"),
+], ids=["evolve", "transport", "scan", "thresholds"])
+def test_production_paths_never_step_one_at_a_time(capsys, monkeypatch, argv):
+    """Without --oracle no subcommand reaches iter_steps, nor run, which
+    steps through it: each reads the batch evaluator."""
+    plain = run_cli(capsys, *argv)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the per-step stream was reached")
+
+    monkeypatch.setattr(engine, "iter_steps", refused)
+    monkeypatch.setattr(cli, "iter_steps", refused)
+    assert plain[0] == 0 and plain[1].count("\n") > 2
+    assert run_cli(capsys, *argv) == plain
 
 
 class TestThresholds:
