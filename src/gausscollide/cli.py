@@ -284,6 +284,13 @@ def cmd_transport(args, parser) -> int:
         parser.error(f"invalid --modes value {args.modes!r}")
     if not modes:
         parser.error("--modes is required: at least one environment index (comma-separated)")
+    seen = set()
+    for k in modes:
+        if not 1 <= k <= config.L + 1:
+            parser.error(f"--modes index {k} is out of range 1..{config.L + 1}")
+        if k in seen:
+            parser.error(f"--modes repeats index {k}")
+        seen.add(k)
 
     header = ["j", "g_s_to_an"] + [f"g_e{k}_to_an" for k in modes]
     require_memory(config.L, (config.L + 1) * (STEP_BYTES + MODE_STEP_BYTES * len(modes)))
@@ -315,6 +322,9 @@ def _steer(c_sq, w, config, place):
 
 def cmd_thresholds(args, parser) -> int:
     names, threshold = THRESHOLD_FAMILIES[args.family]
+    for name in ("n", "xi", "zeta"):
+        if getattr(args, f"{name}_values") == []:
+            parser.error(f"--{name}-values is empty: give at least one value")
     axes = [getattr(args, f"{name}_values") for name in names]
     if None in axes:
         flags = " and ".join(f"--{name}-values" for name in names)

@@ -8,14 +8,15 @@ constant matrix K (`_round_matrices`; the sums' map is affine, made linear
 by a constant 1).  Every column is then K^j x_0, which one block-power
 evaluator (`_blocks`) computes for a batch of configurations in
 O(sqrt(L)) array operations, block by block of about sqrt(L) steps, each
-configuration's bits independent of the batch.  `_columns` turns c22 and
-W arrays into (c22, |c22|^2, W, H = 1 - |c22|^2) columns, each row checked
-against |W| <= H, for `iter_trajectories` (a chunk of configurations at
-once: the command line's one path), the library's `run` (through
-`iter_steps`) and `env_mode_columns`.  With `oracle_enabled`,
-`iter_steps` also propagates the full (L+3)-mode covariance matrix
-symplectically, the reference the tests and `evolve --oracle` check the
-closed forms against.
+configuration's bits independent of the batch, since numpy's long double
+`@` sums in index order.  `_columns` turns c22 and W arrays into (c22,
+|c22|^2, W, H = 1 - |c22|^2) columns, each row checked against |W| <= H,
+for `iter_trajectories` (a chunk of configurations at once: the command
+line's one path), the library's `run` (through `iter_steps`) and
+`env_mode_columns`; a `Trajectory` keeps the first three and derives H.
+With `oracle_enabled`, `iter_steps` also propagates the full (L+3)-mode
+covariance matrix symplectically, the reference the tests and `evolve
+--oracle` check the closed forms against.
 """
 
 import math
@@ -88,17 +89,21 @@ class StepRecord:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Per-step columns j = 0 .. L: c22, |c22|^2, W and H = 1 - |c22|^2.
-    The full-chain covariances are not kept; `iter_steps` streams them."""
+    """Per-step columns j = 0 .. L: c22, |c22|^2 and W; H = 1 - |c22|^2 is
+    derived.  The full-chain covariances are not kept; `iter_steps` streams them."""
 
     config: SimulationConfig
     c22: np.ndarray
     c22_abs_sq: np.ndarray
     env_square_sum: np.ndarray
-    env_abs_square_sum: np.ndarray
 
     def __len__(self) -> int:
         return len(self.c22)
+
+    @property
+    def env_abs_square_sum(self) -> np.ndarray:
+        """H = 1 - |c22|^2 per step, the bits `_columns` checks W against."""
+        return 1.0 - self.c22_abs_sq
 
     @cached_property
     def joint_cm(self) -> np.ndarray:
@@ -241,38 +246,29 @@ def _round_matrices(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _INITIAL_STATES = (np.array([1, 0], dtype=complex), np.array([0, 0, 1, 1], dtype=complex))
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over the last two axes, broadcast over the leading ones, one
-    inner index at a time in elementwise ufuncs.  No matmul, einsum or
-    reduce, whose kernels round by the shapes they meet, so a cell's bits
-    do not depend on its batch."""
-    out = a[..., :, :1] * b[..., :1, :]
-    for i in range(1, a.shape[-1]):
-        out += a[..., :, i : i + 1] * b[..., i : i + 1, :]
-    return out
-
-
 def _blocks(k: np.ndarray, x0: np.ndarray, L: int, rows):
     """Yield the given rows of x_j = K^j x_0, j = 0 .. L, for a batch of
     matrices k (cells, n, n), one block of at most B = isqrt(L + 1) steps
     at a time, as complex arrays (cells, steps, rows).
 
-    In long double (numpy's clongdouble, a 64-bit significand on x86-64,
-    whose ufuncs have no vector kernels): the powers K^t, t <= B, one
-    product from the last; then block m is one product of their rows with
-    X_m = (K^B)^m x_0, and X_{m + 1} one more.  About 2 sqrt(L) array
-    products in all, each entry rounded to complex once."""
+    In long double (numpy's clongdouble, a 64-bit significand on x86-64):
+    the powers K^t, t <= B, one product from the last; then block m is one
+    product of their rows with X_m = (K^B)^m x_0, and X_{m + 1} one more.
+    About 2 sqrt(L) array products in all, each entry rounded to complex
+    once.  numpy has no BLAS kernel for long double: its matmul loop sums
+    each entry's products in index order, whatever the batch, so a cell's
+    bits do not depend on the cells beside it."""
     b, k = math.isqrt(L + 1), k.astype(np.clongdouble)
     power, picked = np.broadcast_to(np.eye(k.shape[-1], dtype=k.dtype), k.shape), []
     for _ in range(b):
         picked.append(power[:, rows])
-        power = _matmul(power, k)
+        power = power @ k
     table = np.concatenate(picked, axis=1)
     state = np.broadcast_to(x0.astype(k.dtype)[:, None], (len(k), len(x0), 1))
     for start in range(0, L + 1, b):
-        block = _matmul(table, state)[..., 0].astype(complex)
+        block = (table @ state)[..., 0].astype(complex)
         yield block.reshape(len(k), b, -1)[:, : L + 1 - start]
-        state = _matmul(power, state)
+        state = power @ state
 
 
 def _column_blocks(configs, L: int):
@@ -332,7 +328,7 @@ def iter_trajectories(configs):
     for start in range(0, len(configs), size):
         chunk = configs[start : start + size]
         for config, c22, w in zip(chunk, *_trajectory_columns(chunk, L)):
-            yield Trajectory(config, *_columns(c22, w))
+            yield Trajectory(config, *_columns(c22, w)[:3])
 
 
 def _columns(c22, w) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -372,7 +368,7 @@ def env_mode_columns(config: SimulationConfig, modes) -> tuple[np.ndarray, ...]:
             inside = (start <= j) & (j < start + steps.shape[1])
             state[inside] = steps[0, j[inside] - start]
             start += steps.shape[1]
-        product = _matmul(middle[:1].astype(np.clongdouble), state[..., None])
+        product = middle[:1].astype(np.clongdouble) @ state[..., None]
         rows.append((state[:, e], product[:, 0, 0].astype(complex)))
     (a_e, a_m), (g_ee, g_m) = rows
     c22 = np.stack([np.zeros_like(a_e), a_e, a_m], axis=1).ravel()
@@ -405,7 +401,7 @@ def run(config: SimulationConfig) -> Trajectory:
     c22, w = np.empty(config.L + 1, complex), np.empty(config.L + 1, complex)
     for j, co, _ in iter_steps(config):
         c22[j], w[j] = co.c22, co.env_square_sum
-    return Trajectory(config, *_columns(c22, w))
+    return Trajectory(config, *_columns(c22, w)[:3])
 
 
 def _refuse_oracle(config: SimulationConfig) -> None:

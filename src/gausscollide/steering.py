@@ -173,7 +173,8 @@ def threshold_an_to_s_thermal(n: float, xi: float) -> float:
         raise ValueError(f"n must be non-negative, got {n}")
     den = (2.0 * n + 1.0) * np.cosh(xi) - 1.0
     if den <= 1e-15:
-        raise ValueError("threshold undefined: (2n+1) cosh(xi) - 1 must be positive")
+        raise ValueError(f"threshold undefined at n = {n:.12g}, xi = {xi:.12g}: "
+                         "(2n+1) cosh(xi) - 1 must be positive")
     return 2.0 * n * np.cosh(xi) / den
 
 

@@ -209,6 +209,72 @@ class TestUsageErrors:
             assert "nan" not in buf.getvalue() and "inf" not in buf.getvalue()
 
 
+def run_captured(*args):
+    """run_cli without capsys, which hypothesis does not reset between examples."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(args))
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_exit(code, out, err, names, rows):
+    """Exit 2 with nothing on stdout and one error line, naming one of
+    names, that ends stderr (after the subcommand's usage, for a usage
+    error); or exit 0 with the expected rows, unique header names and no
+    non-finite value."""
+    assert code in (0, 2), err
+    if code == 2:
+        lines = err.splitlines()
+        assert out == "" and err.endswith("\n")
+        assert [line for line in lines if "error:" in line] == lines[-1:], err
+        assert len(lines) == 1 or lines[0].startswith("usage: gausscollide "), err
+        assert any(name in lines[-1] for name in names), err
+        return
+    if out.startswith("{"):
+        records = [json.loads(line, object_pairs_hook=list) for line in out.splitlines()]
+        header = [key for key, _ in records[0]]
+    else:
+        header, *records = out.splitlines()
+        header = header.split(",")
+    assert len(records) == rows > 0
+    assert len(set(header)) == len(header), header
+    assert "nan" not in out and "inf" not in out
+
+
+MODE_TOKENS = ["", " ", "x", "1.5", "2e0", "-1", "+2", " 3", "4 ", "1 2", "nan"]
+AXIS_TOKENS = ["", ",", " , ", "0", "0.5", "-1", "nan", "inf", "1e300", "1e-300", "180",
+               "0:2:3", "0:1:1", "2:0:4", "0:1:x", "1:2", "nan:1:3", "0,,1"]
+
+
+class TestArgvExitCodes:
+    """Malformed and extreme argv tokens exit 0 or 2, never with a
+    traceback, a repeated column or a non-finite value (L <= 50)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), L=st.integers(1, 50), fmt=st.sampled_from(["csv", "jsonl"]))
+    def test_transport_modes(self, data, L, fmt):
+        token = st.integers(0, L + 2).map(str) | st.sampled_from(MODE_TOKENS)
+        modes = ",".join(data.draw(st.lists(token, min_size=1, max_size=5)))
+        code, out, err = run_captured("transport", "--r1=0.4", "--r2=0.3", f"--L={L}",
+                                      f"--modes={modes}", f"--format={fmt}")
+        check_exit(code, out, err, ["--modes"], L + 1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), family=st.sampled_from(sorted(cli.THRESHOLD_FAMILIES)),
+           fmt=st.sampled_from(["csv", "jsonl"]))
+    def test_threshold_values(self, data, family, fmt):
+        names = cli.THRESHOLD_FAMILIES[family][0]
+        token = st.sampled_from(AXIS_TOKENS) | st.floats(-10.0, 10.0).map(repr)
+        axes = [data.draw(token) for _ in names]
+        flags = [f"--{name}-values={axis}" for name, axis in zip(names, axes)]
+        code, out, err = run_captured("thresholds", f"--family={family}", *flags,
+                                      f"--format={fmt}")
+        rows = math.prod(len(parse_values(axis)) for axis in axes) if code == 0 else 0
+        check_exit(code, out, err, [f"--{name}-values" for name in names]
+                   + [f"error: {name} " for name in names] + [f" {name} = " for name in names],
+                   rows)
+
+
 class TestEvolve:
     def test_basic_table(self, capsys):
         code, out, _ = run_cli(capsys, "evolve", "--r1", "0.4", "--r2", "0.3", "--L", "4")
@@ -914,6 +980,20 @@ class TestTransport:
         assert run_cli(capsys, "transport", "--r1", "0.4", "--r2", "0.3",
                        "--L", "5")[0] == 2
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_repeated_mode_is_refused(self, capsys, fmt):
+        # each mode names one column: a repeat would print a key twice
+        code, out, err = run_cli(capsys, "transport", "--r1", "0.4", "--r2", "0.3",
+                                 "--L", "5", "--modes", "1,2,2", "--format", fmt)
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1].endswith("error: --modes repeats index 2")
+
+    def test_out_of_range_mode_names_the_flag(self, capsys):
+        code, out, err = run_cli(capsys, "transport", "--r1", "0.4", "--r2", "0.3",
+                                 "--L", "5", "--modes", "7")
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1].endswith("error: --modes index 7 is out of range 1..6")
+
 
 @pytest.mark.parametrize("argv", [
     ("evolve", "--r1", "0.4", "--r2", "0.3", "--L", "30"),
@@ -1001,3 +1081,22 @@ class TestThresholds:
                        "--n-values", "1")[0] == 2
         assert run_cli(capsys, "thresholds", "--family", "warp")[0] == 2
         assert run_cli(capsys, "thresholds")[0] == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("argv,flag", [
+        (("s-to-an", "--n-values", ""), "--n-values"),
+        (("s-to-an", "--n-values", ","), "--n-values"),
+        (("an-to-s-thermal", "--n-values", "1", "--xi-values", " , "), "--xi-values"),
+        (("an-to-s-squeezed", "--xi-values", "1", "--zeta-values", ""), "--zeta-values"),
+    ])
+    def test_empty_axis_is_refused(self, capsys, argv, flag, fmt):
+        code, out, err = run_cli(capsys, "thresholds", "--family", *argv, "--format", fmt)
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1].endswith(f"error: {flag} is empty: give at least one value")
+
+    def test_undefined_threshold_names_its_inputs(self, capsys):
+        code, out, err = run_cli(capsys, "thresholds", "--family", "an-to-s-thermal",
+                                 "--n-values", "0", "--xi-values", "0")
+        assert code == 2 and out == ""
+        assert err == ("error: threshold undefined at n = 0, xi = 0: "
+                       "(2n+1) cosh(xi) - 1 must be positive\n")
