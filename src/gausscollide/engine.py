@@ -256,8 +256,9 @@ def _blocks(k: np.ndarray, x0: np.ndarray, L: int, rows):
     product of their rows with X_m = (K^B)^m x_0, and X_{m + 1} one more.
     About 2 sqrt(L) array products in all, each entry rounded to complex
     once.  numpy has no BLAS kernel for long double: its matmul loop sums
-    each entry's products in index order, whatever the batch, so a cell's
-    bits do not depend on the cells beside it."""
+    each entry's products in index order, starting from +0, whatever the
+    batch, so a cell's bits do not depend on the cells beside it (and a
+    sum of -0 products is +0)."""
     b, k = math.isqrt(L + 1), k.astype(np.clongdouble)
     power, picked = np.broadcast_to(np.eye(k.shape[-1], dtype=k.dtype), k.shape), []
     for _ in range(b):

@@ -1,0 +1,25 @@
+"""tools/compare_stdout.py's report of changed tokens."""
+
+import importlib.util
+import pathlib
+
+TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "compare_stdout.py"
+_spec = importlib.util.spec_from_file_location("compare_stdout", TOOL)
+compare_stdout = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_stdout)
+
+
+def test_signed_zeros_are_a_change_of_no_deviation():
+    report = compare_stdout.token_deviation("j,x\n0,0\n1,-0\n", "j,x\n0,-0\n1,0.0\n")
+    assert report == "2 of 6 tokens changed, max abs 0, max rel 0"
+
+
+def test_deviation_of_changed_numbers():
+    report = compare_stdout.token_deviation('{"x": 2, "y": 0}\n', '{"x": 3, "y": 0.5}\n')
+    assert report == "2 of 4 tokens changed, max abs 1, max rel 1"
+
+
+def test_random_argvs_cover_every_subcommand():
+    argvs = compare_stdout.random_argvs(compare_stdout.RANDOM_ARGVS, compare_stdout.SEED)
+    assert len(argvs) == compare_stdout.RANDOM_ARGVS
+    assert {argv.split()[0] for argv in argvs} == {"evolve", "scan", "transport", "thresholds"}

@@ -2,12 +2,12 @@
 
 Run from the repository root:
 
-    python3 tools/compare_stdout.py OLD_SRC NEW_SRC --random 40 --seed 1
+    python3 tools/compare_stdout.py OLD_SRC NEW_SRC
 
 Each argv runs once under each tree, as `python -m gausscollide.cli ARGV`
 with PYTHONPATH set to that tree's `src` directory.  The argvs are every
-golden argv of tests/test_cli_golden.py, then N seeded random ones
-(--random, --seed): all four subcommands, the four environment families,
+golden argv of tests/test_cli_golden.py, then RANDOM_ARGVS random ones
+drawn with seed SEED: all four subcommands, the four environment families,
 reflectivities 0, 1 and interior, CSV and JSON lines, and `evolve --oracle`
 at L <= 200.  --argv adds more, one quoted argv per flag.
 
@@ -35,6 +35,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN_PATH = os.path.join(ROOT, "tests", "test_cli_golden.py")
 FAMILIES = ("vacuum", "thermal", "squeezed", "squeezed-thermal")
 TOKEN_SPLIT = re.compile(r"[\s,:{}]+")
+# The golden-digest protocol's minimum of random argvs, and their seed.
+RANDOM_ARGVS = 40
+SEED = 1
 
 
 def golden_argvs(path: str) -> list[str]:
@@ -132,7 +135,8 @@ def token_deviation(old: str, new: str) -> str:
         if math.isfinite(fx) and math.isfinite(fy):
             dev = abs(fx - fy)
             worst_abs = max(worst_abs, dev)
-            worst_rel = max(worst_rel, dev / max(abs(fx), abs(fy)))
+            if fx or fy:
+                worst_rel = max(worst_rel, dev / max(abs(fx), abs(fy)))
     return (f"{changed} of {len(a)} tokens changed, max abs {worst_abs:.3g}, "
             f"max rel {worst_rel:.3g}")
 
@@ -141,13 +145,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src", help="the reference tree's src directory")
     parser.add_argument("new_src", help="the compared tree's src directory")
-    parser.add_argument("--random", type=int, default=40, help="random argvs (default 40)")
-    parser.add_argument("--seed", type=int, default=1, help="seed of the random argvs")
     parser.add_argument("--argv", action="append", default=[],
                         help="one more argv, quoted; may repeat")
     args = parser.parse_args(argv)
 
-    argvs = golden_argvs(GOLDEN_PATH) + random_argvs(args.random, args.seed) + args.argv
+    argvs = golden_argvs(GOLDEN_PATH) + random_argvs(RANDOM_ARGVS, SEED) + args.argv
     mismatches = 0
     for line in argvs:
         (old_code, old_out), (new_code, new_out) = (run(src, line)
