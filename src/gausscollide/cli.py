@@ -12,6 +12,7 @@ success, 2 usage/validation error, 3 numerical degeneracy.
 
 import argparse
 import itertools
+import math
 import re
 import sys
 from contextlib import nullcontext
@@ -28,6 +29,7 @@ from .engine import (
     iter_steps,
     iter_trajectories,
     require_memory,
+    trajectory_chunk,
 )
 from .errors import DegenerateCovarianceError, GaussCollideError
 from .states import EnvironmentSpec, JointSpec, reduce_to_modes, require_finite
@@ -53,6 +55,12 @@ THRESHOLD_FAMILIES = {  # family: (swept parameters, threshold function)
 # on top of STEP_BYTES: 8 B (one table cell; L = 2e4 to 2e5, 1 to 24 modes)
 # plus a 20% margin.
 MODE_STEP_BYTES = 10
+
+# A bound on the bytes a `scan` cell, a `thresholds` row or an axis value
+# holds beside iter_trajectories' chunk: with tracemalloc, a scan at L = 2
+# and at L = 50 grows by 312 to 326 B per cell from 80 x 80 to 250 x 250
+# cells, a thresholds table by 130 to 168 B per row; plus a 20% margin.
+GRID_CELL_BYTES = 400
 
 # Rows that emit formats at a time, at about 90 B per cell beside the table.
 EMIT_ROWS = 256
@@ -90,8 +98,9 @@ def parse_angle(token: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid angle {token!r}") from None
 
 
-def parse_values(token: str) -> list[float]:
-    """Parse 'a,b,c' or a linspace spec 'start:stop:count'."""
+def _axis(token: str):
+    """(count, values) of 'a,b,c' or a linspace spec 'start:stop:count':
+    values() returns the floats, which a linspace builds only then."""
     text = token.strip()
     if ":" in text:
         parts = text.split(":")
@@ -101,13 +110,19 @@ def parse_values(token: str) -> list[float]:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid grid spec {token!r}") from None
-        if count < 2:
-            raise argparse.ArgumentTypeError("grid count must be >= 2")
-        return [float(v) for v in np.linspace(start, stop, count)]
+        if not 2 <= count <= sys.maxsize:
+            raise argparse.ArgumentTypeError(f"grid count must be >= 2 and <= {sys.maxsize}")
+        return count, lambda: np.linspace(start, stop, count).tolist()
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid value list {token!r}") from None
+    return len(values), lambda: values
+
+
+def parse_values(token: str) -> list[float]:
+    """Parse 'a,b,c' or a linspace spec 'start:stop:count'."""
+    return _axis(token)[1]()
 
 
 def load_config_file(path: str) -> dict:
@@ -194,7 +209,7 @@ def _simulation_config(args, parser, r1, r2) -> SimulationConfig:
     )
 
 
-def cmd_evolve(args, parser) -> int:
+def cmd_evolve(args, parser):
     traj = next(iter_trajectories([_simulation_config(args, parser, args.r1, args.r2)]))
     g_san = steering_series(traj, Direction.B_TO_A)
     g_ans = steering_series(traj, Direction.A_TO_B)
@@ -211,8 +226,7 @@ def cmd_evolve(args, parser) -> int:
         table[-len(column):, c] = column  # the divisibility columns start at step 1
     # Step 0 has no intermediate map; a skipped step shows only its flag.
     blank[np.concatenate([[True], skipped]), 6:9] = True
-    emit(header, table, args.format, args.out, blank)
-    return 0
+    return header, table, blank
 
 
 def _verify_against_oracle(traj, printed) -> None:
@@ -260,23 +274,26 @@ def _scan_cell(traj):
     )
 
 
-def cmd_scan(args, parser) -> int:
+def cmd_scan(args, parser):
     if args.steps < 2:
         parser.error("scan needs --steps >= 2")
-    if len(args.grid_r1) < 2 or len(args.grid_r2) < 2:
+    (n1, r1s), (n2, r2s) = args.grid_r1, args.grid_r2
+    if n1 < 2 or n2 < 2:
         parser.error("--grid-r1 and --grid-r2 are required, with at least 2 points each")
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    base = _simulation_config(args, parser, args.grid_r1[0], args.grid_r2[0])
-    cells = [replace(base, r1=r1, r2=r2) for r1 in args.grid_r1 for r2 in args.grid_r2]
+    need = trajectory_chunk(n1 * n2, args.steps)[1] + (n1 * n2 + n1 + n2) * GRID_CELL_BYTES
+    require_memory(f"the --grid-r1 x --grid-r2 grid of {n1} x {n2} cells at L = {args.steps}", need)
+    r1s, r2s = r1s(), r2s()
+    base = _simulation_config(args, parser, r1s[0], r2s[0])
+    cells = [replace(base, r1=r1, r2=r2) for r1 in r1s for r2 in r2s]
     header = ["r1", "r2", "n_gs_s_to_an", "n_gs_an_to_s", "n_cptp"]
     table = np.array([(cell.r1, cell.r2, *_scan_cell(traj))
                       for cell, traj in zip(cells, iter_trajectories(cells))])
-    emit(header, table, args.format, args.out)
-    return 0
+    return header, table, None
 
 
-def cmd_transport(args, parser) -> int:
+def cmd_transport(args, parser):
     config = _simulation_config(args, parser, args.r1, args.r2)
     try:
         modes = [int(v) for v in args.modes.split(",") if v.strip() != ""]
@@ -293,51 +310,52 @@ def cmd_transport(args, parser) -> int:
         seen.add(k)
 
     header = ["j", "g_s_to_an"] + [f"g_e{k}_to_an" for k in modes]
-    require_memory(config.L, (config.L + 1) * (STEP_BYTES + MODE_STEP_BYTES * len(modes)))
+    require_memory(f"L = {config.L}",
+                   (config.L + 1) * (STEP_BYTES + MODE_STEP_BYTES * len(modes)))
     _, env_c_sq, env_w, _ = env_mode_columns(config, modes)
     traj = next(iter_trajectories([config]))
     table = np.empty((len(traj), len(header)))
     table[:, 0] = np.arange(len(traj))
-    table[:, 1] = _steer(traj.c22_abs_sq, traj.env_square_sum, config, lambda i: (i, "g_s_to_an"))
-    places = [(j, header[c]) for c, k in enumerate(modes, 2) for j in (0, k - 1, k)]
-    env = _steer(env_c_sq, env_w, config, lambda i: places[i]).reshape(-1, 3).tolist()
+    table[:, 1] = steering_series(traj, Direction.B_TO_A)  # evolve's g_s_to_an
+    try:
+        env = steering_columns(env_c_sq, env_w, config.joint, config.env, Direction.B_TO_A)
+    except DegenerateCovarianceError as exc:
+        k = modes[exc.index // 3]
+        raise DegenerateCovarianceError(
+            f"step {(0, k - 1, k)[exc.index % 3]}, column g_e{k}_to_an: {exc}") from None
     # E_k's rows print for steps 0 .. k - 2, k - 1 and k .. L
     # (k = 1's unit row and k = L + 1's middle row for none).
-    for c, (k, (before, middle, after)) in enumerate(zip(modes, env), 2):
+    for c, (k, (before, middle, after)) in enumerate(zip(modes, env.reshape(-1, 3).tolist()), 2):
         table[: k - 1, c], table[k - 1, c], table[k:, c] = before, middle, after
-    emit(header, table, args.format, args.out)
-    return 0
+    return header, table, None
 
 
-def _steer(c_sq, w, config, place):
-    """X -> An steering of the (ancilla, X) rows with columns |c|^2 and W,
-    as steering_series steers the system; place(i) = (step, column) names
-    a degenerate row i."""
-    try:
-        return steering_columns(c_sq, w, config.joint, config.env, Direction.B_TO_A)
-    except DegenerateCovarianceError as exc:
-        j, column = place(exc.index)
-        raise DegenerateCovarianceError(f"step {j}, column {column}: {exc}") from None
-
-
-def cmd_thresholds(args, parser) -> int:
+def cmd_thresholds(args, parser):
     names, threshold = THRESHOLD_FAMILIES[args.family]
     for name in ("n", "xi", "zeta"):
-        if getattr(args, f"{name}_values") == []:
+        axis = getattr(args, f"{name}_values")
+        if axis is not None and name not in names:
+            parser.error(f"family {args.family} does not sweep --{name}-values")
+        if axis is not None and axis[0] == 0:
             parser.error(f"--{name}-values is empty: give at least one value")
+    flags = [f"--{name}-values" for name in names]
     axes = [getattr(args, f"{name}_values") for name in names]
     if None in axes:
-        flags = " and ".join(f"--{name}-values" for name in names)
-        parser.error(f"family {args.family} needs {flags}")
+        parser.error(f"family {args.family} needs {' and '.join(flags)}")
+    counts = [count for count, _ in axes]
+    rows = math.prod(counts)
+    require_memory(f"the {' x '.join(flags)} grid of {rows} rows",
+                   (rows + sum(counts)) * GRID_CELL_BYTES)
+    swept = {name: values() for name, (_, values) in zip(names, axes)}
     # The checks a simulation makes on the same parameters.
-    for n in args.n_values or ():
+    for n in swept.get("n", ()):
         EnvironmentSpec(n=n)
     for name in ("xi", "zeta"):
-        for value in getattr(args, f"{name}_values") or ():
+        for value in swept.get(name, ()):
             require_finite(name, value, squeezing=True)
-    table = np.array([(*params, threshold(*params)) for params in itertools.product(*axes)])
-    emit([*names, "threshold"], table.reshape(-1, len(names) + 1), args.format, args.out)
-    return 0
+    table = np.array([(*params, threshold(*params))
+                      for params in itertools.product(*swept.values())])
+    return [*names, "threshold"], table, None
 
 
 def _add_common_flags(sub, with_r=True):
@@ -383,9 +401,9 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="non-Markovianity measures over a reflectivity grid")
     _add_common_flags(p_scan, with_r=False)
-    p_scan.add_argument("--grid-r1", dest="grid_r1", type=parse_values, default="",
+    p_scan.add_argument("--grid-r1", dest="grid_r1", type=_axis, default="",
                         help="r1 axis: 'a,b,c' or 'start:stop:count'")
-    p_scan.add_argument("--grid-r2", dest="grid_r2", type=parse_values, default="",
+    p_scan.add_argument("--grid-r2", dest="grid_r2", type=_axis, default="",
                         help="r2 axis: 'a,b,c' or 'start:stop:count'")
     p_scan.add_argument("--jobs", type=int, default=1,
                         help="accepted and checked to be >= 1; the scan runs in this process")
@@ -401,9 +419,9 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
     p_thr = sub.add_parser("thresholds", help="closed-form steerability threshold tables")
     p_thr.add_argument("--family", required=True, choices=THRESHOLD_FAMILIES)
-    p_thr.add_argument("--n-values", dest="n_values", type=parse_values)
-    p_thr.add_argument("--xi-values", dest="xi_values", type=parse_values)
-    p_thr.add_argument("--zeta-values", dest="zeta_values", type=parse_values)
+    p_thr.add_argument("--n-values", dest="n_values", type=_axis)
+    p_thr.add_argument("--xi-values", dest="xi_values", type=_axis)
+    p_thr.add_argument("--zeta-values", dest="zeta_values", type=_axis)
     p_thr.add_argument("--config", help="key=value file of default parameter values")
     p_thr.add_argument("--format", dest="format", choices=FORMATS, default="csv")
     p_thr.add_argument("--out", help="output file (default stdout)")
@@ -417,7 +435,9 @@ def main(argv=None) -> int:
         args = build_parser(argv).parse_args(argv)
         if args.format not in FORMATS:
             args.parser.error(f"unknown format {args.format!r}")
-        return args.func(args, args.parser)
+        header, table, blank = args.func(args, args.parser)
+        emit(header, table, args.format, args.out, blank)
+        return 0
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

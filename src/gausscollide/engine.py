@@ -197,7 +197,7 @@ def iter_steps(config: SimulationConfig):
     oracle's one (2L+6)^2 covariance must fit in physical memory.
     """
     if config.oracle_enabled:
-        require_memory(config.L, 8 * (2 * config.L + 6) ** 2)
+        require_memory(f"L = {config.L}", 8 * (2 * config.L + 6) ** 2)
     sigma = initial_full_cm(config) if config.oracle_enabled else None
     steps = (step for c22s, ws in _column_blocks([config], config.L)
              for step in zip(c22s[0].tolist(), ws[0].tolist()))
@@ -308,6 +308,14 @@ def _cell_bytes(L: int) -> int:
     return CELL_BYTES + CELL_STEP_BYTES * (L + 1) + CELL_BLOCK_BYTES * math.isqrt(L + 1)
 
 
+def trajectory_chunk(cells: int, L: int) -> tuple[int, int]:
+    """(cells per chunk, bytes) of iter_trajectories over cells
+    configurations of L rounds: it holds one chunk and one trajectory."""
+    cell_bytes = _cell_bytes(L)
+    size = min(cells, max(1, CHUNK_BYTES // cell_bytes))
+    return size, size * cell_bytes + (L + 1) * STEP_BYTES
+
+
 def iter_trajectories(configs):
     """One Trajectory per configuration, in order, for configurations that
     differ only in r1 and r2.
@@ -323,9 +331,8 @@ def iter_trajectories(configs):
         raise ValueError("configurations differ in more than r1 and r2")
     _refuse_oracle(base)
     L = base.L
-    cell_bytes = _cell_bytes(L)
-    size = min(len(configs), max(1, CHUNK_BYTES // cell_bytes))
-    require_memory(L, size * cell_bytes + (L + 1) * STEP_BYTES)
+    size, need = trajectory_chunk(len(configs), L)
+    require_memory(f"L = {L}", need)
     for start in range(0, len(configs), size):
         chunk = configs[start : start + size]
         for config, c22, w in zip(chunk, *_trajectory_columns(chunk, L)):
@@ -382,12 +389,12 @@ def physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def require_memory(L: int, need: int) -> None:
-    """Raise MemoryError, naming L, if need bytes exceed physical memory."""
+def require_memory(what: str, need: int) -> None:
+    """Raise MemoryError, naming what needs them, if need bytes exceed physical memory."""
     have = physical_memory()
     if need > have:
         raise MemoryError(
-            f"L = {L} needs about {need / 2**30:.3g} GiB, "
+            f"{what} needs about {need / 2**30:.3g} GiB, "
             f"more than the {have / 2**30:.3g} GiB of physical memory"
         )
 
@@ -395,7 +402,7 @@ def require_memory(L: int, need: int) -> None:
 def run(config: SimulationConfig) -> Trajectory:
     """Evolve the chain and collect its per-step columns, j = 0 .. L."""
     _refuse_oracle(config)
-    require_memory(config.L, (config.L + 1) * STEP_BYTES)
+    require_memory(f"L = {config.L}", (config.L + 1) * STEP_BYTES)
     # Steps through iter_steps, looked up in this module at each call, rather
     # than reading _trajectory_columns: the benchmark's per-layer trace patches
     # engine.iter_steps and divides run's own time by the steps it sees there.

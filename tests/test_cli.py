@@ -8,6 +8,7 @@ import json
 import math
 import os
 import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -154,7 +155,7 @@ class TestUsageErrors:
         "argv,where",
         [
             (("evolve",), "step 0:"),
-            (("transport", "--modes", "1"), "step 0, column g_s_to_an:"),
+            (("transport", "--modes", "1"), "step 0:"),
         ],
     )
     def test_degeneracy_names_the_step(self, capsys, monkeypatch, argv, where):
@@ -246,6 +247,57 @@ AXIS_TOKENS = ["", ",", " , ", "0", "0.5", "-1", "nan", "inf", "1e300", "1e-300"
                "0:2:3", "0:1:1", "2:0:4", "0:1:x", "1:2", "nan:1:3", "0,,1"]
 
 
+# The parameter each numeric flag sets, as an error message names it.
+FLAG_PARAMETERS = {"r1": "r1", "r2": "r2", "phi": "phi_shift", "xi": "xi", "n": "n",
+                   "zeta": "zeta", "phi-env": "phi_env"}
+NUMBER_TOKENS = ["", " ", "0", "-0", "0.5", "1", "-1", "nan", "inf", "-inf", "1e300", "1e-300",
+                 "5e-324", "180", "x", "0,1", "0:1:2", "pi", "-pi/2", "2pi/3", "0.5pi", "pi/0",
+                 "2pi/0.", "piz"]
+L_TOKENS = ["", " ", "x", "2.5", "1e1", "-1", "0"]
+GRID_ITEMS = ["", " ", "0", "1", "nan", "-0.1", "1.5", "inf", "x", "pi"]
+GRID_ENDS = ["0", "1", "0.2", "0.9", "-1", "2", "nan", "x"]
+GRID_SPECS = (st.lists(st.sampled_from(GRID_ITEMS) | st.floats(0.0, 1.0).map(repr),
+                       max_size=6).map(",".join)
+              | st.lists(st.floats(0.0, 1.0).map(repr), min_size=2, max_size=6).map(",".join)
+              | st.builds("{}:{}:{}".format, st.sampled_from(GRID_ENDS),
+                          st.sampled_from(GRID_ENDS), st.integers(0, 6)))
+
+
+@st.composite
+def numeric_flags(draw, command, max_flags=3):
+    """Valid defaults for the command, --env, an --L of at most 50 and up to
+    max_flags numeric flags, each with a drawn token."""
+    flags = {"scan": {"grid-r1": "0.2,0.8", "grid-r2": "0.3,0.6,0.9"},
+             "evolve": {"r1": "0.4", "r2": "0.3"},
+             "transport": {"r1": "0.4", "r2": "0.3", "modes": "1"}}[command]
+    flags["env"] = draw(st.sampled_from(ENV_FAMILIES))
+    flags["L"] = draw(st.integers(1, 50).map(str) | st.sampled_from(L_TOKENS))
+    names = [name for name in FLAG_PARAMETERS if command != "scan" or name[0] != "r"]
+    token = st.sampled_from(NUMBER_TOKENS) | st.floats(0.0, 1.0).map(repr)
+    for name in draw(st.lists(st.sampled_from(names), unique=True, max_size=max_flags)):
+        flags[name] = draw(token)
+    return flags
+
+
+def run_flags(command, flags):
+    return run_captured(command, *(f"--{key}={value}" for key, value in flags.items()))
+
+
+def check_flags(command, flags, result):
+    """check_exit of a run of command with flags: an error line names a
+    flag or a parameter."""
+    code, out, err = result
+    names = [f"--{key}" for key in flags] + ["--steps", "error: L "]
+    for parameter in FLAG_PARAMETERS.values():
+        names += [f"error: {parameter} ", f" {parameter} = "]
+    rows = 0
+    if code == 0 and command == "scan":
+        rows = len(parse_values(flags["grid-r1"])) * len(parse_values(flags["grid-r2"]))
+    elif code == 0:
+        rows = int(flags["L"]) + 1
+    check_exit(code, out, err, names, rows)
+
+
 class TestArgvExitCodes:
     """Malformed and extreme argv tokens exit 0 or 2, never with a
     traceback, a repeated column or a non-finite value (L <= 50)."""
@@ -273,6 +325,29 @@ class TestArgvExitCodes:
         check_exit(code, out, err, [f"--{name}-values" for name in names]
                    + [f"error: {name} " for name in names] + [f" {name} = " for name in names],
                    rows)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), command=st.sampled_from(["evolve", "transport", "scan"]))
+    def test_numeric_flags(self, data, command):
+        flags = data.draw(numeric_flags(command))
+        check_flags(command, flags, run_flags(command, flags))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), grid_r1=GRID_SPECS, grid_r2=GRID_SPECS)
+    def test_scan_grids(self, data, grid_r1, grid_r2):
+        flags = {**data.draw(numeric_flags("scan", max_flags=0)),
+                 "grid-r1": grid_r1, "grid-r2": grid_r2}
+        check_flags("scan", flags, run_flags("scan", flags))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), command=st.sampled_from(["evolve", "transport", "scan"]))
+    def test_config_file(self, data, command, tmp_path_factory):
+        flags = data.draw(numeric_flags(command))
+        if command == "scan":
+            flags.update({"grid-r1": data.draw(GRID_SPECS), "grid-r2": data.draw(GRID_SPECS)})
+        config = tmp_path_factory.getbasetemp() / "argv.cfg"
+        config.write_text("".join(f"{key} = {value}\n" for key, value in flags.items()))
+        check_flags(command, flags, run_captured(command, f"--config={config}"))
 
 
 class TestEvolve:
@@ -737,6 +812,38 @@ class TestScan:
         assert out == ""
         assert err.startswith("error: ") and "--L" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("grid", [("0.1:0.9:250", "0.1:0.9:250"), ("0.1:0.9:62500", "0,1"),
+                                      ("0:1:" + "9" * 18, "0,1")])
+    def test_out_of_memory_grid(self, capsys, monkeypatch, grid):
+        # A 250 x 250 grid at L = 2 peaks at 25 MiB of traced heap: refused
+        # on a 20 MiB host before a trajectory or an axis is built.
+        def refused(*args):
+            raise AssertionError("scan built its grid")
+
+        monkeypatch.setattr(engine, "physical_memory", lambda: 20 * 2**20)
+        monkeypatch.setattr(cli, "iter_trajectories", refused)
+        monkeypatch.setattr(np, "linspace", refused)
+        code, out, err = run_cli(capsys, "scan", "--grid-r1", grid[0], "--grid-r2", grid[1],
+                                 "--L", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "--grid-r1" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("scan", "--grid-r1", "0:1:" + "9" * 400, "--grid-r2", "0,1", "--L", "2"), "--grid-r1"),
+        (("thresholds", "--family", "s-to-an", "--n-values", "0:1:" + "9" * 400), "--n-values"),
+    ])
+    def test_count_beyond_an_array_is_a_usage_error(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1].endswith(f"error: argument {flag}: grid count must be >= 2 "
+                                             f"and <= {sys.maxsize}")
+
+    def test_grid_within_memory_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr(engine, "physical_memory", lambda: 20 * 2**20)
+        code, out, _ = run_cli(capsys, "scan", "--grid-r1", "0.1:0.9:40", "--grid-r2",
+                               "0.1:0.9:40", "--L", "2")
+        assert code == 0 and out.count("\n") == 1 + 40 * 40
+
     @settings(max_examples=20, deadline=None)
     @given(
         r1=st.lists(st.sampled_from([0.0, 1.0, 0.25, 0.6]), min_size=2, max_size=3),
@@ -1093,6 +1200,40 @@ class TestThresholds:
         code, out, err = run_cli(capsys, "thresholds", "--family", *argv, "--format", fmt)
         assert code == 2 and out == ""
         assert err.splitlines()[-1].endswith(f"error: {flag} is empty: give at least one value")
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("argv,flag", [
+        (("s-to-an", "--n-values", "0,1", "--xi-values", "5", "--zeta-values", "3"), "--xi-values"),
+        (("s-to-an", "--n-values", "0,1", "--zeta-values", "3"), "--zeta-values"),
+        (("an-to-s-thermal", "--n-values", "1", "--xi-values", "1", "--zeta-values", "0"),
+         "--zeta-values"),
+        (("an-to-s-squeezed", "--xi-values", "1", "--zeta-values", "0", "--n-values", "0"),
+         "--n-values"),
+    ])
+    def test_axis_the_family_does_not_sweep_is_refused(self, capsys, argv, flag, fmt):
+        code, out, err = run_cli(capsys, "thresholds", "--family", *argv, "--format", fmt)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: gausscollide thresholds ")
+        assert err.splitlines()[-1].endswith(f"error: family {argv[0]} does not sweep {flag}")
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("s-to-an", "--n-values", "0:1:100000"), "--n-values"),
+        (("an-to-s-thermal", "--n-values", "0:1:1000", "--xi-values", "1:2:1000"), "--n-values"),
+        (("an-to-s-squeezed", "--xi-values", "1:2:100000", "--zeta-values", "0,1"),
+         "--zeta-values"),
+    ])
+    def test_out_of_memory_table(self, capsys, monkeypatch, argv, flag):
+        # 10^5 rows and more: refused on a 20 MiB host before an axis or a row is built.
+        def refused(*args):
+            raise AssertionError("thresholds built its table")
+
+        monkeypatch.setattr(engine, "physical_memory", lambda: 20 * 2**20)
+        monkeypatch.setattr(np, "linspace", refused)
+        names, _ = cli.THRESHOLD_FAMILIES[argv[0]]
+        monkeypatch.setitem(cli.THRESHOLD_FAMILIES, argv[0], (names, refused))
+        code, out, err = run_cli(capsys, "thresholds", "--family", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and flag in err and err.count("\n") == 1
 
     def test_undefined_threshold_names_its_inputs(self, capsys):
         code, out, err = run_cli(capsys, "thresholds", "--family", "an-to-s-thermal",
