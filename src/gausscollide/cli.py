@@ -23,8 +23,11 @@ import numpy as np
 from . import steering  # not `steerability`: perfbench traces that name per matrix
 from .divisibility import divisibility_columns, nm_cptp
 from .engine import (
-    STEP_BYTES,
     SimulationConfig,
+    Trajectory,
+    _column_blocks,
+    _columns,
+    block_bytes,
     env_mode_columns,
     iter_steps,
     iter_trajectories,
@@ -51,19 +54,20 @@ THRESHOLD_FAMILIES = {  # family: (swept parameters, threshold function)
     "an-to-s-squeezed": (("xi", "zeta"), threshold_an_to_s_squeezed_vac),
 }
 
-# A bound on the peak-RSS growth per step of each `transport` mode column,
-# on top of STEP_BYTES: 8 B (one table cell; L = 2e4 to 2e5, 1 to 24 modes)
-# plus a 20% margin.
-MODE_STEP_BYTES = 10
-
 # A bound on the bytes a `scan` cell, a `thresholds` row or an axis value
 # holds beside iter_trajectories' chunk: with tracemalloc, a scan at L = 2
 # and at L = 50 grows by 312 to 326 B per cell from 80 x 80 to 250 x 250
 # cells, a thresholds table by 130 to 168 B per row; plus a 20% margin.
 GRID_CELL_BYTES = 400
 
-# Rows that emit formats at a time, at about 90 B per cell beside the table.
+# Rows that emit formats at a time, at about 90 B per cell beside the table,
+# and the fewest that `evolve` and `transport` hand it at once.
 EMIT_ROWS = 256
+
+# The flags that size each command's footprint, named when it cannot fit.
+SIZE_FLAGS = {"evolve": "--L", "transport": "--L or the number of --modes",
+              "scan": "--L or the --grid-r1 and --grid-r2 counts",
+              "thresholds": "the --n-values, --xi-values and --zeta-values counts"}
 
 # Columns not printed as %.12g: the step index, and the skip flag (0/1; false/true in JSON).
 INDEX_COLUMN, FLAG_COLUMN, FLAG_TOKENS = "j", "skip_flag", (("0", "1"), ("false", "true"))
@@ -153,41 +157,58 @@ def _blocks(table, blank):
         yield start, table[rows], np.zeros_like(table[rows], bool) if blank is None else blank[rows]
 
 
-def _chunks(header, table, blank, fmt: str):
+def _check(header, table, blank, start: int = 0) -> None:
+    """Raise, naming the output row and column, if a cell not blank is not
+    finite; the table's first row is output row start."""
+    for first, values, is_blank in _blocks(table, blank):
+        bad = ~(np.isfinite(values) | is_blank)
+        if bad.any():  # argwhere alone takes longer than the whole check
+            i, c = np.argwhere(bad)[0]
+            raise GaussCollideError(f"output row {start + first + i}, column {header[c]}: "
+                                    f"non-finite value {float(values[i, c])!r}")
+
+
+def _output(out):
+    """A context manager for the text file out: a path, None for stdout, or an open file."""
+    if isinstance(out, str):
+        return open(out, "w", encoding="utf-8", newline="")
+    return nullcontext(out or sys.stdout)
+
+
+def _chunks(header, table, blank, fmt: str, start: int):
     """The table's text, EMIT_ROWS rows to a string, one % template per row:
-    that of the row's blank cells, each of which takes its value with %.0s."""
+    that of the row's blank cells, each of which takes its value with %.0s.
+    The CSV header goes before output row 0."""
     as_json = fmt == "jsonl"
     keys = [f'"{k}": ' if as_json else "" for k in header]
     filled = [key + {INDEX_COLUMN: "%d", FLAG_COLUMN: "%s"}.get(name, "%.12g")
               for key, name in zip(keys, header)]
     empty = [key + "%.0s" + "null" * as_json for key in keys]
-    sep, start, end = (", ", "{", "}\n") if as_json else (",", "", "\n")
+    sep, begin, end = (", ", "{", "}\n") if as_json else (",", "", "\n")
     bits = 1 << np.arange(len(header))  # a row's blank cells as the bits of one int64
-    if not as_json or not len(table):  # an empty JSON-lines table is one empty line
+    if not start and (not as_json or not len(table)):  # an empty JSON-lines table is one empty line
         yield "\n" if as_json else ",".join(header) + "\n"
     for _, values, is_blank in _blocks(table, blank):
         columns = (values + 0.0).T.tolist()  # -0.0 prints as 0
         for c in (c for c, name in enumerate(header) if name == FLAG_COLUMN):
             columns[c] = [FLAG_TOKENS[as_json][v != 0.0] for v in columns[c]]
         _, first, kinds = np.unique(is_blank @ bits, return_index=True, return_inverse=True)
-        templates = [start + sep.join(e if b else f for f, e, b in zip(filled, empty, row)) + end
+        templates = [begin + sep.join(e if b else f for f, e, b in zip(filled, empty, row)) + end
                      for row in is_blank[first].tolist()]
         yield "".join([templates[k] % row for k, row in zip(kinds.tolist(), zip(*columns))])
 
 
-def emit(header, table, fmt: str, out_path, blank=None):
+def emit(header, table, fmt: str, out, blank=None, start: int = 0):
     """Write a numeric (rows, columns) table, with the cells where the
     boolean array blank is true left blank, as CSV or JSON lines, EMIT_ROWS
-    rows at a time; nothing is written if a cell not blank is not finite."""
+    rows at a time, to out: a path, None for stdout, or an open text file.
+    The table's first row is output row start; nothing is written if a cell
+    not blank is not finite."""
     if blank is not None and blank.shape[1] > 64:
         raise ValueError(f"{blank.shape[1]} columns: emit leaves cells blank in at most 64")
-    for start, values, is_blank in _blocks(table, blank):
-        for i, c in np.argwhere(~(np.isfinite(values) | is_blank))[:1]:
-            raise GaussCollideError(f"output row {start + i}, column {header[c]}: "
-                                    f"non-finite value {float(values[i, c])!r}")
-    out = open(out_path, "w", encoding="utf-8", newline="") if out_path else nullcontext(sys.stdout)
-    with out as fh:
-        fh.writelines(_chunks(header, table, blank, fmt))
+    _check(header, table, blank, start)
+    with _output(out) as fh:
+        fh.writelines(_chunks(header, table, blank, fmt, start))
 
 
 def _simulation_config(args, parser, r1, r2) -> SimulationConfig:
@@ -209,27 +230,56 @@ def _simulation_config(args, parser, r1, r2) -> SimulationConfig:
     )
 
 
-def cmd_evolve(args, parser):
-    traj = next(iter_trajectories([_simulation_config(args, parser, args.r1, args.r2)]))
-    g_san = steering_series(traj, Direction.B_TO_A)
-    g_ans = steering_series(traj, Direction.A_TO_B)
-    if args.oracle:
-        _verify_against_oracle(traj, {"g_s_to_an": g_san, "g_an_to_s": g_ans})
+def _trajectory_blocks(config):
+    """config's chain as Trajectories of consecutive steps: the evaluator's
+    blocks of `_column_blocks`, whole, gathered to at least EMIT_ROWS steps."""
+    start, c22s, ws = 0, [], []
+    for c22, w in _column_blocks([config], config.L):
+        c22s.append(c22[0])
+        ws.append(w[0])
+        steps = sum(map(len, c22s))
+        if steps >= EMIT_ROWS or start + steps > config.L:
+            columns = _columns(np.concatenate(c22s), np.concatenate(ws), start)
+            yield Trajectory(config, *columns[:3], start=start)
+            start, c22s, ws = start + steps, [], []
 
+
+def cmd_evolve(args, parser):
+    config = _simulation_config(args, parser, args.r1, args.r2)
     header = ["j", "re_c22", "im_c22", "abs_c22_sq", "g_s_to_an", "g_an_to_s",
               "nu_set_min", "nu_set_max", "ratio", "skip_flag"]
-    nu_p, nu_m, ratio, skipped = divisibility_columns(traj)
-    table, blank = np.zeros((len(traj), len(header))), np.zeros((len(traj), len(header)), bool)
-    for c, column in enumerate((np.arange(len(traj)), traj.c22.real, traj.c22.imag, traj.c22_abs_sq,
-                                g_san, g_ans, np.minimum(nu_p, nu_m), np.maximum(nu_p, nu_m),
-                                ratio, skipped)):
-        table[-len(column):, c] = column  # the divisibility columns start at step 1
-    # Step 0 has no intermediate map; a skipped step shows only its flag.
-    blank[np.concatenate([[True], skipped]), 6:9] = True
-    return header, table, blank
+    # A block holds the evaluator's block_bytes, and less than that again per column.
+    require_memory(f"L = {config.L}", len(header) * block_bytes(config.L))
+
+    def tables(checking):
+        # The check pass reads steering through this module's name, so that a
+        # caller who wraps it sees each step once; the write pass recomputes
+        # the same bits through the steering module.
+        series = steering_series if checking else steering.steering_series
+        printed, c_sq = [], np.empty(0)  # --oracle's columns; |c22|^2 of the step before
+        for traj in _trajectory_blocks(config):
+            g_san, g_ans = series(traj, Direction.B_TO_A), series(traj, Direction.A_TO_B)
+            if checking and args.oracle:
+                printed.append((traj.joint_cm, g_san, g_ans))
+            nu_p, nu_m, ratio, skipped = divisibility_columns(
+                np.concatenate([c_sq, traj.c22_abs_sq]), config.env)
+            c_sq = traj.c22_abs_sq[-1:]
+            n = len(traj)
+            table, blank = np.zeros((n, len(header))), np.zeros((n, len(header)), bool)
+            for c, column in enumerate((traj.start + np.arange(n), traj.c22.real, traj.c22.imag,
+                                        traj.c22_abs_sq, g_san, g_ans, np.minimum(nu_p, nu_m),
+                                        np.maximum(nu_p, nu_m), ratio, skipped)):
+                table[n - len(column):, c] = column  # the divisibility columns start at step 1
+            # Step 0 has no intermediate map; a skipped step shows only its flag.
+            blank[:, 6:9] = np.concatenate([np.ones(n - len(skipped), bool), skipped])[:, None]
+            yield traj.start, table, blank
+        if printed:
+            _verify_against_oracle(config, *(np.concatenate(c) for c in zip(*printed)))
+
+    return header, tables
 
 
-def _verify_against_oracle(traj, printed) -> None:
+def _verify_against_oracle(config, joint_cm, g_san, g_ans) -> None:
     """Full-chain symplectic propagation cross-check: at every step, the
     closed-form joint_cm against the oracle's reduced covariance (1e-8 times
     its largest entry, at least 1e-8: entries grow as cosh xi), and each
@@ -239,18 +289,19 @@ def _verify_against_oracle(traj, printed) -> None:
     number (cosh^2 xi at step 0), so that column's tolerance is the larger
     of 1e-8 and 16 eps cond.  The deviation farthest past it is named, or
     one stderr line counts the steps left unchecked: det <= DET_FLOOR or 0 < G <= 16 eps cond."""
-    chain = iter_steps(replace(traj.config, oracle_enabled=True))
+    chain = iter_steps(replace(config, oracle_enabled=True))
     oracle = np.array([reduce_to_modes(sigma, [0, 1]) for _, _, sigma in chain])
     oracle = 0.5 * (oracle + oracle.swapaxes(1, 2))  # symmetric up to rounding
     resolved = np.linalg.det(oracle) > steering.DET_FLOOR
     conditioning = 16 * np.finfo(float).eps * np.linalg.cond(oracle)
     steering_tol = np.maximum(1e-8, conditioning)
     unchecked = ~resolved
-    deviations = {"joint_cm": np.max(np.abs(traj.joint_cm - oracle), axis=(1, 2))}
-    for name, direction in (("g_s_to_an", Direction.B_TO_A), ("g_an_to_s", Direction.A_TO_B)):
+    deviations = {"joint_cm": np.max(np.abs(joint_cm - oracle), axis=(1, 2))}
+    for name, direction, printed in (("g_s_to_an", Direction.B_TO_A, g_san),
+                                     ("g_an_to_s", Direction.A_TO_B, g_ans)):
         reference = steering.steerability(oracle[resolved], direction)
         deviations[name] = np.zeros(len(oracle))
-        deviations[name][resolved] = np.abs(printed[name][resolved] - reference)
+        deviations[name][resolved] = np.abs(printed[resolved] - reference)
         unchecked[resolved] |= (reference > 0.0) & (reference <= conditioning[resolved])
     tolerances = {"joint_cm": 1e-8 * np.maximum(1.0, np.abs(oracle).max(axis=(1, 2))),
                   "g_s_to_an": steering_tol, "g_an_to_s": steering_tol}
@@ -276,7 +327,7 @@ def _scan_cell(traj):
 
 def cmd_scan(args, parser):
     if args.steps < 2:
-        parser.error("scan needs --steps >= 2")
+        parser.error("scan needs --L >= 2")
     (n1, r1s), (n2, r2s) = args.grid_r1, args.grid_r2
     if n1 < 2 or n2 < 2:
         parser.error("--grid-r1 and --grid-r2 are required, with at least 2 points each")
@@ -290,7 +341,7 @@ def cmd_scan(args, parser):
     header = ["r1", "r2", "n_gs_s_to_an", "n_gs_an_to_s", "n_cptp"]
     table = np.array([(cell.r1, cell.r2, *_scan_cell(traj))
                       for cell, traj in zip(cells, iter_trajectories(cells))])
-    return header, table, None
+    return header, lambda checking: [(0, table, None)]
 
 
 def cmd_transport(args, parser):
@@ -310,13 +361,8 @@ def cmd_transport(args, parser):
         seen.add(k)
 
     header = ["j", "g_s_to_an"] + [f"g_e{k}_to_an" for k in modes]
-    require_memory(f"L = {config.L}",
-                   (config.L + 1) * (STEP_BYTES + MODE_STEP_BYTES * len(modes)))
+    require_memory(f"L = {config.L}", len(header) * block_bytes(config.L))  # as in evolve
     _, env_c_sq, env_w, _ = env_mode_columns(config, modes)
-    traj = next(iter_trajectories([config]))
-    table = np.empty((len(traj), len(header)))
-    table[:, 0] = np.arange(len(traj))
-    table[:, 1] = steering_series(traj, Direction.B_TO_A)  # evolve's g_s_to_an
     try:
         env = steering_columns(env_c_sq, env_w, config.joint, config.env, Direction.B_TO_A)
     except DegenerateCovarianceError as exc:
@@ -325,9 +371,20 @@ def cmd_transport(args, parser):
             f"step {(0, k - 1, k)[exc.index % 3]}, column g_e{k}_to_an: {exc}") from None
     # E_k's rows print for steps 0 .. k - 2, k - 1 and k .. L
     # (k = 1's unit row and k = L + 1's middle row for none).
-    for c, (k, (before, middle, after)) in enumerate(zip(modes, env.reshape(-1, 3).tolist()), 2):
-        table[: k - 1, c], table[k - 1, c], table[k:, c] = before, middle, after
-    return header, table, None
+    before, middle, after = env.reshape(-1, 3).T
+    last_unit = np.array(modes) - 2
+
+    def tables(checking):
+        series = steering_series if checking else steering.steering_series  # as in evolve
+        for traj in _trajectory_blocks(config):
+            j = traj.start + np.arange(len(traj))[:, None]
+            table = np.empty((len(traj), len(header)))
+            table[:, :1] = j
+            table[:, 1] = series(traj, Direction.B_TO_A)  # evolve's g_s_to_an
+            table[:, 2:] = np.select([j <= last_unit, j == last_unit + 1], [before, middle], after)
+            yield traj.start, table, None
+
+    return header, tables
 
 
 def cmd_thresholds(args, parser):
@@ -355,7 +412,7 @@ def cmd_thresholds(args, parser):
             require_finite(name, value, squeezing=True)
     table = np.array([(*params, threshold(*params))
                       for params in itertools.product(*swept.values())])
-    return [*names, "threshold"], table, None
+    return [*names, "threshold"], lambda checking: [(0, table, None)]
 
 
 def _add_common_flags(sub, with_r=True):
@@ -431,12 +488,25 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    args = None
     try:
         args = build_parser(argv).parse_args(argv)
+        # set_defaults gives every subcommand every config key; a flag takes its own.
+        unused = sorted(_CONFIG_KEYS & vars(args).keys() - {a.dest for a in args.parser._actions})
+        if unused:
+            raise ValueError(f"{args.config}: config key {unused[0]!r} is not an option of "
+                             f"{args.command}")
         if args.format not in FORMATS:
             args.parser.error(f"unknown format {args.format!r}")
-        header, table, blank = args.func(args, args.parser)
-        emit(header, table, args.format, args.out, blank)
+        # Each command yields its table as (first row, values, blank) blocks,
+        # once to check them all and once to write them: a run that fails
+        # writes nothing.
+        header, tables = args.func(args, args.parser)
+        for start, values, blank in tables(checking=True):
+            _check(header, values, blank, start)
+        with _output(args.out) as fh:
+            for start, values, blank in tables(checking=False):
+                emit(header, values, args.format, fh, blank, start)
         return 0
     except SystemExit as exc:
         code = exc.code
@@ -448,7 +518,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        print(f"error: out of memory ({exc}); lower --L or the grid sizes", file=sys.stderr)
+        flags = SIZE_FLAGS.get(getattr(args, "command", None), "the sizes")
+        print(f"error: out of memory ({exc}); lower {flags}", file=sys.stderr)
         return 2
 
 

@@ -103,19 +103,20 @@ def divisibility_eigenvalues(n_scale: float, m_scale: float, ratio: float) -> tu
     )
 
 
-def divisibility_columns(trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(nu_plus, nu_minus, ratio, skipped) arrays over steps j = 1 .. L of a
-    trajectory, from its |c22|^2 column; skipped steps carry NaN."""
-    c_sq = trajectory.c22_abs_sq
+def divisibility_columns(c_sq, env: EnvironmentSpec) -> tuple[np.ndarray, ...]:
+    """(nu_plus, nu_minus, ratio, skipped) arrays over the steps after the
+    first of a |c22|^2 column c_sq (j = 1 .. L of a trajectory), in an
+    environment env; skipped steps carry NaN."""
     skipped = c_sq[:-1] < SKIP_TOL
     ratio = np.where(skipped, math.nan, c_sq[1:] / np.where(skipped, 1.0, c_sq[:-1]))
-    nu_p, nu_m = divisibility_eigenvalues(*env_noise_scales(trajectory.config.env), ratio)
+    nu_p, nu_m = divisibility_eigenvalues(*env_noise_scales(env), ratio)
     return nu_p, nu_m, ratio, skipped
 
 
 def divisibility_records(trajectory) -> list[DivisibilityRecord]:
     """Per-step records for j = 1 .. L along a trajectory."""
-    columns = (col.tolist() for col in divisibility_columns(trajectory))
+    columns = (col.tolist() for col in
+               divisibility_columns(trajectory.c22_abs_sq, trajectory.config.env))
     return [DivisibilityRecord(j, *fields) for j, fields in enumerate(zip(*columns), start=1)]
 
 
@@ -125,7 +126,7 @@ def nm_cptp(trajectory) -> DivisibilityMeasure:
     from the sum and reported in the result."""
     if trajectory.config.L < 2:
         raise ValueError("nm_cptp needs at least two rounds (L >= 2)")
-    nu_p, nu_m, _, skipped = divisibility_columns(trajectory)
+    nu_p, nu_m, _, skipped = divisibility_columns(trajectory.c22_abs_sq, trajectory.config.env)
     nus = np.stack([nu_p[1:], nu_m[1:]], axis=1).ravel()  # step order, nu_plus first
     total = 0.0
     # Summed in order: np.sum and sum() round differently.  NaN < 0 is False.

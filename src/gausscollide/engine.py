@@ -11,9 +11,10 @@ O(sqrt(L)) array operations, block by block of about sqrt(L) steps, each
 configuration's bits independent of the batch, since numpy's long double
 `@` sums in index order.  `_columns` turns c22 and W arrays into (c22,
 |c22|^2, W, H = 1 - |c22|^2) columns, each row checked against |W| <= H,
-for `iter_trajectories` (a chunk of configurations at once: the command
-line's one path), the library's `run` (through `iter_steps`) and
-`env_mode_columns`; a `Trajectory` keeps the first three and derives H.
+for `iter_trajectories` (a chunk of configurations at once: `scan`), the
+library's `run` (through `iter_steps`), `env_mode_columns`, and the command
+line's `evolve` and `transport`, which walk `_column_blocks` block by block;
+a `Trajectory` keeps the first three and derives H.
 With `oracle_enabled`, `iter_steps` also propagates the full (L+3)-mode
 covariance matrix symplectically, the reference the tests and `evolve
 --oracle` check the closed forms against.
@@ -42,10 +43,10 @@ from .states import (
     tmsv_cm,
 )
 
-# A bound on the peak-RSS growth per step of an `evolve` run: measured
-# between L = 2e4 and 2e5 at about 0.20 kB per step, in CSV and in JSON
-# lines, plus a 20% margin.  It stays below the 0.49 kB per step of a run
-# that turns its columns into row tuples, so CI's memory step catches that.
+# A bound on the bytes per step that one whole Trajectory and the witnesses
+# read from it hold: `run`'s, and that of the `scan` cell beside
+# iter_trajectories' chunk.  With tracemalloc between L = 2e4 and 2e5, `run`
+# grows by 65 B per step and a cell with its three measures by 129 B.
 STEP_BYTES = 245
 
 
@@ -89,13 +90,15 @@ class StepRecord:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Per-step columns j = 0 .. L: c22, |c22|^2 and W; H = 1 - |c22|^2 is
-    derived.  The full-chain covariances are not kept; `iter_steps` streams them."""
+    """Per-step columns j = start .. start + len - 1 (0 .. L for a whole
+    run): c22, |c22|^2 and W; H = 1 - |c22|^2 is derived.  The full-chain
+    covariances are not kept; `iter_steps` streams them."""
 
     config: SimulationConfig
     c22: np.ndarray
     c22_abs_sq: np.ndarray
     env_square_sum: np.ndarray
+    start: int = 0
 
     def __len__(self) -> int:
         return len(self.c22)
@@ -117,7 +120,7 @@ class Trajectory:
         """One StepRecord per step, built from the columns on first access."""
         sums = (self.c22.tolist(), self.env_square_sum.tolist(), self.env_abs_square_sum.tolist())
         return [StepRecord(j, CCoefficients(j, c, env_square_sum=w, env_abs_square_sum=h), cm)
-                for j, (c, w, h, cm) in enumerate(zip(*sums, self.joint_cm))]
+                for j, (c, w, h, cm) in enumerate(zip(*sums, self.joint_cm), self.start)]
 
 
 def joint_cm_stack(c, csq, w, joint: JointSpec, env: EnvironmentSpec) -> np.ndarray:
@@ -303,9 +306,14 @@ CELL_BLOCK_BYTES = 640
 CELL_BYTES = 6 * 2**10
 
 
+def block_bytes(L: int) -> int:
+    """Bytes the evaluator holds per cell for one block at L rounds."""
+    return CELL_BLOCK_BYTES * math.isqrt(L + 1)
+
+
 def _cell_bytes(L: int) -> int:
     """Bytes per cell of an iter_trajectories chunk at L rounds."""
-    return CELL_BYTES + CELL_STEP_BYTES * (L + 1) + CELL_BLOCK_BYTES * math.isqrt(L + 1)
+    return CELL_BYTES + CELL_STEP_BYTES * (L + 1) + block_bytes(L)
 
 
 def trajectory_chunk(cells: int, L: int) -> tuple[int, int]:
@@ -339,18 +347,18 @@ def iter_trajectories(configs):
             yield Trajectory(config, *_columns(c22, w)[:3])
 
 
-def _columns(c22, w) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(c22, |c22|^2, W, H) from the c22 and W arrays, with H = 1 - |c22|^2
-    and each row checked against |W| <= H (Cauchy-Schwarz on the unit row).
-    |c22|^2 is CCoefficients' a * a of a = abs(c22): np.hypot is abs, and
-    an array ** 2 is x * x."""
+def _columns(c22, w, start: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(c22, |c22|^2, W, H) from the c22 and W arrays of the rows start,
+    start + 1, ..., with H = 1 - |c22|^2 and each row checked against
+    |W| <= H (Cauchy-Schwarz on the unit row).  |c22|^2 is CCoefficients'
+    a * a of a = abs(c22): np.hypot is abs, and an array ** 2 is x * x."""
     c_sq = np.hypot(c22.real, c22.imag) ** 2
     h = 1.0 - c_sq
     abs_w = np.abs(w)
     defect = ~(abs_w <= h + NORMALIZATION_TOL)  # NaN and inf are defects
     if defect.any():
         i = int(np.argmax(defect))
-        raise ValueError(f"coefficient column not normalized at row {i}: |W| = "
+        raise ValueError(f"coefficient column not normalized at row {start + i}: |W| = "
                          f"{float(abs_w[i])!r} exceeds H = 1 - |c22|^2 = {float(h[i])!r}")
     return c22, c_sq, w, h
 

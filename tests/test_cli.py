@@ -101,12 +101,20 @@ class TestUsageErrors:
         assert code == 2
         assert err.startswith(f"usage: gausscollide {command} ")
 
-    def test_out_of_memory_length(self, capsys):
-        # 1e8 steps of records exceed physical memory: refused before the first step.
-        code, out, err = run_cli(capsys, "evolve", "--r1", ".4", "--r2", ".3", "--L", "100000000")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and "--L" in err and err.count("\n") == 1
+    @pytest.mark.parametrize("argv,flags", [
+        (("evolve",), "--L"), (("transport", "--modes", "1"), "--L or the number of --modes"),
+    ], ids=["evolve", "transport"])
+    def test_absurd_length_is_refused_by_the_block_term(self, capsys, monkeypatch, argv, flags):
+        # 10^30 steps: a block of 10^15 steps cannot fit, refused before the first step.
+        def no_steps(*args):
+            raise AssertionError("the chain started stepping")
+
+        monkeypatch.setattr(cli, "_column_blocks", no_steps)
+        monkeypatch.setattr(engine, "_blocks", no_steps)
+        code, out, err = run_cli(capsys, *argv, "--r1", ".4", "--r2", ".3", "--L", str(10**30))
+        assert code == 2 and out == ""
+        assert err.startswith("error: out of memory (L = 1000000000000000000000000000000 needs ")
+        assert err.endswith(f"; lower {flags}\n") and err.count("\n") == 1
 
     @pytest.mark.parametrize("flag,token", [("--phi", "pi/0"), ("--phi-env", "2pi/0.")])
     def test_zero_angle_denominator(self, capsys, tmp_path, flag, token):
@@ -159,24 +167,49 @@ class TestUsageErrors:
         ],
     )
     def test_degeneracy_names_the_step(self, capsys, monkeypatch, argv, where):
-        iter_trajectories = cli.iter_trajectories
+        trajectory_blocks = cli._trajectory_blocks
 
-        def unphysical_at_step_0(configs):
-            for traj in iter_trajectories(configs):
+        def unphysical_at_step_0(config):
+            for traj in trajectory_blocks(config):
                 w = traj.env_square_sum.copy()
                 w[0] = 10.0  # |W| <= 1 - |c22|^2 on a physical row
                 yield replace(traj, env_square_sum=w)
 
-        monkeypatch.setattr(cli, "iter_trajectories", unphysical_at_step_0)
+        monkeypatch.setattr(cli, "_trajectory_blocks", unphysical_at_step_0)
         code, _, err = run_cli(capsys, *argv, "--r1", "0.4", "--r2", "0.3", "--L", "3")
         assert code == 3
         assert where in err
 
+    @pytest.mark.parametrize("argv", [("evolve",), ("transport", "--modes", "1,50")],
+                             ids=["evolve", "transport"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_degeneracy_in_a_later_block_writes_nothing(self, capsys, monkeypatch, tmp_path,
+                                                        argv, to_file):
+        monkeypatch.setattr(cli, "EMIT_ROWS", 20)
+        trajectory_blocks, starts = cli._trajectory_blocks, []
+
+        def unphysical_at_step_77(config):
+            for traj in trajectory_blocks(config):
+                starts.append(traj.start)
+                if traj.start <= 77 < traj.start + len(traj):
+                    w = traj.env_square_sum.copy()
+                    w[77 - traj.start] = 10.0
+                    traj = replace(traj, env_square_sum=w)
+                yield traj
+
+        monkeypatch.setattr(cli, "_trajectory_blocks", unphysical_at_step_77)
+        target = tmp_path / "table"
+        out_flag = ("--out", str(target)) if to_file else ()
+        code, out, err = run_cli(capsys, *argv, "--r1", ".4", "--r2", ".3", "--L", "100", *out_flag)
+        assert code == 3 and out == "" and not target.exists()
+        assert err.startswith("error: numerical degeneracy: step 77: ")
+        assert starts == [0, 20, 40, 60]  # the check pass stopped in the fourth block
+
     def test_degeneracy_exit_code(self, capsys, monkeypatch):
-        def explode(configs):
+        def explode(config):
             raise DegenerateCovarianceError("synthetic")
 
-        monkeypatch.setattr(cli, "iter_trajectories", explode)
+        monkeypatch.setattr(cli, "_trajectory_blocks", explode)
         code, _, err = run_cli(capsys, "evolve", "--r1", "0.4", "--r2", "0.3", "--L", "3")
         assert code == 3
         assert "degeneracy" in err
@@ -412,15 +445,15 @@ class TestEvolve:
         assert len(out.strip().split("\n")) == 14
 
     def test_oracle_checks_the_printed_covariances(self, capsys, monkeypatch):
-        iter_trajectories = cli.iter_trajectories
+        trajectory_blocks = cli._trajectory_blocks
 
-        def perturbed(configs):
-            for traj in iter_trajectories(configs):
+        def perturbed(config):
+            for traj in trajectory_blocks(config):
                 c_sq = traj.c22_abs_sq.copy()
                 c_sq[7] -= 1e-6  # joint_cm[7] and both steering columns follow
                 yield replace(traj, c22_abs_sq=c_sq)
 
-        monkeypatch.setattr(cli, "iter_trajectories", perturbed)
+        monkeypatch.setattr(cli, "_trajectory_blocks", perturbed)
         code, out, err = run_cli(capsys, "evolve", "--r1", ".4", "--r2", ".3", "--L", "12",
                                  "--oracle")
         assert code == 3 and out == ""
@@ -457,15 +490,15 @@ class TestEvolve:
         assert (code, out, err) == (0, plain, "")
 
     def test_oracle_still_checks_covariances_with_large_entries(self, capsys, monkeypatch):
-        iter_trajectories = cli.iter_trajectories
+        trajectory_blocks = cli._trajectory_blocks
 
-        def perturbed(configs):
-            for traj in iter_trajectories(configs):
+        def perturbed(config):
+            for traj in trajectory_blocks(config):
                 c22 = traj.c22.copy()
                 c22[22] *= 1 + 1e-6  # only joint_cm follows; steering reads |c22|^2
                 yield replace(traj, c22=c22)
 
-        monkeypatch.setattr(cli, "iter_trajectories", perturbed)
+        monkeypatch.setattr(cli, "_trajectory_blocks", perturbed)
         code, out, err = run_cli(capsys, *self.LARGE_XI, "--oracle")
         assert code == 3 and out == ""
         assert "oracle mismatch at step 22:" in err and "in joint_cm" in err
@@ -507,19 +540,33 @@ class TestEvolve:
                        "first at step 0\n")
 
     def test_oracle_checks_covariances_where_it_cannot_check_steering(self, capsys, monkeypatch):
-        iter_trajectories = cli.iter_trajectories
+        trajectory_blocks = cli._trajectory_blocks
 
-        def perturbed(configs):
-            for traj in iter_trajectories(configs):
+        def perturbed(config):
+            for traj in trajectory_blocks(config):
                 c22 = traj.c22.copy()
                 c22[1] *= 1 + 1e-6  # only joint_cm follows; steering reads |c22|^2
                 yield replace(traj, c22=c22)
 
-        monkeypatch.setattr(cli, "iter_trajectories", perturbed)
+        monkeypatch.setattr(cli, "_trajectory_blocks", perturbed)
         code, out, err = run_cli(capsys, "evolve", "--r1", ".4", "--r2", ".3", "--L", "12",
                                  "--xi", "20", "--oracle")
         assert code == 3 and out == ""
         assert "oracle mismatch at step 1:" in err and "in joint_cm" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_skipped_steps_straddling_blocks_keep_their_bytes(self, capsys, monkeypatch, fmt):
+        # r1 = 0: every other step follows c22 = 0 and is skipped, so blocks of
+        # 3 steps start at skipped and unskipped steps alike.
+        argv = ("evolve", "--r1", "0", "--r2", "0.5", "--xi", "0.7", "--env", "thermal",
+                "--n", "0.3", "--L", "12", "--format", fmt)
+        code, whole, _ = run_cli(capsys, *argv)  # one block
+        assert code == 0
+        monkeypatch.setattr(cli, "EMIT_ROWS", 3)
+        blocks = list(cli._trajectory_blocks(SimulationConfig(r1=0.0, r2=0.5, L=12)))
+        assert [traj.start for traj in blocks] == [0, 3, 6, 9, 12]
+        assert {traj.c22_abs_sq[-1] < 1e-14 for traj in blocks[:-1]} == {True, False}
+        assert run_cli(capsys, *argv) == (0, whole, "")
 
     @pytest.mark.parametrize("xi", ["10", "20", "100", "177"])
     def test_large_squeezing_prints_ln_cosh_xi(self, capsys, xi):
@@ -744,6 +791,20 @@ class TestConfigFile:
         assert code == 2
         assert "warp" in err
 
+    @pytest.mark.parametrize("command,line,key", [
+        (("thresholds", "--family", "s-to-an", "--n-values", "0,1"), "xi = 5", "xi"),
+        (("evolve", "--r1", "0.4", "--r2", "0.3", "--L", "3"), "grid_r1 = 0,1", "grid_r1"),
+        (("evolve", "--r1", "0.4", "--r2", "0.3", "--L", "3"), "modes = 1", "modes"),
+        (("scan", "--grid-r1", "0,1", "--grid-r2", "0,1", "--L", "3"), "r1 = 0.4", "r1"),
+    ], ids=["thresholds-xi", "evolve-grid_r1", "evolve-modes", "scan-r1"])
+    def test_key_without_a_flag_in_the_subcommand_rejected(self, capsys, tmp_path, command,
+                                                            line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"format = csv\n{line}\n")
+        code, out, err = run_cli(capsys, *command, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == f"error: {cfg}: config key {key!r} is not an option of {command[0]}\n"
+
     @pytest.mark.parametrize(
         "key,value",
         [("phi", "piz"), ("xi", "abc"), ("L", "2.5"), ("env", "warp"), ("format", "xml")],
@@ -776,8 +837,8 @@ class TestScan:
         assert run_cli(capsys, "scan", "--grid-r2", "0.1,0.9", "--L", "10")[0] == 2
         assert run_cli(capsys, "scan", "--grid-r1", "0.5", "--grid-r2", "0.1,0.9",
                        "--L", "10")[0] == 2
-        assert run_cli(capsys, "scan", "--grid-r1", "0.1,0.9", "--grid-r2", "0.1,0.9",
-                       "--L", "1")[0] == 2
+        code, _, err = run_cli(capsys, "scan", "--grid-r1", "0,1", "--grid-r2", "0,1", "--L", "1")
+        assert code == 2 and err.endswith("error: scan needs --L >= 2\n")
         assert run_cli(capsys, "scan", "--grid-r1", "0.1,0.9", "--grid-r2", "0.1,0.9",
                        "--L", "10", "--jobs", "0")[0] == 2
         cfg = tmp_path / "grid.cfg"
@@ -827,6 +888,7 @@ class TestScan:
                                  "--L", "2")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "--grid-r1" in err and err.count("\n") == 1
+        assert err.endswith("; lower --L or the --grid-r1 and --grid-r2 counts\n")
 
     @pytest.mark.parametrize("argv,flag", [
         (("scan", "--grid-r1", "0:1:" + "9" * 400, "--grid-r2", "0,1", "--L", "2"), "--grid-r1"),
@@ -975,25 +1037,12 @@ class TestTransport:
         assert columns[0] == columns[1]
         assert columns[0][0] == format(math.log(math.cosh(float(xi))), ".12g")
 
-    def test_out_of_memory_length(self, capsys, monkeypatch):
-        # 10^4 steps of STEP_BYTES + MODE_STEP_BYTES (255 B) need about 2.5 MB
+    def test_memory_guard_charges_one_block(self, capsys, monkeypatch):
+        # The whole table of 10^4 steps would not fit 2 MiB; one block does.
         monkeypatch.setattr(engine, "physical_memory", lambda: 2 * 2**20)
-        code, out, err = run_cli(capsys, "transport", "--r1", ".4", "--r2", ".3",
-                                 "--L", "10000", "--modes", "1")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and "--L" in err and err.count("\n") == 1
-
-    def test_memory_guard_charges_each_mode_once(self, capsys, monkeypatch):
-        # Six mode columns need 60 B per step more than one, not 6 x 255 B.
-        monkeypatch.setattr(engine, "physical_memory", lambda: 2 * 2**20)
-        code, out, _ = run_cli(capsys, "transport", "--r1", ".4", "--r2", ".3", "--L", "4000",
-                               "--modes", "1,800,1600,2400,3200,4001")
-        assert code == 0 and len(out.split("\n")) == 4003
-        code, out, err = run_cli(capsys, "transport", "--r1", ".4", "--r2", ".3", "--L", "10000",
-                                 "--modes", "1,2000,4000,6000,8000,10001")
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and "--L" in err and err.count("\n") == 1
+        code, out, _ = run_cli(capsys, "transport", "--r1", ".4", "--r2", ".3", "--L", "10000",
+                               "--modes", "1,2000,4000,6000,8000,10001")
+        assert code == 0 and len(out.split("\n")) == 10003
 
     def test_runs_without_the_full_chain_oracle(self, capsys, monkeypatch):
         def oracle_only(*args, **kwargs):
@@ -1234,6 +1283,7 @@ class TestThresholds:
         code, out, err = run_cli(capsys, "thresholds", "--family", *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and flag in err and err.count("\n") == 1
+        assert err.endswith("; lower the --n-values, --xi-values and --zeta-values counts\n")
 
     def test_undefined_threshold_names_its_inputs(self, capsys):
         code, out, err = run_cli(capsys, "thresholds", "--family", "an-to-s-thermal",
