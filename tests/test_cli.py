@@ -1037,12 +1037,35 @@ class TestTransport:
         assert columns[0] == columns[1]
         assert columns[0][0] == format(math.log(math.cosh(float(xi))), ".12g")
 
-    def test_memory_guard_charges_one_block(self, capsys, monkeypatch):
+    def test_out_of_memory_length(self, capsys, monkeypatch):
+        # One block of 10^7 steps and three columns needs about 6 MB: refused
+        # on a 2 MiB host before the first step.
+        def no_steps(*args):
+            raise AssertionError("transport started stepping")
+
+        monkeypatch.setattr(engine, "physical_memory", lambda: 2 * 2**20)
+        monkeypatch.setattr(cli, "_column_blocks", no_steps)
+        monkeypatch.setattr(engine, "_blocks", no_steps)
+        code, out, err = run_cli(capsys, "transport", "--r1", ".4", "--r2", ".3",
+                                 "--L", "10000000", "--modes", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: out of memory (L = 10000000 needs ")
+        assert err.endswith("; lower --L or the number of --modes\n") and err.count("\n") == 1
+
+    def test_memory_guard_charges_each_mode_once(self, capsys, monkeypatch):
         # The whole table of 10^4 steps would not fit 2 MiB; one block does.
         monkeypatch.setattr(engine, "physical_memory", lambda: 2 * 2**20)
-        code, out, _ = run_cli(capsys, "transport", "--r1", ".4", "--r2", ".3", "--L", "10000",
-                               "--modes", "1,2000,4000,6000,8000,10001")
+        argv = ("transport", "--r1", ".4", "--r2", ".3", "--L", "10000", "--modes")
+        code, out, _ = run_cli(capsys, *argv, "1,2000,4000,6000,8000,10001")
         assert code == 0 and len(out.split("\n")) == 10003
+        # Eight columns (j, the system and six modes) charge one block term each.
+        monkeypatch.setattr(engine, "physical_memory", lambda: 8 * engine.block_bytes(10000))
+        code, out, _ = run_cli(capsys, *argv, "1,2000,4000,6000,8000,10001")
+        assert code == 0 and len(out.split("\n")) == 10003
+        code, out, err = run_cli(capsys, *argv, "1,2000,4000,6000,8000,9000,10001")
+        assert code == 2 and out == ""
+        assert err.startswith("error: out of memory (L = 10000 needs ") and err.count("\n") == 1
 
     def test_runs_without_the_full_chain_oracle(self, capsys, monkeypatch):
         def oracle_only(*args, **kwargs):
