@@ -14,8 +14,10 @@ import argparse
 import itertools
 import math
 import re
+import shutil
 import sys
-from contextlib import nullcontext
+import tempfile
+from contextlib import ExitStack, nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -157,17 +159,6 @@ def _blocks(table, blank):
         yield start, table[rows], np.zeros_like(table[rows], bool) if blank is None else blank[rows]
 
 
-def _check(header, table, blank, start: int = 0) -> None:
-    """Raise, naming the output row and column, if a cell not blank is not
-    finite; the table's first row is output row start."""
-    for first, values, is_blank in _blocks(table, blank):
-        bad = ~(np.isfinite(values) | is_blank)
-        if bad.any():  # argwhere alone takes longer than the whole check
-            i, c = np.argwhere(bad)[0]
-            raise GaussCollideError(f"output row {start + first + i}, column {header[c]}: "
-                                    f"non-finite value {float(values[i, c])!r}")
-
-
 def _output(out):
     """A context manager for the text file out: a path, None for stdout, or an open file."""
     if isinstance(out, str):
@@ -202,11 +193,16 @@ def emit(header, table, fmt: str, out, blank=None, start: int = 0):
     """Write a numeric (rows, columns) table, with the cells where the
     boolean array blank is true left blank, as CSV or JSON lines, EMIT_ROWS
     rows at a time, to out: a path, None for stdout, or an open text file.
-    The table's first row is output row start; nothing is written if a cell
-    not blank is not finite."""
+    The table's first row is output row start; if a cell not blank is not
+    finite, nothing is written and the error names its output row and column."""
     if blank is not None and blank.shape[1] > 64:
         raise ValueError(f"{blank.shape[1]} columns: emit leaves cells blank in at most 64")
-    _check(header, table, blank, start)
+    for first, values, is_blank in _blocks(table, blank):
+        bad = ~(np.isfinite(values) | is_blank)
+        if bad.any():  # argwhere alone takes longer than the whole check
+            i, c = np.argwhere(bad)[0]
+            raise GaussCollideError(f"output row {start + first + i}, column {header[c]}: "
+                                    f"non-finite value {float(values[i, c])!r}")
     with _output(out) as fh:
         fh.writelines(_chunks(header, table, blank, fmt, start))
 
@@ -251,15 +247,12 @@ def cmd_evolve(args, parser):
     # A block holds the evaluator's block_bytes, and less than that again per column.
     require_memory(f"L = {config.L}", len(header) * block_bytes(config.L))
 
-    def tables(checking):
-        # The check pass reads steering through this module's name, so that a
-        # caller who wraps it sees each step once; the write pass recomputes
-        # the same bits through the steering module.
-        series = steering_series if checking else steering.steering_series
+    def tables():
         printed, c_sq = [], np.empty(0)  # --oracle's columns; |c22|^2 of the step before
         for traj in _trajectory_blocks(config):
-            g_san, g_ans = series(traj, Direction.B_TO_A), series(traj, Direction.A_TO_B)
-            if checking and args.oracle:
+            g_san = steering_series(traj, Direction.B_TO_A)
+            g_ans = steering_series(traj, Direction.A_TO_B)
+            if args.oracle:
                 printed.append((traj.joint_cm, g_san, g_ans))
             nu_p, nu_m, ratio, skipped = divisibility_columns(
                 np.concatenate([c_sq, traj.c22_abs_sq]), config.env)
@@ -276,7 +269,7 @@ def cmd_evolve(args, parser):
         if printed:
             _verify_against_oracle(config, *(np.concatenate(c) for c in zip(*printed)))
 
-    return header, tables
+    return header, tables()
 
 
 def _verify_against_oracle(config, joint_cm, g_san, g_ans) -> None:
@@ -341,7 +334,7 @@ def cmd_scan(args, parser):
     header = ["r1", "r2", "n_gs_s_to_an", "n_gs_an_to_s", "n_cptp"]
     table = np.array([(cell.r1, cell.r2, *_scan_cell(traj))
                       for cell, traj in zip(cells, iter_trajectories(cells))])
-    return header, lambda checking: [(0, table, None)]
+    return header, [(0, table, None)]
 
 
 def cmd_transport(args, parser):
@@ -374,17 +367,16 @@ def cmd_transport(args, parser):
     before, middle, after = env.reshape(-1, 3).T
     last_unit = np.array(modes) - 2
 
-    def tables(checking):
-        series = steering_series if checking else steering.steering_series  # as in evolve
+    def tables():
         for traj in _trajectory_blocks(config):
             j = traj.start + np.arange(len(traj))[:, None]
             table = np.empty((len(traj), len(header)))
             table[:, :1] = j
-            table[:, 1] = series(traj, Direction.B_TO_A)  # evolve's g_s_to_an
+            table[:, 1] = steering_series(traj, Direction.B_TO_A)  # evolve's g_s_to_an
             table[:, 2:] = np.select([j <= last_unit, j == last_unit + 1], [before, middle], after)
             yield traj.start, table, None
 
-    return header, tables
+    return header, tables()
 
 
 def cmd_thresholds(args, parser):
@@ -412,7 +404,7 @@ def cmd_thresholds(args, parser):
             require_finite(name, value, squeezing=True)
     table = np.array([(*params, threshold(*params))
                       for params in itertools.product(*swept.values())])
-    return [*names, "threshold"], lambda checking: [(0, table, None)]
+    return [*names, "threshold"], [(0, table, None)]
 
 
 def _add_common_flags(sub, with_r=True):
@@ -498,15 +490,21 @@ def main(argv=None) -> int:
                              f"{args.command}")
         if args.format not in FORMATS:
             args.parser.error(f"unknown format {args.format!r}")
-        # Each command yields its table as (first row, values, blank) blocks,
-        # once to check them all and once to write them: a run that fails
-        # writes nothing.
+        # Each command returns its table as blocks, each computed once. Their text waits
+        # in an unnamed temporary file until the last block and --oracle's comparison
+        # are done: a run that fails writes nothing.
         header, tables = args.func(args, args.parser)
-        for start, values, blank in tables(checking=True):
-            _check(header, values, blank, start)
-        with _output(args.out) as fh:
-            for start, values, blank in tables(checking=False):
-                emit(header, values, args.format, fh, blank, start)
+        try:
+            with ExitStack() as stack:  # a failure closes it here: its flush is named too
+                spool = stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+                for start, values, blank in tables:
+                    emit(header, values, args.format, spool, blank, start)
+                spool.seek(0)
+                stack.pop_all()
+        except OSError as exc:
+            raise OSError(f"temporary file in {tempfile.gettempdir()}: {exc}") from None
+        with spool, _output(args.out) as fh:
+            shutil.copyfileobj(spool, fh)
         return 0
     except SystemExit as exc:
         code = exc.code

@@ -3,6 +3,7 @@ handling, and exit codes."""
 
 import concurrent.futures
 import contextlib
+import errno
 import io
 import json
 import math
@@ -182,9 +183,9 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv", [("evolve",), ("transport", "--modes", "1,50")],
                              ids=["evolve", "transport"])
-    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("target_kind", ["stdout", "out", "existing"])
     def test_degeneracy_in_a_later_block_writes_nothing(self, capsys, monkeypatch, tmp_path,
-                                                        argv, to_file):
+                                                        argv, target_kind):
         monkeypatch.setattr(cli, "EMIT_ROWS", 20)
         trajectory_blocks, starts = cli._trajectory_blocks, []
 
@@ -199,11 +200,77 @@ class TestUsageErrors:
 
         monkeypatch.setattr(cli, "_trajectory_blocks", unphysical_at_step_77)
         target = tmp_path / "table"
-        out_flag = ("--out", str(target)) if to_file else ()
+        if target_kind == "existing":
+            target.write_bytes(b"j,g\r\n0,1\n")
+        out_flag = ("--out", str(target)) if target_kind != "stdout" else ()
         code, out, err = run_cli(capsys, *argv, "--r1", ".4", "--r2", ".3", "--L", "100", *out_flag)
-        assert code == 3 and out == "" and not target.exists()
+        assert code == 3 and out == ""
+        if target_kind == "existing":
+            assert target.read_bytes() == b"j,g\r\n0,1\n"
+        else:
+            assert not target.exists()
         assert err.startswith("error: numerical degeneracy: step 77: ")
-        assert starts == [0, 20, 40, 60]  # the check pass stopped in the fourth block
+        assert starts == [0, 20, 40, 60]  # the run stopped in the fourth block
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_spool_error_names_the_temporary_directory(self, capsys, monkeypatch, tmp_path,
+                                                       to_file):
+        def no_space(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli.tempfile, "TemporaryFile", no_space)
+        target = tmp_path / "table"
+        out_flag = ("--out", str(target)) if to_file else ()
+        code, out, err = run_cli(capsys, "evolve", "--r1", ".4", "--r2", ".3", "--L", "10",
+                                 *out_flag)
+        assert code == 2 and out == "" and not target.exists()
+        assert err == (f"error: temporary file in {cli.tempfile.gettempdir()}: "
+                       f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+
+    def test_full_spool_names_the_temporary_directory(self, tmp_path):
+        # The child caps the size of the files it writes, so the temporary file
+        # fills up (EFBIG) partway through its rows; stdout, a pipe, has no cap.
+        child = ("import resource, signal, sys\n"
+                 "from gausscollide.cli import main\n"
+                 "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+                 "resource.setrlimit(resource.RLIMIT_FSIZE, (2**16, 2**16))\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        target = tmp_path / "table"
+        for out_flag in ((), ("--out", str(target))):
+            done = subprocess.run([sys.executable, "-X", "dev", "-c", child, "evolve", "--r1", ".4",
+                                   "--r2", ".3", "--L", "5000", *out_flag],
+                                  capture_output=True, text=True, env=env)
+            assert (done.returncode, done.stdout) == (2, "")
+            assert done.stderr == (f"error: temporary file in {cli.tempfile.gettempdir()}: "
+                                   f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n")
+        assert not target.exists()
+
+    @pytest.mark.parametrize("argv,steering_per_block", [
+        (("evolve",), 2), (("evolve", "--oracle"), 2), (("transport", "--modes", "1,50"), 1)],
+        ids=["evolve", "evolve-oracle", "transport"])
+    def test_each_run_makes_one_pass(self, capsys, monkeypatch, argv, steering_per_block):
+        monkeypatch.setattr(cli, "EMIT_ROWS", 20)
+        trajectory_blocks, steering_series = cli._trajectory_blocks, cli.steering_series
+        walks, blocks, series = [], [], []
+
+        def counted_blocks(config):
+            walks.append(config)
+            for traj in trajectory_blocks(config):
+                blocks.append(traj.start)
+                yield traj
+
+        def counted_series(traj, direction):
+            series.append(traj.start)
+            return steering_series(traj, direction)
+
+        monkeypatch.setattr(cli, "_trajectory_blocks", counted_blocks)
+        monkeypatch.setattr(cli, "steering_series", counted_series)
+        code, out, _ = run_cli(capsys, *argv, "--r1", ".4", "--r2", ".3", "--L", "100")
+        assert code == 0 and len(out.splitlines()) == 102
+        assert len(walks) == 1
+        assert blocks == [0, 20, 40, 60, 80, 100]
+        assert series == [start for start in blocks for _ in range(steering_per_block)]
 
     def test_degeneracy_exit_code(self, capsys, monkeypatch):
         def explode(config):
@@ -697,12 +764,16 @@ class TestEmit:
         assert not target.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    def test_non_finite_measure_exits_3(self, capsys, monkeypatch, fmt):
+    def test_non_finite_measure_exits_3(self, capsys, monkeypatch, tmp_path, fmt):
         monkeypatch.setattr(cli, "nm_cptp", lambda traj: SimpleNamespace(value=math.nan))
-        code, out, err = run_cli(capsys, "scan", "--grid-r1", "0.2,0.8", "--grid-r2", "0.3,0.9",
-                                 "--L", "10", "--format", fmt)
-        assert code == 3 and out == ""
-        assert err.startswith("error: ") and "column n_cptp" in err and err.count("\n") == 1
+        argv = ("scan", "--grid-r1", "0.2,0.8", "--grid-r2", "0.3,0.9", "--L", "10", "--format", fmt)
+        existing = tmp_path / "table"
+        existing.write_bytes(b"r1,r2\r\n0.2,0.3\n")
+        for out_flag in ((), ("--out", str(existing))):
+            code, out, err = run_cli(capsys, *argv, *out_flag)
+            assert code == 3 and out == ""
+            assert err.startswith("error: ") and "column n_cptp" in err and err.count("\n") == 1
+        assert existing.read_bytes() == b"r1,r2\r\n0.2,0.3\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_rows_are_written_in_chunks(self, capsys, monkeypatch, fmt):
