@@ -3,22 +3,19 @@
 Evolves a two-mode squeezed ancilla-system pair through a chain of
 tunable beam-splitter collisions with structured environment modes and
 quantifies the resulting non-Markovianity through Gaussian steering
-revivals and CPTP-divisibility breaking.
+revivals and CPTP-divisibility breaking.  The reference oracles the closed
+forms are tested against live in `gausscollide.reference`, loaded on first use.
 """
 
 from .divisibility import (
-    ChannelPair,
     DivisibilityMeasure,
     DivisibilityRecord,
-    channel_xy,
     divisibility_eigenvalues,
     divisibility_records,
-    intermediate_cp_matrix,
     nm_cptp,
 )
 from .engine import (
     SimulationConfig,
-    StepRecord,
     Trajectory,
     env_ancilla_cm,
     initial_full_cm,
@@ -27,30 +24,9 @@ from .engine import (
     run,
 )
 from .errors import DegenerateCovarianceError, GaussCollideError, SingularIntermediateMapError
-from .network import (
-    CCoefficients,
-    collision_unitary,
-    compose_chronological,
-    extract_c_coefficients,
-    mode_unitary_to_symplectic,
-    symplectic_defect,
-    unitarity_defect,
-)
-from .states import (
-    EnvironmentSpec,
-    JointSpec,
-    env_noise_scales,
-    physicality_check,
-    reduce_to_modes,
-    squeezed_thermal_cm,
-    symplectic_form,
-    tmsv_cm,
-    vacuum_cm,
-)
+from .states import EnvironmentSpec, JointSpec, env_noise_scales
 from .steering import (
     Direction,
-    g_ancilla_to_system,
-    g_system_to_ancilla,
     nm_from_steering,
     steerability,
     steering_series,
@@ -108,3 +84,19 @@ __all__ = [
     "vacuum_cm",
     "__version__",
 ]
+
+# The names of __all__ not imported above are the reference oracles', imported
+# from `reference` on first access (PEP 562): a run needs them only under --oracle.
+_REFERENCE_NAMES = frozenset(__all__).difference(globals())
+
+
+def __getattr__(name):
+    if name in _REFERENCE_NAMES:
+        from . import reference
+
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(globals().keys() | _REFERENCE_NAMES)

@@ -13,6 +13,7 @@ success, 2 usage/validation error, 3 numerical degeneracy.
 import argparse
 import itertools
 import math
+import os
 import re
 import shutil
 import sys
@@ -22,7 +23,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import steering  # not `steerability`: perfbench traces that name per matrix
 from .divisibility import divisibility_columns, nm_cptp
 from .engine import (
     SimulationConfig,
@@ -31,13 +31,12 @@ from .engine import (
     _columns,
     block_bytes,
     env_mode_columns,
-    iter_steps,
     iter_trajectories,
     require_memory,
     trajectory_chunk,
 )
 from .errors import DegenerateCovarianceError, GaussCollideError
-from .states import EnvironmentSpec, JointSpec, reduce_to_modes, require_finite
+from .states import EnvironmentSpec, JointSpec, require_finite
 from .steering import (
     Direction,
     nm_from_steering,
@@ -50,6 +49,8 @@ from .steering import (
 
 ENV_FAMILIES = ("vacuum", "thermal", "squeezed", "squeezed-thermal")
 FORMATS = ("csv", "jsonl")
+OUT_HELP = ("output file (default stdout); the output waits in a temporary file in $TMPDIR "
+            "until the run ends")
 THRESHOLD_FAMILIES = {  # family: (swept parameters, threshold function)
     "s-to-an": (("n",), threshold_s_to_an),
     "an-to-s-thermal": (("n", "xi"), threshold_an_to_s_thermal),
@@ -267,46 +268,11 @@ def cmd_evolve(args, parser):
             blank[:, 6:9] = np.concatenate([np.ones(n - len(skipped), bool), skipped])[:, None]
             yield traj.start, table, blank
         if printed:
-            _verify_against_oracle(config, *(np.concatenate(c) for c in zip(*printed)))
+            from .reference import verify_against_oracle  # compiled only under --oracle
+
+            verify_against_oracle(config, *(np.concatenate(c) for c in zip(*printed)))
 
     return header, tables()
-
-
-def _verify_against_oracle(config, joint_cm, g_san, g_ans) -> None:
-    """Full-chain symplectic propagation cross-check: at every step, the
-    closed-form joint_cm against the oracle's reduced covariance (1e-8 times
-    its largest entry, at least 1e-8: entries grow as cosh xi), and each
-    printed steering column against the 4x4 steerability of that covariance
-    where its determinant exceeds DET_FLOOR (from xi = 20 it rounds to 0).
-    Those determinants resolve G only to a few eps times the condition
-    number (cosh^2 xi at step 0), so that column's tolerance is the larger
-    of 1e-8 and 16 eps cond.  The deviation farthest past it is named, or
-    one stderr line counts the steps left unchecked: det <= DET_FLOOR or 0 < G <= 16 eps cond."""
-    chain = iter_steps(replace(config, oracle_enabled=True))
-    oracle = np.array([reduce_to_modes(sigma, [0, 1]) for _, _, sigma in chain])
-    oracle = 0.5 * (oracle + oracle.swapaxes(1, 2))  # symmetric up to rounding
-    resolved = np.linalg.det(oracle) > steering.DET_FLOOR
-    conditioning = 16 * np.finfo(float).eps * np.linalg.cond(oracle)
-    steering_tol = np.maximum(1e-8, conditioning)
-    unchecked = ~resolved
-    deviations = {"joint_cm": np.max(np.abs(joint_cm - oracle), axis=(1, 2))}
-    for name, direction, printed in (("g_s_to_an", Direction.B_TO_A, g_san),
-                                     ("g_an_to_s", Direction.A_TO_B, g_ans)):
-        reference = steering.steerability(oracle[resolved], direction)
-        deviations[name] = np.zeros(len(oracle))
-        deviations[name][resolved] = np.abs(printed[resolved] - reference)
-        unchecked[resolved] |= (reference > 0.0) & (reference <= conditioning[resolved])
-    tolerances = {"joint_cm": 1e-8 * np.maximum(1.0, np.abs(oracle).max(axis=(1, 2))),
-                  "g_s_to_an": steering_tol, "g_an_to_s": steering_tol}
-    excess = {name: deviations[name] / tolerances[name] for name in deviations}
-    name = max(excess, key=lambda name: excess[name].max())
-    j = int(np.argmax(excess[name]))
-    if excess[name][j] > 1.0:
-        raise GaussCollideError(f"oracle mismatch at step {j}: max deviation "
-                                f"{deviations[name][j]:g} in {name} (tolerance {tolerances[name][j]:g})")
-    if unchecked.any():
-        print(f"warning: --oracle could not check the steering at {unchecked.sum()} of "
-              f"{len(unchecked)} steps, first at step {unchecked.argmax()}", file=sys.stderr)
 
 
 def _scan_cell(traj):
@@ -425,7 +391,7 @@ def _add_common_flags(sub, with_r=True):
     sub.add_argument("--config", help="key=value file of default parameter values")
     sub.add_argument("--format", dest="format", choices=FORMATS, default="csv",
                      help="output format (default csv)")
-    sub.add_argument("--out", help="output file (default stdout)")
+    sub.add_argument("--out", help=OUT_HELP)
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
@@ -473,7 +439,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     p_thr.add_argument("--zeta-values", dest="zeta_values", type=_axis)
     p_thr.add_argument("--config", help="key=value file of default parameter values")
     p_thr.add_argument("--format", dest="format", choices=FORMATS, default="csv")
-    p_thr.add_argument("--out", help="output file (default stdout)")
+    p_thr.add_argument("--out", help=OUT_HELP)
     p_thr.set_defaults(func=cmd_thresholds, parser=p_thr, **defaults)
 
     return parser
@@ -503,8 +469,15 @@ def main(argv=None) -> int:
                 stack.pop_all()
         except OSError as exc:
             raise OSError(f"temporary file in {tempfile.gettempdir()}: {exc}") from None
-        with spool, _output(args.out) as fh:
-            shutil.copyfileobj(spool, fh)
+        try:
+            with spool, _output(args.out) as fh:
+                shutil.copyfileobj(spool, fh)
+                fh.flush()  # stdout keeps a buffer: a closed pipe shows here, not at exit
+        except BrokenPipeError:  # the reader stopped early, as `| head` does: not a failure
+            # Point stdout at /dev/null, so the interpreter's final flush stays quiet.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return 0
     except SystemExit as exc:
         code = exc.code

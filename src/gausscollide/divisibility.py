@@ -6,7 +6,8 @@ preparation.  The intermediate map between consecutive steps is CPTP iff
 the Hermitian condition matrix F_j is positive semidefinite; the
 non-Markovianity measure accumulates the magnitudes of its negative
 eigenvalues, evaluated in closed form from the step ratio
-|c22(j)|^2 / |c22(j-1)|^2.
+|c22(j)|^2 / |c22(j-1)|^2.  The X/Y matrices and the 2x2 F_j they give are
+in `reference`, which the closed form is tested against.
 """
 
 import math
@@ -14,24 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularIntermediateMapError
-from .network import CCoefficients
 from .states import EnvironmentSpec, env_noise_scales
 
 # |c22(j-1)|^2 below this is treated as a singular previous channel and
 # the step is skipped (flagged) rather than divided through.
 SKIP_TOL = 1e-14
-
-_OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
-@dataclass(frozen=True)
-class ChannelPair:
-    """X (unital part) and Y (noise part) of the step-j system channel."""
-
-    step: int
-    x: np.ndarray
-    y: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -51,40 +39,6 @@ class DivisibilityRecord:
 class DivisibilityMeasure:
     value: float
     skipped_steps: tuple
-
-
-def channel_xy(coeffs: CCoefficients, env: EnvironmentSpec) -> ChannelPair:
-    """Channel matrices after `coeffs.step` rounds.
-
-    X is the quadrature rotation-plus-damping block of c22; Y carries
-    the environment noise,
-        Y = N (1 - |c22|^2) I + M [[Re V, -Im V], [-Im V, -Re V]]
-    with V = e^{-i phi_env} sum_m (env amplitude)^2.
-    """
-    c = coeffs.c22
-    x = np.array([[c.real, -c.imag], [c.imag, c.real]])
-    n_scale, m_scale = env_noise_scales(env)
-    v = np.exp(-1j * env.phi_env) * coeffs.env_square_sum
-    y = n_scale * (1.0 - coeffs.c22_abs_sq) * np.eye(2)
-    y += m_scale * np.array([[v.real, -v.imag], [-v.imag, -v.real]])
-    return ChannelPair(step=coeffs.step, x=x, y=y)
-
-
-def intermediate_cp_matrix(pair_j: ChannelPair, pair_prev: ChannelPair) -> np.ndarray:
-    """Hermitian CP-condition matrix F of the map taking step j-1 to step j.
-
-    F = (1/2) (Y_step - i Omega + i X_step Omega X_step^T) with
-    X_step = X_j X_{j-1}^{-1} and Y_step = Y_j - X_step Y_{j-1} X_step^T.
-    The intermediate map is CPTP iff F >= 0.
-    """
-    det_prev = float(np.linalg.det(pair_prev.x))
-    if det_prev < SKIP_TOL:
-        raise SingularIntermediateMapError(
-            f"previous channel singular at step {pair_prev.step}: det X = {det_prev!r}"
-        )
-    x_step = pair_j.x @ np.linalg.inv(pair_prev.x)
-    y_step = pair_j.y - x_step @ pair_prev.y @ x_step.T
-    return 0.5 * (y_step - 1j * _OMEGA_1 + 1j * x_step @ _OMEGA_1 @ x_step.T)
 
 
 def divisibility_eigenvalues(n_scale: float, m_scale: float, ratio: float) -> tuple[float, float]:

@@ -17,7 +17,9 @@ line's `evolve` and `transport`, which walk `_column_blocks` block by block;
 a `Trajectory` keeps the first three and derives H.
 With `oracle_enabled`, `iter_steps` also propagates the full (L+3)-mode
 covariance matrix symplectically, the reference the tests and `evolve
---oracle` check the closed forms against.
+--oracle` check the closed forms against.  That path, `run`'s per-step
+stream and `Trajectory.steps` import their reference types and rounds from
+`reference` when they run, so the command line never compiles it.
 """
 
 import math
@@ -27,21 +29,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .network import (
-    NORMALIZATION_TOL,
-    CCoefficients,
-    mixing_block,
-    mode_unitary_to_symplectic,
-)
-from .states import (
-    EnvironmentSpec,
-    JointSpec,
-    env_noise_scales,
-    reduce_to_modes,
-    require_finite,
-    squeezed_thermal_cm,
-    tmsv_cm,
-)
+from .network import NORMALIZATION_TOL, mixing_block
+from .states import EnvironmentSpec, JointSpec, env_noise_scales, require_finite
 
 # A bound on the bytes per step that one whole Trajectory and the witnesses
 # read from it hold: `run`'s, and that of the `scan` cell beside
@@ -79,16 +68,6 @@ class SimulationConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class StepRecord:
-    """State of the chain after `j` rounds (j = 0 is the initial state): its
-    coefficients and closed-form ancilla-system covariance."""
-
-    j: int
-    coeffs: CCoefficients
-    joint_cm: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Per-step columns j = start .. start + len - 1 (0 .. L for a whole
     run): c22, |c22|^2 and W; H = 1 - |c22|^2 is derived.  The full-chain
@@ -116,8 +95,10 @@ class Trajectory:
                               self.config.joint, self.config.env)
 
     @cached_property
-    def steps(self) -> list[StepRecord]:
+    def steps(self) -> "list[StepRecord]":
         """One StepRecord per step, built from the columns on first access."""
+        from .reference import CCoefficients, StepRecord
+
         sums = (self.c22.tolist(), self.env_square_sum.tolist(), self.env_abs_square_sum.tolist())
         return [StepRecord(j, CCoefficients(j, c, env_square_sum=w, env_abs_square_sum=h), cm)
                 for j, (c, w, h, cm) in enumerate(zip(*sums, self.joint_cm), self.start)]
@@ -158,7 +139,7 @@ def joint_cm_stack(c, csq, w, joint: JointSpec, env: EnvironmentSpec) -> np.ndar
 
 
 def joint_cm_closed_form(
-    coeffs: CCoefficients, joint: JointSpec, env: EnvironmentSpec
+    coeffs: "CCoefficients", joint: JointSpec, env: EnvironmentSpec
 ) -> np.ndarray:
     """4x4 ancilla-system covariance matrix after the recorded step."""
     columns = coeffs.c22, coeffs.c22_abs_sq, coeffs.env_square_sum
@@ -167,6 +148,8 @@ def joint_cm_closed_form(
 
 def initial_full_cm(config: SimulationConfig) -> np.ndarray:
     """Product-state covariance of [An, S, E_1 .. E_{L+1}] before round 1."""
+    from .reference import squeezed_thermal_cm, tmsv_cm
+
     n_modes = config.L + 3
     cm = np.eye(2 * n_modes)
     cm[:4, :4] = tmsv_cm(config.joint)
@@ -174,20 +157,6 @@ def initial_full_cm(config: SimulationConfig) -> np.ndarray:
     for m in range(2, n_modes):
         cm[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = env_cm
     return cm
-
-
-def apply_collision_to_cm(
-    sigma: np.ndarray, j: int, r1: float, r2: float, phi: float = 0.0
-) -> None:
-    """Propagate the full covariance matrix through round j, in place.
-
-    Round j only mixes modes (S, E_j, E_{j+1}), so the congruence
-    sigma -> S sigma S^T reduces to a 6-row and 6-column update.
-    """
-    s6 = mode_unitary_to_symplectic(mixing_block(r1, r2, phi))
-    rows = [q for m in (1, j + 1, j + 2) for q in (2 * m, 2 * m + 1)]
-    sigma[rows, :] = s6 @ sigma[rows, :]
-    sigma[:, rows] = sigma[:, rows] @ s6.T
 
 
 def iter_steps(config: SimulationConfig):
@@ -199,6 +168,8 @@ def iter_steps(config: SimulationConfig):
     array, valid only until the next iteration — copy it to keep it.  The
     oracle's one (2L+6)^2 covariance must fit in physical memory.
     """
+    from .reference import CCoefficients, apply_collision_to_cm
+
     if config.oracle_enabled:
         require_memory(f"L = {config.L}", 8 * (2 * config.L + 6) ** 2)
     sigma = initial_full_cm(config) if config.oracle_enabled else None
@@ -436,6 +407,8 @@ def env_ancilla_cm(full_cm: np.ndarray | None, k: int) -> np.ndarray:
     if full_cm is None:
         raise ValueError("full covariance not given; "
                          "iterate iter_steps with oracle_enabled=True for it")
+    from .reference import reduce_to_modes
+
     n_modes = full_cm.shape[0] // 2
     if not 1 <= k <= n_modes - 2:
         raise IndexError(f"environment index k = {k} out of range 1..{n_modes - 2}")

@@ -1,22 +1,16 @@
-"""Gaussian state construction and covariance-matrix utilities.
+"""Gaussian preparations of the ancilla-system pair and of the environment
+modes, with the bounds on their parameters.
 
 Quadrature convention: q = a + a^dag, p = -i(a - a^dag), so the vacuum
 covariance matrix is the identity and [q, p] = 2i.  Covariance matrices are
 plain real ndarrays of shape (2N, 2N) with interleaved quadrature ordering
-(q1, p1, q2, p2, ...).  Physicality means sigma + i*Omega >= 0 with
-Omega = direct sum of [[0, 1], [-1, 0]] blocks.
+(q1, p1, q2, p2, ...).  The covariance builders are in `reference`.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-SYMMETRY_TOL = 1e-12
-PHYSICALITY_TOL = 1e-10
-
-_OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 # Largest covariance entry whose 4x4 determinant stays finite (about 5.79e76):
 # Hadamard's inequality bounds that determinant by (2 * entry)^4.
@@ -96,83 +90,3 @@ def env_noise_scales(env: EnvironmentSpec) -> tuple[float, float]:
     """(N, M) = ((2n+1) cosh zeta, (2n+1) sinh zeta)."""
     nf = 2.0 * env.n + 1.0
     return nf * float(np.cosh(env.zeta)), nf * float(np.sinh(env.zeta))
-
-
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Symplectic form Omega for `n_modes` modes, interleaved ordering."""
-    if n_modes < 0:
-        raise ValueError("n_modes must be non-negative")
-    return np.kron(np.eye(n_modes), _OMEGA_1)
-
-
-def vacuum_cm(n_modes: int) -> np.ndarray:
-    """Vacuum covariance matrix (identity in this convention)."""
-    return np.eye(2 * n_modes)
-
-
-def tmsv_cm(spec: JointSpec) -> np.ndarray:
-    """Two-mode squeezed vacuum covariance matrix.
-
-    Block form [[cosh(xi) I, sinh(xi) Z], [sinh(xi) Z, cosh(xi) I]] with
-    Z = diag(1, -1).  det = 1 (pure state) for every xi.
-    """
-    ch, sh = np.cosh(spec.xi), np.sinh(spec.xi)
-    cm = np.zeros((4, 4))
-    cm[:2, :2] = ch * np.eye(2)
-    cm[2:, 2:] = ch * np.eye(2)
-    cm[:2, 2:] = sh * _Z
-    cm[2:, :2] = sh * _Z
-    return cm
-
-
-def squeezed_thermal_cm(spec: EnvironmentSpec) -> np.ndarray:
-    """Single-mode squeezed thermal covariance matrix.
-
-    V_qq = (2n+1)(cosh zeta + sinh zeta cos phi_env)
-    V_pp = (2n+1)(cosh zeta - sinh zeta cos phi_env)
-    V_qp = (2n+1) sinh zeta sin phi_env
-    """
-    nf = 2.0 * spec.n + 1.0
-    ch, sh = np.cosh(spec.zeta), np.sinh(spec.zeta)
-    c, s = np.cos(spec.phi_env), np.sin(spec.phi_env)
-    return nf * np.array([[ch + sh * c, sh * s], [sh * s, ch - sh * c]])
-
-
-def _check_cm_shape(cm: np.ndarray) -> int:
-    cm = np.asarray(cm)
-    if cm.ndim != 2 or cm.shape[0] != cm.shape[1] or cm.shape[0] % 2:
-        raise ValueError(f"covariance matrix must be square even-dimensional, got {cm.shape}")
-    return cm.shape[0] // 2
-
-
-def reduce_to_modes(cm: np.ndarray, modes) -> np.ndarray:
-    """Reduced covariance matrix on the listed modes, in the listed order.
-
-    Gaussian partial trace: keep the quadrature rows/columns of the
-    selected modes.
-    """
-    n_modes = _check_cm_shape(cm)
-    modes = list(modes)
-    for m in modes:
-        if not (0 <= m < n_modes):
-            raise IndexError(f"mode index {m} out of range for {n_modes} modes")
-    idx = [q for m in modes for q in (2 * m, 2 * m + 1)]
-    return np.asarray(cm)[np.ix_(idx, idx)]
-
-
-def physicality_check(cm: np.ndarray, tol: float = PHYSICALITY_TOL):
-    """Check the bona-fide-state condition sigma + i*Omega >= 0.
-
-    Returns
-    -------
-    (ok, min_eig) : tuple of bool and float
-        ok is True iff the minimum eigenvalue of the Hermitian matrix
-        sigma + i*Omega is >= -tol; min_eig is that eigenvalue.
-    """
-    n_modes = _check_cm_shape(cm)
-    cm = np.asarray(cm, dtype=float)
-    if not np.allclose(cm, cm.T, atol=SYMMETRY_TOL, rtol=0.0):
-        raise ValueError("covariance matrix is not symmetric")
-    herm = cm + 1j * symplectic_form(n_modes)
-    min_eig = float(np.linalg.eigvalsh(herm)[0])
-    return min_eig >= -tol, min_eig

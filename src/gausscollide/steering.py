@@ -62,16 +62,6 @@ def _first(mask) -> int | None:
     return next(iter(np.flatnonzero(mask).tolist()), None)
 
 
-def g_ancilla_to_system(joint_cm: np.ndarray) -> float:
-    """Steering An -> S of an (ancilla, system)-ordered joint covariance."""
-    return steerability(joint_cm, Direction.A_TO_B)
-
-
-def g_system_to_ancilla(joint_cm: np.ndarray) -> float:
-    """Steering S -> An of an (ancilla, system)-ordered joint covariance."""
-    return steerability(joint_cm, Direction.B_TO_A)
-
-
 def reduced_determinants(c_sq, w, joint, env) -> tuple[np.ndarray, np.ndarray]:
     """(det sigma / det V_An, det V_X) of the closed-form (ancilla, X)
     covariances whose X row has weight c_sq = |c|^2 and bilinear sum w = W;

@@ -2,7 +2,10 @@
 
 from pathlib import Path
 
+import pytest
+
 import gausscollide
+import gausscollide.reference
 
 PUBLIC_NAMES = [
     "CCoefficients", "ChannelPair", "DegenerateCovarianceError", "Direction",
@@ -19,12 +22,30 @@ PUBLIC_NAMES = [
     "vacuum_cm",
 ]
 
+# The reference oracles' names, which the package imports from `reference` on first access.
+REFERENCE_NAMES = [
+    "CCoefficients", "ChannelPair", "StepRecord", "channel_xy", "collision_unitary",
+    "compose_chronological", "extract_c_coefficients", "g_ancilla_to_system",
+    "g_system_to_ancilla", "intermediate_cp_matrix", "mode_unitary_to_symplectic",
+    "physicality_check", "reduce_to_modes", "squeezed_thermal_cm", "symplectic_defect",
+    "symplectic_form", "tmsv_cm", "unitarity_defect", "vacuum_cm",
+]
+
 
 def test_all_is_pinned_and_resolves():
     assert len(PUBLIC_NAMES) == 45
     assert sorted(gausscollide.__all__) == PUBLIC_NAMES
+    star = {}
+    exec("from gausscollide import *", star)
     for name in gausscollide.__all__:
         assert getattr(gausscollide, name) is not None, name
+        assert star[name] is getattr(gausscollide, name), name
+    assert set(REFERENCE_NAMES) <= set(PUBLIC_NAMES)
+    for name in REFERENCE_NAMES:
+        assert getattr(gausscollide, name) is getattr(gausscollide.reference, name), name
+    assert set(REFERENCE_NAMES) <= set(dir(gausscollide))
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        gausscollide.no_such_name
 
 
 def test_readme_library_block_runs(capsys):

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import gausscollide.cli as cli
 import gausscollide.engine as engine
+import gausscollide.reference as reference
 from gausscollide.cli import ENV_FAMILIES, main, parse_angle, parse_values
 from gausscollide.divisibility import nm_cptp
 from gausscollide.engine import SimulationConfig, env_ancilla_cm, iter_steps, run
@@ -1142,8 +1143,9 @@ class TestTransport:
         def oracle_only(*args, **kwargs):
             raise AssertionError("transport ran full-chain reference code")
 
-        for name in ("apply_collision_to_cm", "env_ancilla_cm", "initial_full_cm"):
-            monkeypatch.setattr(engine, name, oracle_only)
+        for module, name in ((reference, "apply_collision_to_cm"), (engine, "env_ancilla_cm"),
+                             (engine, "initial_full_cm")):
+            monkeypatch.setattr(module, name, oracle_only)
         code, out, _ = run_cli(capsys, "transport", "--r1", "0.4", "--r2", "0.3",
                                "--L", "30", "--modes", "1,15,31")
         assert code == 0
@@ -1278,9 +1280,64 @@ def test_production_paths_never_step_one_at_a_time(capsys, monkeypatch, argv):
         raise AssertionError("the per-step stream was reached")
 
     monkeypatch.setattr(engine, "iter_steps", refused)
-    monkeypatch.setattr(cli, "iter_steps", refused)
+    assert not hasattr(cli, "iter_steps")  # --oracle steps engine.iter_steps, from reference
     assert plain[0] == 0 and plain[1].count("\n") > 2
     assert run_cli(capsys, *argv) == plain
+
+
+def child_env() -> dict:
+    """The environment of a child process that imports this source tree."""
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+
+
+def run_child(*argv):
+    """`python -X importtime -m gausscollide.cli ARGV`: its stderr ends with one
+    line per module the process imported."""
+    return subprocess.run([sys.executable, "-X", "importtime", "-m", "gausscollide.cli", *argv],
+                          capture_output=True, env=child_env())
+
+
+def imported(stderr: bytes) -> set:
+    return {line.rsplit("|", 1)[1].strip() for line in stderr.decode().splitlines()
+            if line.startswith("import time:") and "|" in line}
+
+
+@pytest.mark.parametrize("argv", [
+    ("evolve", "--r1", "0.4", "--r2", "0.3", "--L", "30"),
+    ("scan", "--grid-r1", "0.2,0.8", "--grid-r2", "0.3,0.9", "--L", "30"),
+    ("transport", "--r1", "0.4", "--r2", "0.3", "--L", "30", "--modes", "1,15,31"),
+    ("thresholds", "--family", "s-to-an", "--n-values", "0,0.5"),
+    ("evolve", "--help"),
+], ids=["evolve", "scan", "transport", "thresholds", "help"])
+def test_commands_never_import_the_reference(argv):
+    done = run_child(*argv)
+    assert done.returncode == 0 and done.stdout
+    modules = imported(done.stderr)
+    assert "gausscollide.engine" in modules  # the import trace covers the package
+    assert "gausscollide.reference" not in modules
+
+
+def test_oracle_imports_the_reference_and_keeps_the_bytes():
+    argv = ("evolve", "--r1", "0.4", "--r2", "0.3", "--L", "50", "--phi", "0.7",
+            "--env", "squeezed-thermal", "--n", "0.3", "--zeta", "0.4")
+    plain, checked = run_child(*argv), run_child(*argv, "--oracle")
+    assert plain.returncode == checked.returncode == 0
+    assert checked.stdout == plain.stdout and plain.stdout.count(b"\n") == 52
+    assert "gausscollide.reference" in imported(checked.stderr)
+    assert "gausscollide.reference" not in imported(plain.stderr)
+
+
+def test_reader_closing_the_pipe_is_not_an_error():
+    # Like `| head -1`: the child still has about 2 MB to copy out when its reader leaves.
+    argv = [sys.executable, "-X", "dev", "-m", "gausscollide.cli", "evolve", "--r1", ".4",
+            "--r2", ".3", "--L", "100000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=child_env()) as child:
+        header = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+    assert header.startswith(b"j,re_c22,")
+    assert (child.returncode, err) == (0, b"")
 
 
 class TestThresholds:

@@ -8,16 +8,20 @@ import pytest
 
 from gausscollide.divisibility import (
     SKIP_TOL,
-    channel_xy,
     divisibility_eigenvalues,
     divisibility_records,
     env_noise_scales,
-    intermediate_cp_matrix,
     nm_cptp,
 )
 from gausscollide.engine import SimulationConfig, run
 from gausscollide.errors import SingularIntermediateMapError
-from gausscollide.network import CCoefficients, collision_unitary, compose_chronological
+from gausscollide.reference import (
+    CCoefficients,
+    channel_xy,
+    collision_unitary,
+    compose_chronological,
+    intermediate_cp_matrix,
+)
 from gausscollide.states import EnvironmentSpec, JointSpec
 
 RATIO_2 = (0.16 + 0.84 * math.sqrt(0.91)) ** 2 / 0.16  # two-round backflow at (0.4, 0.3)

@@ -25,22 +25,18 @@ from gausscollide.engine import (
     joint_cm_stack,
     run,
 )
-from gausscollide.network import (
-    NORMALIZATION_TOL,
+from gausscollide.network import NORMALIZATION_TOL, mixing_block
+from gausscollide.reference import (
     CCoefficients,
     apply_collision_inplace,
     extract_c_coefficients,
-    mixing_block,
     mode_unitary_to_symplectic,
-)
-from gausscollide.states import (
-    EnvironmentSpec,
-    JointSpec,
     physicality_check,
     reduce_to_modes,
     squeezed_thermal_cm,
     tmsv_cm,
 )
+from gausscollide.states import EnvironmentSpec, JointSpec
 
 # V_S scalar after one round at r1 = 0.4 with vacuum environment, xi = 1:
 # 0.16 cosh(1) + 0.84

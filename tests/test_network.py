@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausscollide.network import (
+from gausscollide.network import mixing_block
+from gausscollide.reference import (
     CCoefficients,
     apply_collision_inplace,
     collision_unitary,
     compose_chronological,
     extract_c_coefficients,
-    mixing_block,
     mode_unitary_to_symplectic,
     symplectic_defect,
     unitarity_defect,

@@ -7,11 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausscollide.states import (
-    MAX_ENV_SQUEEZING,
-    MAX_SQUEEZING,
-    EnvironmentSpec,
-    JointSpec,
+from gausscollide.reference import (
     physicality_check,
     reduce_to_modes,
     squeezed_thermal_cm,
@@ -19,6 +15,7 @@ from gausscollide.states import (
     tmsv_cm,
     vacuum_cm,
 )
+from gausscollide.states import MAX_ENV_SQUEEZING, MAX_SQUEEZING, EnvironmentSpec, JointSpec
 
 
 def test_symplectic_form_structure():

@@ -11,12 +11,16 @@ from hypothesis import strategies as st
 
 from gausscollide.engine import SimulationConfig, joint_cm_closed_form, joint_cm_stack, run
 from gausscollide.errors import DegenerateCovarianceError
-from gausscollide.network import CCoefficients
-from gausscollide.states import EnvironmentSpec, JointSpec, squeezed_thermal_cm, tmsv_cm
-from gausscollide.steering import (
-    Direction,
+from gausscollide.reference import (
+    CCoefficients,
     g_ancilla_to_system,
     g_system_to_ancilla,
+    squeezed_thermal_cm,
+    tmsv_cm,
+)
+from gausscollide.states import EnvironmentSpec, JointSpec
+from gausscollide.steering import (
+    Direction,
     nm_from_steering,
     reduced_determinants,
     steerability,
