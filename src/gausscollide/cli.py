@@ -153,24 +153,22 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def _blocks(table, blank):
-    """(first row, values, blank cells) of a table, EMIT_ROWS rows at a time."""
-    for start in range(0, len(table), EMIT_ROWS):
-        rows = slice(start, start + EMIT_ROWS)
-        yield start, table[rows], np.zeros_like(table[rows], bool) if blank is None else blank[rows]
-
-
 def _output(out):
-    """A context manager for the text file out: a path, None for stdout, or an open file."""
-    if isinstance(out, str):
-        return open(out, "w", encoding="utf-8", newline="")
-    return nullcontext(out or sys.stdout)
+    """A context manager for the text file out: a path, or None for stdout."""
+    return open(out, "w", encoding="utf-8", newline="") if out else nullcontext(sys.stdout)
 
 
-def _chunks(header, table, blank, fmt: str, start: int):
-    """The table's text, EMIT_ROWS rows to a string, one % template per row:
-    that of the row's blank cells, each of which takes its value with %.0s.
-    The CSV header goes before output row 0."""
+def emit(header, table, fmt: str, fh, blank=None, start: int = 0):
+    """Write a numeric (rows, columns) table, with the cells where the
+    boolean array blank is true left blank, as CSV or JSON lines to the open
+    text file fh, in one pass over EMIT_ROWS rows at a time: check, then write
+    them, each row by the % template of its blank cells (%.0s takes a blank
+    cell's value).  The table's first row is output row start; the CSV header
+    goes before row 0.  A cell not blank that is not finite raises an error
+    naming its output row and column; `main`'s spool keeps a failed run from
+    writing anything."""
+    if blank is not None and blank.shape[1] > 64:
+        raise ValueError(f"{blank.shape[1]} columns: emit leaves cells blank in at most 64")
     as_json = fmt == "jsonl"
     keys = [f'"{k}": ' if as_json else "" for k in header]
     filled = [key + {INDEX_COLUMN: "%d", FLAG_COLUMN: "%s"}.get(name, "%.12g")
@@ -179,33 +177,23 @@ def _chunks(header, table, blank, fmt: str, start: int):
     sep, begin, end = (", ", "{", "}\n") if as_json else (",", "", "\n")
     bits = 1 << np.arange(len(header))  # a row's blank cells as the bits of one int64
     if not start and (not as_json or not len(table)):  # an empty JSON-lines table is one empty line
-        yield "\n" if as_json else ",".join(header) + "\n"
-    for _, values, is_blank in _blocks(table, blank):
+        fh.write("\n" if as_json else ",".join(header) + "\n")
+    for at in range(0, len(table), EMIT_ROWS):
+        rows = slice(at, at + EMIT_ROWS)
+        values = table[rows]
+        is_blank = np.zeros_like(values, bool) if blank is None else blank[rows]
+        bad = ~(np.isfinite(values) | is_blank)
+        if bad.any():  # argwhere alone takes longer than the whole check
+            i, c = np.argwhere(bad)[0]
+            raise GaussCollideError(f"output row {start + at + i}, column {header[c]}: "
+                                    f"non-finite value {float(values[i, c])!r}")
         columns = (values + 0.0).T.tolist()  # -0.0 prints as 0
         for c in (c for c, name in enumerate(header) if name == FLAG_COLUMN):
             columns[c] = [FLAG_TOKENS[as_json][v != 0.0] for v in columns[c]]
         _, first, kinds = np.unique(is_blank @ bits, return_index=True, return_inverse=True)
         templates = [begin + sep.join(e if b else f for f, e, b in zip(filled, empty, row)) + end
                      for row in is_blank[first].tolist()]
-        yield "".join([templates[k] % row for k, row in zip(kinds.tolist(), zip(*columns))])
-
-
-def emit(header, table, fmt: str, out, blank=None, start: int = 0):
-    """Write a numeric (rows, columns) table, with the cells where the
-    boolean array blank is true left blank, as CSV or JSON lines, EMIT_ROWS
-    rows at a time, to out: a path, None for stdout, or an open text file.
-    The table's first row is output row start; if a cell not blank is not
-    finite, nothing is written and the error names its output row and column."""
-    if blank is not None and blank.shape[1] > 64:
-        raise ValueError(f"{blank.shape[1]} columns: emit leaves cells blank in at most 64")
-    for first, values, is_blank in _blocks(table, blank):
-        bad = ~(np.isfinite(values) | is_blank)
-        if bad.any():  # argwhere alone takes longer than the whole check
-            i, c = np.argwhere(bad)[0]
-            raise GaussCollideError(f"output row {start + first + i}, column {header[c]}: "
-                                    f"non-finite value {float(values[i, c])!r}")
-    with _output(out) as fh:
-        fh.writelines(_chunks(header, table, blank, fmt, start))
+        fh.write("".join([templates[k] % row for k, row in zip(kinds.tolist(), zip(*columns))]))
 
 
 def _simulation_config(args, parser, r1, r2) -> SimulationConfig:
@@ -228,17 +216,12 @@ def _simulation_config(args, parser, r1, r2) -> SimulationConfig:
 
 
 def _trajectory_blocks(config):
-    """config's chain as Trajectories of consecutive steps: the evaluator's
-    blocks of `_column_blocks`, whole, gathered to at least EMIT_ROWS steps."""
-    start, c22s, ws = 0, [], []
-    for c22, w in _column_blocks([config], config.L):
-        c22s.append(c22[0])
-        ws.append(w[0])
-        steps = sum(map(len, c22s))
-        if steps >= EMIT_ROWS or start + steps > config.L:
-            columns = _columns(np.concatenate(c22s), np.concatenate(ws), start)
-            yield Trajectory(config, *columns[:3], start=start)
-            start, c22s, ws = start + steps, [], []
+    """config's chain as Trajectories of consecutive steps, the evaluator's
+    blocks gathered to at least EMIT_ROWS steps (`_column_blocks`)."""
+    start = 0
+    for c22, w in _column_blocks([config], config.L, EMIT_ROWS):
+        yield Trajectory(config, *_columns(c22[0], w[0], start)[:3], start=start)
+        start += len(c22[0])
 
 
 def cmd_evolve(args, parser):
@@ -298,9 +281,13 @@ def cmd_scan(args, parser):
     base = _simulation_config(args, parser, r1s[0], r2s[0])
     cells = [replace(base, r1=r1, r2=r2) for r1 in r1s for r2 in r2s]
     header = ["r1", "r2", "n_gs_s_to_an", "n_gs_an_to_s", "n_cptp"]
-    table = np.array([(cell.r1, cell.r2, *_scan_cell(traj))
-                      for cell, traj in zip(cells, iter_trajectories(cells))])
-    return header, [(0, table, None)]
+    table = []
+    for cell, traj in zip(cells, iter_trajectories(cells)):
+        try:
+            table.append((cell.r1, cell.r2, *_scan_cell(traj)))
+        except GaussCollideError as exc:
+            raise type(exc)(f"cell r1 = {cell.r1:.12g}, r2 = {cell.r2:.12g}: {exc}") from None
+    return header, [(0, np.array(table), None)]
 
 
 def cmd_transport(args, parser):
@@ -478,6 +465,9 @@ def main(argv=None) -> int:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
+        except OSError as exc:  # open's error names its path; a write's names no target
+            target = f"--out {args.out}" if args.out else "stdout"
+            raise exc if exc.filename else OSError(f"{target}: {exc}") from None
         return 0
     except SystemExit as exc:
         code = exc.code

@@ -7,14 +7,14 @@ c22 and the bilinear sums behind W, and one round maps each group by a
 constant matrix K (`_round_matrices`; the sums' map is affine, made linear
 by a constant 1).  Every column is then K^j x_0, which one block-power
 evaluator (`_blocks`) computes for a batch of configurations in
-O(sqrt(L)) array operations, block by block of about sqrt(L) steps, each
-configuration's bits independent of the batch, since numpy's long double
-`@` sums in index order.  `_columns` turns c22 and W arrays into (c22,
-|c22|^2, W, H = 1 - |c22|^2) columns, each row checked against |W| <= H,
-for `iter_trajectories` (a chunk of configurations at once: `scan`), the
-library's `run` (through `iter_steps`), `env_mode_columns`, and the command
-line's `evolve` and `transport`, which walk `_column_blocks` block by block;
-a `Trajectory` keeps the first three and derives H.
+O(sqrt(L)) array operations, in blocks of about sqrt(L) steps gathered to
+at least its `steps`, each configuration's bits independent of the batch,
+since numpy's long double `@` sums in index order.  `_columns` turns c22
+and W arrays into (c22, |c22|^2, W, H = 1 - |c22|^2) columns, each row
+checked against |W| <= H, for `iter_trajectories` (`scan`, a chunk's whole
+rows one gathered block), the library's `run` (through `iter_steps`),
+`env_mode_columns`, and the command line's `evolve` and `transport`
+(gathered to `cli.EMIT_ROWS` steps); a `Trajectory` keeps three, derives H.
 With `oracle_enabled`, `iter_steps` also propagates the full (L+3)-mode
 covariance matrix symplectically, the reference the tests and `evolve
 --oracle` check the closed forms against.  That path, `run`'s per-step
@@ -220,10 +220,11 @@ def _round_matrices(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _INITIAL_STATES = (np.array([1, 0], dtype=complex), np.array([0, 0, 1, 1], dtype=complex))
 
 
-def _blocks(k: np.ndarray, x0: np.ndarray, L: int, rows):
+def _blocks(k: np.ndarray, x0: np.ndarray, L: int, rows, steps: int = 1):
     """Yield the given rows of x_j = K^j x_0, j = 0 .. L, for a batch of
-    matrices k (cells, n, n), one block of at most B = isqrt(L + 1) steps
-    at a time, as complex arrays (cells, steps, rows).
+    matrices k (cells, n, n), as complex arrays (cells, steps, rows): the
+    evaluator's blocks of B = isqrt(L + 1) steps, whole, gathered into one
+    array of at least `steps` steps (the last may hold fewer).
 
     In long double (numpy's clongdouble, a 64-bit significand on x86-64):
     the powers K^t, t <= B, one product from the last; then block m is one
@@ -240,30 +241,23 @@ def _blocks(k: np.ndarray, x0: np.ndarray, L: int, rows):
         power = power @ k
     table = np.concatenate(picked, axis=1)
     state = np.broadcast_to(x0.astype(k.dtype)[:, None], (len(k), len(x0), 1))
-    for start in range(0, L + 1, b):
-        block = (table @ state)[..., 0].astype(complex)
-        yield block.reshape(len(k), b, -1)[:, : L + 1 - start]
-        state = power @ state
+    size = -(-steps // b) * b  # whole blocks
+    for start in range(0, L + 1, size):
+        gathered = np.empty((len(k), size, len(table[0]) // b), complex)
+        for at in range(0, min(size, L + 1 - start), b):
+            gathered[:, at : at + b] = (table @ state).reshape(len(k), b, -1)
+            state = power @ state
+        yield gathered[:, : L + 1 - start]
 
 
-def _column_blocks(configs, L: int):
-    """Yield c22 and W after j = 0 .. L rounds, block by block, as complex
-    arrays (cells, steps), for configurations that differ only in r1 and r2."""
+def _column_blocks(configs, L: int, steps: int = 1):
+    """Yield c22 and W after j = 0 .. L rounds, as complex arrays (cells,
+    steps) of at least `steps` steps (`_blocks`), for configurations that
+    differ only in r1 and r2."""
     matrices = zip(*(_round_matrices(mixing_block(c.r1, c.r2, c.phi_shift)) for c in configs))
-    blocks = (_blocks(np.array(k), x0, L, [0]) for k, x0 in zip(matrices, _INITIAL_STATES))
+    blocks = (_blocks(np.array(k), x0, L, [0], steps) for k, x0 in zip(matrices, _INITIAL_STATES))
     for c22, w in zip(*blocks):
         yield c22[..., 0], w[..., 0]
-
-
-def _trajectory_columns(configs, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """c22 and W after j = 0 .. L rounds, each (cells, L + 1)."""
-    c22, w = (np.empty((len(configs), L + 1), complex) for _ in range(2))
-    start = 0
-    for c_block, w_block in _column_blocks(configs, L):
-        stop = start + c_block.shape[1]
-        c22[:, start:stop], w[:, start:stop] = c_block, w_block
-        start = stop
-    return c22, w
 
 
 # Bytes one chunk of iter_trajectories may hold, and the bytes it takes
@@ -314,7 +308,8 @@ def iter_trajectories(configs):
     require_memory(f"L = {L}", need)
     for start in range(0, len(configs), size):
         chunk = configs[start : start + size]
-        for config, c22, w in zip(chunk, *_trajectory_columns(chunk, L)):
+        (columns,) = _column_blocks(chunk, L, L + 1)  # the chunk's whole rows, one block
+        for config, c22, w in zip(chunk, *columns):
             yield Trajectory(config, *_columns(c22, w)[:3])
 
 
@@ -383,8 +378,8 @@ def run(config: SimulationConfig) -> Trajectory:
     _refuse_oracle(config)
     require_memory(f"L = {config.L}", (config.L + 1) * STEP_BYTES)
     # Steps through iter_steps, looked up in this module at each call, rather
-    # than reading _trajectory_columns: the benchmark's per-layer trace patches
-    # engine.iter_steps and divides run's own time by the steps it sees there.
+    # than taking one gathered block of _column_blocks: the benchmark's per-layer
+    # trace patches engine.iter_steps and divides run's own time by its steps.
     c22, w = np.empty(config.L + 1, complex), np.empty(config.L + 1, complex)
     for j, co, _ in iter_steps(config):
         c22[j], w[j] = co.c22, co.env_square_sum

@@ -753,16 +753,14 @@ class TestEmit:
         table, blank = _table(rows, len(header))
         buf = io.StringIO()
         with mock.patch.object(cli, "EMIT_ROWS", emit_rows), contextlib.redirect_stdout(buf):
-            cli.emit(header, table, fmt, None, blank)
+            cli.emit(header, table, fmt, sys.stdout, blank)
         assert buf.getvalue() == _reference_text(header, rows, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    def test_non_finite_value_is_refused_before_writing(self, tmp_path, fmt):
-        target = tmp_path / "table"
+    def test_non_finite_value_is_refused_before_writing(self, fmt):
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(GaussCollideError, match="output row 1, column b: non-finite"):
-                cli.emit(["a", "b"], np.array([(1.0, 2.0), (3.0, value)]), fmt, str(target))
-        assert not target.exists()
+                cli.emit(["a", "b"], np.array([(1.0, 2.0), (3.0, value)]), fmt, io.StringIO())
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_non_finite_measure_exits_3(self, capsys, monkeypatch, tmp_path, fmt):
@@ -780,42 +778,64 @@ class TestEmit:
     def test_rows_are_written_in_chunks(self, capsys, monkeypatch, fmt):
         header = ["j", "v", "none", "skip_flag"]
         table, blank = _table([(j, j / 7, None, j % 2 == 0) for j in range(10)], len(header))
-        cli.emit(header, table, fmt, None, blank)
+        cli.emit(header, table, fmt, sys.stdout, blank)
         whole = capsys.readouterr().out
         writes = []
         monkeypatch.setattr(cli, "EMIT_ROWS", 3)
-        monkeypatch.setattr(cli.sys, "stdout", SimpleNamespace(writelines=writes.extend))
-        cli.emit(header, table, fmt, None, blank)
+        monkeypatch.setattr(cli.sys, "stdout", SimpleNamespace(write=writes.append))
+        cli.emit(header, table, fmt, sys.stdout, blank)
         assert "".join(writes) == whole
         assert len(writes) == (5 if fmt == "csv" else 4)  # the header, then 3 + 3 + 3 + 1 rows
 
-    def test_late_non_finite_value_writes_nothing(self, tmp_path, monkeypatch):
+    def test_late_non_finite_value_writes_nothing(self, monkeypatch):
         monkeypatch.setattr(cli, "EMIT_ROWS", 2)
-        target = tmp_path / "table"
         table = np.array([(j, float(j)) for j in range(9)] + [(9, math.inf)])
         with pytest.raises(GaussCollideError, match="output row 9, column b: non-finite"):
-            cli.emit(["a", "b"], table, "csv", str(target))
-        assert not target.exists()
+            cli.emit(["a", "b"], table, "csv", io.StringIO())
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_late_non_finite_cell_exits_3_and_writes_nothing(self, capsys, monkeypatch, tmp_path,
+                                                             to_file):
+        # emit writes the blocks before the bad one to the spool, which is never copied out.
+        monkeypatch.setattr(cli, "EMIT_ROWS", 20)
+        steering_series = cli.steering_series
+
+        def inf_at_step_77(traj, direction):
+            series = steering_series(traj, direction)
+            if traj.start <= 77 < traj.start + len(traj):
+                series[77 - traj.start] = math.inf
+            return series
+
+        monkeypatch.setattr(cli, "steering_series", inf_at_step_77)
+        existing = tmp_path / "table"
+        existing.write_bytes(b"j,g\r\n0,1\n")
+        out_flag = ("--out", str(existing)) if to_file else ()
+        code, out, err = run_cli(capsys, "evolve", "--r1", ".4", "--r2", ".3", "--L", "100",
+                                 *out_flag)
+        assert (code, out) == (3, "")
+        assert err == ("error: numerical degeneracy: output row 77, column g_s_to_an: "
+                       "non-finite value inf\n")
+        assert existing.read_bytes() == b"j,g\r\n0,1\n"
 
     def test_blank_cells_are_not_checked(self, capsys):
         table = np.array([[1.0, math.nan], [math.inf, 2.0]])
-        cli.emit(["a", "b"], table, "csv", None, ~np.isfinite(table))
+        cli.emit(["a", "b"], table, "csv", sys.stdout, ~np.isfinite(table))
         assert capsys.readouterr().out == "a,b\n1,\n,2\n"
 
     def test_blank_cells_in_up_to_64_columns(self, capsys):
         table, blank = np.zeros((3, 65)), np.zeros((3, 65), bool)
         blank[1, 63] = blank[2, 0] = True
         header = [f"c{i}" for i in range(65)]
-        cli.emit(header[:64], table[:, :64], "csv", None, blank[:, :64])
+        cli.emit(header[:64], table[:, :64], "csv", sys.stdout, blank[:, :64])
         assert capsys.readouterr().out.split("\n")[1:4] == [
             ",".join(["0"] * 64), ",".join(["0"] * 63 + [""]), ",".join([""] + ["0"] * 63)]
         with pytest.raises(ValueError, match="65 columns"):
-            cli.emit(header, table, "csv", None, blank)
+            cli.emit(header, table, "csv", sys.stdout, blank)
         assert capsys.readouterr().out == ""
 
     def test_string_cells_are_refused(self, capsys):
         with pytest.raises(TypeError):
-            cli.emit(["name"], np.array([['say "hi"']]), "jsonl", None)
+            cli.emit(["name"], np.array([['say "hi"']]), "jsonl", sys.stdout)
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -830,10 +850,10 @@ class TestEmit:
         blank[table[:, -1] == 1, 6:9] = True
         written = []
         monkeypatch.setattr(cli.sys, "stdout", SimpleNamespace(
-            writelines=lambda chunks: written.extend(map(len, chunks))))
+            write=lambda text: written.append(len(text))))
         tracemalloc.start()
         try:
-            cli.emit(EVOLVE_HEADER, table, fmt, None, blank)
+            cli.emit(EVOLVE_HEADER, table, fmt, sys.stdout, blank)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -934,11 +954,30 @@ class TestScan:
         assert code == 0
         assert run_cli(capsys, *args, "--jobs", "100000") == (0, serial, "")
 
+    def test_degeneracy_names_its_cell(self, capsys, monkeypatch):
+        trajectories = cli.iter_trajectories
+
+        def unphysical_cell(cells):
+            for traj in trajectories(cells):
+                if (traj.config.r1, traj.config.r2) == (0.8, 0.9):
+                    w = traj.env_square_sum.copy()
+                    w[5] = 10.0  # |W| <= 1 - |c22|^2 on a physical row
+                    traj = replace(traj, env_square_sum=w)
+                yield traj
+
+        monkeypatch.setattr(cli, "iter_trajectories", unphysical_cell)
+        code, out, err = run_cli(capsys, "scan", "--grid-r1", "0.2,0.8", "--grid-r2", "0.3,0.9",
+                                 "--L", "10")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: numerical degeneracy: cell r1 = 0.8, r2 = 0.9: step 5: "
+                              "|W| = 10.0 exceeds 1 - |c|^2 = ")
+        assert err.count("\n") == 1
+
     def test_out_of_memory_length(self, capsys, monkeypatch):
         def no_steps(*args):
             raise AssertionError("scan started stepping")
 
-        monkeypatch.setattr(engine, "_trajectory_columns", no_steps)
+        monkeypatch.setattr(engine, "_column_blocks", no_steps)
         code, out, err = run_cli(capsys, "scan", "--grid-r1", "0.2,0.8", "--grid-r2", "0.3,0.9",
                                  "--L", "100000000")
         assert code == 2
@@ -1338,6 +1377,21 @@ def test_reader_closing_the_pipe_is_not_an_error():
         err = child.stderr.read()
     assert header.startswith(b"j,re_c22,")
     assert (child.returncode, err) == (0, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_write_error_names_its_target(to_file):
+    # /dev/full takes the bytes into its buffer and fails the write (ENOSPC).
+    argv = [sys.executable, "-X", "dev", "-m", "gausscollide.cli", "evolve", "--r1", ".4",
+            "--r2", ".3", "--L", "2000", *(["--out", "/dev/full"] if to_file else [])]
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run(argv, stdout=subprocess.PIPE if to_file else full,
+                              stderr=subprocess.PIPE, env=child_env())
+    target = "--out /dev/full" if to_file else "stdout"
+    assert (done.returncode, done.stdout or b"") == (2, b"")
+    assert done.stderr.decode() == (f"error: {target}: [Errno {errno.ENOSPC}] "
+                                    f"{os.strerror(errno.ENOSPC)}\n")
 
 
 class TestThresholds:

@@ -527,13 +527,13 @@ class TestBatchedRecurrence:
             assert all(type(v) is complex for v in state)
 
     def test_grids_fit_one_chunk(self, monkeypatch):
-        sizes, evaluate = [], engine._trajectory_columns
+        sizes, evaluate = [], engine._column_blocks
 
-        def recorded(configs, L):
+        def recorded(configs, L, steps):
             sizes.append(len(configs))
-            return evaluate(configs, L)
+            return evaluate(configs, L, steps)
 
-        monkeypatch.setattr(engine, "_trajectory_columns", recorded)
+        monkeypatch.setattr(engine, "_column_blocks", recorded)
         axis = np.linspace(0.05, 0.95, 21).tolist()  # the README scan
         grid = [SimulationConfig(r1=r1, r2=r2, L=250) for r1 in axis for r2 in axis]
         assert len(list(iter_trajectories(grid))) == 441
@@ -564,12 +564,30 @@ class TestBatchedRecurrence:
         for L in (1, 10, 40, 120, 400, 1000, 4000):
             tracemalloc.start()
             try:
-                engine._trajectory_columns([replace(c, L=L) for c in configs], L)
+                list(engine._column_blocks([replace(c, L=L) for c in configs], L, L + 1))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak <= len(configs) * engine._cell_bytes(L), L
         assert peak > 0.8 * len(configs) * engine._cell_bytes(L)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), L=st.integers(1, 300), cells=st.integers(1, 4),
+           rows=st.sampled_from([[0], slice(None)]), sums=st.booleans())
+    def test_gathered_blocks_equal_the_evaluator_blocks(self, data, L, cells, rows, sums):
+        steps = data.draw(st.integers(1, L + 2), label="steps")
+        r = data.draw(st.lists(st.floats(0.0, 1.0), min_size=2 * cells, max_size=2 * cells))
+        k = np.array([engine._round_matrices(mixing_block(r1, r2, 0.3))[sums]
+                      for r1, r2 in zip(r[::2], r[1::2])])
+        x0 = engine._INITIAL_STATES[sums]
+        gathered = list(engine._blocks(k, x0, L, rows, steps))
+        ungathered = np.concatenate(list(engine._blocks(k, x0, L, rows)), axis=1)
+        whole = np.concatenate(gathered, axis=1)
+        assert whole.shape == ungathered.shape and whole.tobytes() == ungathered.tobytes()
+        b = math.isqrt(L + 1)
+        for block in gathered[:-1]:
+            assert block.shape[1] % b == 0 and block.shape[1] >= steps
+        assert steps <= L or len(gathered) == 1
 
     def test_configurations_must_share_all_but_reflectivities(self):
         config = SimulationConfig(r1=0.4, r2=0.3, L=5)

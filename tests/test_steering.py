@@ -2,6 +2,7 @@
 steerability thresholds (including threshold <-> positivity agreement)."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from gausscollide.reference import (
     squeezed_thermal_cm,
     tmsv_cm,
 )
-from gausscollide.states import EnvironmentSpec, JointSpec
+from gausscollide.states import MAX_ENV_SQUEEZING, EnvironmentSpec, JointSpec
 from gausscollide.steering import (
     Direction,
     nm_from_steering,
@@ -205,6 +206,21 @@ class TestClosedFormSteering:
         for direction in Direction:
             assert steering_series(traj, direction)[0] == pytest.approx(
                 math.log(math.cosh(xi)), rel=1e-14)
+
+    @pytest.mark.parametrize("n", [0.0, 1e-12, 0.3, 10.0, 1e6])
+    def test_no_steering_where_c22_vanishes(self, n):
+        # |c22|^2 = 0: the system keeps nothing of the ancilla, so G is exactly
+        # 0 both ways, for every |W| <= 1 (interior points and the unit circle).
+        angles = np.linspace(-math.pi, math.pi, 97)
+        w = np.outer(np.linspace(0.0, 1.0, 41), np.exp(1j * angles)).ravel()
+        c_sq = np.zeros(len(w))
+        for zeta, phi_env, xi in itertools.product(
+                (-MAX_ENV_SQUEEZING, -1.7, 0.0, 0.4, MAX_ENV_SQUEEZING),
+                (0.0, 0.9, math.pi / 2, -2.5), (0.0, 1e-8, 1.0, 12.0, 177.0)):
+            env = EnvironmentSpec(n=n, zeta=zeta, phi_env=phi_env)
+            for direction in Direction:
+                g = steering_columns(c_sq, w, JointSpec(xi=xi), env, direction)
+                assert np.all(g == 0.0), (zeta, phi_env, xi, direction)
 
     def test_no_determinant_of_a_matrix(self, monkeypatch):
         def refused(*args):
