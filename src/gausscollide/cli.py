@@ -74,6 +74,9 @@ SIZE_FLAGS = {"evolve": "--L", "transport": "--L or the number of --modes",
 
 # Columns not printed as %.12g: the step index, and the skip flag (0/1; false/true in JSON).
 INDEX_COLUMN, FLAG_COLUMN, FLAG_TOKENS = "j", "skip_flag", (("0", "1"), ("false", "true"))
+# The columns a blank row leaves empty: evolve's divisibility witness, undefined
+# at step 0 and after a singular step.
+BLANK_COLUMNS = ("nu_set_min", "nu_set_max", "ratio")
 
 _ANGLE_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)?)pi(?:/(\d+\.?\d*|\.\d+))?$")
 
@@ -135,54 +138,53 @@ def parse_values(token: str) -> list[float]:
 def load_config_file(path: str) -> dict:
     """key=value defaults; '#' starts a comment; hyphens and underscores
     in keys are interchangeable."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, _, val = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key == "L":
-                key = "steps"
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = val.strip()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        key, _, val = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key == "L":
+            key = "steps"
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = val.strip()
     return values
 
 
-def _output(out):
-    """A context manager for the text file out: a path, or None for stdout."""
-    return open(out, "w", encoding="utf-8", newline="") if out else nullcontext(sys.stdout)
-
-
 def emit(header, table, fmt: str, fh, blank=None, start: int = 0):
-    """Write a numeric (rows, columns) table, with the cells where the
-    boolean array blank is true left blank, as CSV or JSON lines to the open
-    text file fh, in one pass over EMIT_ROWS rows at a time: check, then write
-    them, each row by the % template of its blank cells (%.0s takes a blank
-    cell's value).  The table's first row is output row start; the CSV header
-    goes before row 0.  A cell not blank that is not finite raises an error
-    naming its output row and column; `main`'s spool keeps a failed run from
-    writing anything."""
-    if blank is not None and blank.shape[1] > 64:
-        raise ValueError(f"{blank.shape[1]} columns: emit leaves cells blank in at most 64")
+    """Write a numeric (rows, columns) table as CSV or JSON lines to the
+    open text file fh, in one pass over EMIT_ROWS rows at a time: check,
+    then write them.  A row whose flag in the boolean array blank is true
+    leaves its BLANK_COLUMNS empty; each row takes one of two % templates by
+    that flag (%.0s takes a blank cell's value).  The table's first row is
+    output row start; the CSV header goes before row 0.  A cell not blank
+    that is not finite raises an error naming its output row and column;
+    `main`'s spool keeps a failed run from writing anything."""
     as_json = fmt == "jsonl"
     keys = [f'"{k}": ' if as_json else "" for k in header]
     filled = [key + {INDEX_COLUMN: "%d", FLAG_COLUMN: "%s"}.get(name, "%.12g")
               for key, name in zip(keys, header)]
-    empty = [key + "%.0s" + "null" * as_json for key in keys]
+    blank_cells = np.array([name in BLANK_COLUMNS for name in header])
     sep, begin, end = (", ", "{", "}\n") if as_json else (",", "", "\n")
-    bits = 1 << np.arange(len(header))  # a row's blank cells as the bits of one int64
-    if not start and (not as_json or not len(table)):  # an empty JSON-lines table is one empty line
-        fh.write("\n" if as_json else ",".join(header) + "\n")
+    templates = [begin + sep.join(key + "%.0s" + "null" * as_json if row and cell else f
+                                  for key, f, cell in zip(keys, filled, blank_cells)) + end
+                 for row in (False, True)]  # by the row's blank flag
+    if not start and not as_json:
+        fh.write(",".join(header) + "\n")
     for at in range(0, len(table), EMIT_ROWS):
         rows = slice(at, at + EMIT_ROWS)
         values = table[rows]
-        is_blank = np.zeros_like(values, bool) if blank is None else blank[rows]
-        bad = ~(np.isfinite(values) | is_blank)
+        is_blank = np.zeros(len(values), bool) if blank is None else blank[rows]
+        bad = ~(np.isfinite(values) | (is_blank[:, None] & blank_cells))
         if bad.any():  # argwhere alone takes longer than the whole check
             i, c = np.argwhere(bad)[0]
             raise GaussCollideError(f"output row {start + at + i}, column {header[c]}: "
@@ -190,10 +192,7 @@ def emit(header, table, fmt: str, fh, blank=None, start: int = 0):
         columns = (values + 0.0).T.tolist()  # -0.0 prints as 0
         for c in (c for c, name in enumerate(header) if name == FLAG_COLUMN):
             columns[c] = [FLAG_TOKENS[as_json][v != 0.0] for v in columns[c]]
-        _, first, kinds = np.unique(is_blank @ bits, return_index=True, return_inverse=True)
-        templates = [begin + sep.join(e if b else f for f, e, b in zip(filled, empty, row)) + end
-                     for row in is_blank[first].tolist()]
-        fh.write("".join([templates[k] % row for k, row in zip(kinds.tolist(), zip(*columns))]))
+        fh.write("".join([templates[b] % row for b, row in zip(is_blank.tolist(), zip(*columns))]))
 
 
 def _simulation_config(args, parser, r1, r2) -> SimulationConfig:
@@ -232,7 +231,8 @@ def cmd_evolve(args, parser):
     require_memory(f"L = {config.L}", len(header) * block_bytes(config.L))
 
     def tables():
-        printed, c_sq = [], np.empty(0)  # --oracle's columns; |c22|^2 of the step before
+        # --oracle's columns; |c22|^2 of the step before, 1 (the identity channel) before step 0
+        printed, c_sq = [], np.ones(1)
         for traj in _trajectory_blocks(config):
             g_san = steering_series(traj, Direction.B_TO_A)
             g_ans = steering_series(traj, Direction.A_TO_B)
@@ -241,15 +241,12 @@ def cmd_evolve(args, parser):
             nu_p, nu_m, ratio, skipped = divisibility_columns(
                 np.concatenate([c_sq, traj.c22_abs_sq]), config.env)
             c_sq = traj.c22_abs_sq[-1:]
-            n = len(traj)
-            table, blank = np.zeros((n, len(header))), np.zeros((n, len(header)), bool)
-            for c, column in enumerate((traj.start + np.arange(n), traj.c22.real, traj.c22.imag,
-                                        traj.c22_abs_sq, g_san, g_ans, np.minimum(nu_p, nu_m),
-                                        np.maximum(nu_p, nu_m), ratio, skipped)):
-                table[n - len(column):, c] = column  # the divisibility columns start at step 1
+            j = traj.start + np.arange(len(traj))
+            table = np.column_stack((j, traj.c22.real, traj.c22.imag, traj.c22_abs_sq, g_san,
+                                     g_ans, np.minimum(nu_p, nu_m), np.maximum(nu_p, nu_m),
+                                     ratio, skipped))
             # Step 0 has no intermediate map; a skipped step shows only its flag.
-            blank[:, 6:9] = np.concatenate([np.ones(n - len(skipped), bool), skipped])[:, None]
-            yield traj.start, table, blank
+            yield traj.start, table, skipped | (j == 0)
         if printed:
             from .reference import verify_against_oracle  # compiled only under --oracle
 
@@ -457,7 +454,8 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise OSError(f"temporary file in {tempfile.gettempdir()}: {exc}") from None
         try:
-            with spool, _output(args.out) as fh:
+            with spool, (open(args.out, "w", encoding="utf-8", newline="") if args.out
+                         else nullcontext(sys.stdout)) as fh:
                 shutil.copyfileobj(spool, fh)
                 fh.flush()  # stdout keeps a buffer: a closed pipe shows here, not at exit
         except BrokenPipeError:  # the reader stopped early, as `| head` does: not a failure

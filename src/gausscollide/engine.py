@@ -89,8 +89,8 @@ class Trajectory:
 
     @cached_property
     def joint_cm(self) -> np.ndarray:
-        """The (L+1, 4, 4) closed-form ancilla-system covariances, built on
-        first access (128 B per step): steering reads the columns instead."""
+        """The (len(self), 4, 4) closed-form ancilla-system covariances, built
+        on first access (128 B per step): steering reads the columns instead."""
         return joint_cm_stack(self.c22, self.c22_abs_sq, self.env_square_sum,
                               self.config.joint, self.config.env)
 

@@ -716,14 +716,15 @@ def _reference_text(header, rows, fmt: str) -> str:
     keys = [f'"{k}": ' for k in header]
     lines = ["{" + ", ".join(k + _token(v, fmt) for k, v in zip(keys, row)) + "}\n"
              for row in rows]
-    return "".join(lines) if rows else "\n"
+    return "".join(lines)
 
 
 def _table(rows, width):
-    """Row tuples as emit's table and blank cells (NaN where the tuple has None)."""
+    """Row tuples as emit's table (NaN where a tuple has None) and blank rows
+    (the tuples with a None)."""
     values = [[math.nan if v is None else v for v in row] for row in rows]
-    blank = [[v is None for v in row] for row in rows]
-    return np.array(values, float).reshape(-1, width), np.array(blank, bool).reshape(-1, width)
+    blank = [None in row for row in rows]
+    return np.array(values, float).reshape(-1, width), np.array(blank, bool)
 
 
 EVOLVE_HEADER = ["j", "re_c22", "im_c22", "abs_c22_sq", "g_s_to_an", "g_an_to_s",
@@ -741,15 +742,16 @@ FINITE = st.one_of(
 class TestEmit:
     @settings(max_examples=300, deadline=None)
     @given(
-        rows=st.lists(st.tuples(st.integers(0, 2**53),
-                                st.lists(st.one_of(st.none(), FINITE), min_size=3, max_size=3),
-                                st.booleans()), max_size=9),
+        rows=st.lists(st.tuples(st.integers(0, 2**53), st.lists(FINITE, min_size=3, max_size=3),
+                                st.booleans(), st.booleans()), max_size=9),
         fmt=st.sampled_from(["csv", "jsonl"]),
         emit_rows=st.sampled_from([1, 2, 256]),
     )
     def test_bytes_equal_the_reference(self, rows, fmt, emit_rows):
-        header = ["j", "a", "b", "c", "skip_flag"]
-        rows = [(j, *values, flag) for j, values, flag in rows]
+        # A blank row leaves its BLANK_COLUMNS empty, here nu_set_max and ratio but not a.
+        header = ["j", "a", "nu_set_max", "ratio", "skip_flag"]
+        rows = [(j, a, *([None] * 2 if blank else values), flag)
+                for j, (a, *values), blank, flag in rows]
         table, blank = _table(rows, len(header))
         buf = io.StringIO()
         with mock.patch.object(cli, "EMIT_ROWS", emit_rows), contextlib.redirect_stdout(buf):
@@ -776,8 +778,9 @@ class TestEmit:
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_rows_are_written_in_chunks(self, capsys, monkeypatch, fmt):
-        header = ["j", "v", "none", "skip_flag"]
-        table, blank = _table([(j, j / 7, None, j % 2 == 0) for j in range(10)], len(header))
+        header = ["j", "v", "ratio", "skip_flag"]
+        rows = [(j, j / 7, None if j % 3 else j / 3, j % 2 == 0) for j in range(10)]
+        table, blank = _table(rows, len(header))
         cli.emit(header, table, fmt, sys.stdout, blank)
         whole = capsys.readouterr().out
         writes = []
@@ -818,20 +821,31 @@ class TestEmit:
         assert existing.read_bytes() == b"j,g\r\n0,1\n"
 
     def test_blank_cells_are_not_checked(self, capsys):
-        table = np.array([[1.0, math.nan], [math.inf, 2.0]])
-        cli.emit(["a", "b"], table, "csv", sys.stdout, ~np.isfinite(table))
-        assert capsys.readouterr().out == "a,b\n1,\n,2\n"
+        # A blank row leaves only its BLANK_COLUMNS unchecked.
+        table = np.array([[1.0, math.nan], [2.0, -math.inf], [3.0, 4.0]])
+        cli.emit(["a", "ratio"], table, "csv", sys.stdout, np.array([True, True, False]))
+        assert capsys.readouterr().out == "a,ratio\n1,\n2,\n3,4\n"
+        with pytest.raises(GaussCollideError, match="output row 0, column a: non-finite value inf"):
+            cli.emit(["a", "ratio"], np.array([[math.inf, 1.0]]), "csv", io.StringIO(),
+                     np.array([True]))
 
-    def test_blank_cells_in_up_to_64_columns(self, capsys):
-        table, blank = np.zeros((3, 65)), np.zeros((3, 65), bool)
-        blank[1, 63] = blank[2, 0] = True
-        header = [f"c{i}" for i in range(65)]
-        cli.emit(header[:64], table[:, :64], "csv", sys.stdout, blank[:, :64])
-        assert capsys.readouterr().out.split("\n")[1:4] == [
-            ",".join(["0"] * 64), ",".join(["0"] * 63 + [""]), ",".join([""] + ["0"] * 63)]
-        with pytest.raises(ValueError, match="65 columns"):
-            cli.emit(header, table, "csv", sys.stdout, blank)
-        assert capsys.readouterr().out == ""
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_non_finite_divisibility_cell_exits_3(self, capsys, monkeypatch, fmt):
+        # A row that is not blank keeps its divisibility cells checked.
+        divisibility_columns = cli.divisibility_columns
+
+        def nan_ratio_at_step_5(c_sq, env):
+            nu_p, nu_m, ratio, skipped = divisibility_columns(c_sq, env)
+            assert not skipped[-6]
+            ratio[-6] = math.nan  # one block: the columns end at step L = 10
+            return nu_p, nu_m, ratio, skipped
+
+        monkeypatch.setattr(cli, "divisibility_columns", nan_ratio_at_step_5)
+        code, out, err = run_cli(capsys, "evolve", "--r1", ".4", "--r2", ".3", "--L", "10",
+                                 "--format", fmt)
+        assert (code, out) == (3, "")
+        assert err == ("error: numerical degeneracy: output row 5, column ratio: "
+                       "non-finite value nan\n")
 
     def test_string_cells_are_refused(self, capsys):
         with pytest.raises(TypeError):
@@ -846,8 +860,7 @@ class TestEmit:
         rng = np.random.default_rng(n)
         table = rng.normal(size=(n, len(EVOLVE_HEADER)))
         table[:, 0], table[:, -1] = np.arange(n), rng.random(n) < 0.1
-        blank = np.zeros(table.shape, bool)
-        blank[table[:, -1] == 1, 6:9] = True
+        blank = table[:, -1] == 1
         written = []
         monkeypatch.setattr(cli.sys, "stdout", SimpleNamespace(
             write=lambda text: written.append(len(text))))
@@ -907,6 +920,14 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "evolve", "--config", str(cfg))
         assert code == 2
         assert repr(value) in err
+
+    def test_file_not_utf8_names_itself(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"r1 = 0.4\nr2 = \xff0.3\n")
+        code, out, err = run_cli(capsys, "evolve", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {cfg}: 'utf-8' codec can't decode byte 0xff in position 14")
+        assert err.count("\n") == 1
 
     def test_missing_file(self, capsys):
         code, _, _ = run_cli(capsys, "evolve", "--config", "/nonexistent.cfg",
