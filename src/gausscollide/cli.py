@@ -23,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .divisibility import divisibility_columns, nm_cptp
+from .divisibility import divisibility_columns
 from .engine import (
     SimulationConfig,
     Trajectory,
@@ -31,15 +31,12 @@ from .engine import (
     _columns,
     block_bytes,
     env_mode_columns,
-    iter_trajectories,
     require_memory,
-    trajectory_chunk,
 )
 from .errors import DegenerateCovarianceError, GaussCollideError
 from .states import EnvironmentSpec, JointSpec, require_finite
 from .steering import (
     Direction,
-    nm_from_steering,
     steering_columns,
     steering_series,
     threshold_an_to_s_squeezed_vac,
@@ -58,13 +55,23 @@ THRESHOLD_FAMILIES = {  # family: (swept parameters, threshold function)
 }
 
 # A bound on the bytes a `scan` cell, a `thresholds` row or an axis value
-# holds beside iter_trajectories' chunk: with tracemalloc, a scan at L = 2
-# and at L = 50 grows by 312 to 326 B per cell from 80 x 80 to 250 x 250
-# cells, a thresholds table by 130 to 168 B per row; plus a 20% margin.
+# holds beside scan's chunk (`_scan_chunk`): with tracemalloc, a scan at
+# L = 2 and at L = 50 grows by 240 to 243 B per cell from 80 x 80 to
+# 250 x 250 cells, a thresholds table by 130 to 168 B per row.
 GRID_CELL_BYTES = 400
 
+# Bytes a `scan` chunk may hold (on x86-64, a 10 x 10 scan at L = 250 peaks
+# at 30.2 MiB RSS; with 4 and 16 MiB, at 30.9 and 34.2), and per cell beside
+# the evaluator's `block_bytes`: per step of a gathered block, at most 224 B of
+# columns and witness temporaries (tracemalloc, L = 1 to 16000); per step of
+# the chain, the G increments kept, as each direction rises at most once a
+# step (8 B), and under 1 B of their arrays' headers.
+SCAN_CHUNK_BYTES = 2**21
+SCAN_ROW_BYTES = 240
+RISE_BYTES = 17
+
 # Rows that emit formats at a time, at about 90 B per cell beside the table,
-# and the fewest that `evolve` and `transport` hand it at once.
+# and the fewest steps of a block that `evolve`, `transport` and `scan` walk.
 EMIT_ROWS = 256
 
 # The flags that size each command's footprint, named when it cannot fit.
@@ -255,13 +262,49 @@ def cmd_evolve(args, parser):
     return header, tables()
 
 
-def _scan_cell(traj):
-    """The three measures of one grid cell's trajectory."""
-    return (
-        nm_from_steering(steering_series(traj, Direction.B_TO_A)),
-        nm_from_steering(steering_series(traj, Direction.A_TO_B)),
-        nm_cptp(traj).value,
-    )
+def _scan_chunk(cells: int, L: int) -> tuple[int, int]:
+    """(cells per chunk, bytes of one chunk) of `scan` over cells of L rounds."""
+    b = math.isqrt(L + 1)
+    rows = -(-EMIT_ROWS // b) * b  # a gathered block
+    cell_bytes = block_bytes(L) + SCAN_ROW_BYTES * rows + RISE_BYTES * (L + 1)
+    size = min(cells, max(1, SCAN_CHUNK_BYTES // cell_bytes))
+    return size, size * cell_bytes
+
+
+def _scan_measures(chunk, L: int) -> np.ndarray:
+    """scan's rows of configurations that differ only in r1 and r2, reduced
+    block by block as `evolve` walks them (`_column_blocks`).  N_GS sums
+    each direction's positive G increments with `np.sum` at the end, and
+    N_CPTP adds each negative eigenvalue of the steps j >= 2 in step order,
+    nu_plus first: the bits of `nm_from_steering` and `nm_cptp`."""
+    joint, env = chunk[0].joint, chunk[0].env
+    directions = (Direction.B_TO_A, Direction.A_TO_B)
+    rises = [[[] for _ in chunk] for _ in directions]  # each cell's positive increments
+    last = [np.empty((len(chunk), 0))] * 2  # G of the step before the block
+    c_sq_before, n_cptp = np.ones((len(chunk), 1)), np.zeros((len(chunk), 1))
+    start = 0
+    for c22, w in _column_blocks(chunk, L, EMIT_ROWS):
+        try:
+            _, c_sq, w, _ = _columns(c22, w, start)
+            g = [steering_columns(c_sq, w, joint, env, d) for d in directions]
+        except (DegenerateCovarianceError, ValueError) as exc:  # a flat index of (cell, step)
+            cell, step = divmod(exc.index, c22.shape[1])
+            where = f"step {start + step}: " if isinstance(exc, DegenerateCovarianceError) else ""
+            raise type(exc)(f"cell r1 = {chunk[cell].r1:.12g}, r2 = {chunk[cell].r2:.12g}: "
+                            f"{where}{exc}") from None
+        for kept, before, series in zip(rises, last, g):
+            diffs = np.diff(np.concatenate([before, series], axis=1), axis=1)
+            for increments, row in zip(kept, diffs):
+                increments.append(row[row > 0.0])
+        last = [series[:, -1:] for series in g]
+        nu_p, nu_m, _, _ = divisibility_columns(np.concatenate([c_sq_before, c_sq], axis=1), env)
+        nus = np.stack([nu_p, nu_m], axis=-1)[:, max(0, 2 - start):].reshape(len(chunk), -1)
+        violations = np.where(nus < 0.0, -nus, 0.0)  # NaN < 0 is False: skipped steps add 0
+        n_cptp = np.cumsum(np.concatenate([n_cptp, violations], axis=1), axis=1)[:, -1:]
+        c_sq_before = c_sq[:, -1:]
+        start += c22.shape[1]
+    n_gs = [[np.sum(np.concatenate(increments)) for increments in kept] for kept in rises]
+    return np.column_stack([[c.r1 for c in chunk], [c.r2 for c in chunk], *n_gs, n_cptp[:, 0]])
 
 
 def cmd_scan(args, parser):
@@ -272,19 +315,16 @@ def cmd_scan(args, parser):
         parser.error("--grid-r1 and --grid-r2 are required, with at least 2 points each")
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    need = trajectory_chunk(n1 * n2, args.steps)[1] + (n1 * n2 + n1 + n2) * GRID_CELL_BYTES
-    require_memory(f"the --grid-r1 x --grid-r2 grid of {n1} x {n2} cells at L = {args.steps}", need)
+    size, need = _scan_chunk(n1 * n2, args.steps)
+    require_memory(f"the --grid-r1 x --grid-r2 grid of {n1} x {n2} cells at L = {args.steps}",
+                   need + (n1 * n2 + n1 + n2) * GRID_CELL_BYTES)
     r1s, r2s = r1s(), r2s()
     base = _simulation_config(args, parser, r1s[0], r2s[0])
     cells = [replace(base, r1=r1, r2=r2) for r1 in r1s for r2 in r2s]
     header = ["r1", "r2", "n_gs_s_to_an", "n_gs_an_to_s", "n_cptp"]
-    table = []
-    for cell, traj in zip(cells, iter_trajectories(cells)):
-        try:
-            table.append((cell.r1, cell.r2, *_scan_cell(traj)))
-        except GaussCollideError as exc:
-            raise type(exc)(f"cell r1 = {cell.r1:.12g}, r2 = {cell.r2:.12g}: {exc}") from None
-    return header, [(0, np.array(table), None)]
+    table = np.concatenate([_scan_measures(cells[at : at + size], base.L)
+                            for at in range(0, len(cells), size)])
+    return header, [(0, table, None)]
 
 
 def cmd_transport(args, parser):

@@ -59,10 +59,10 @@ def divisibility_eigenvalues(n_scale: float, m_scale: float, ratio: float) -> tu
 
 def divisibility_columns(c_sq, env: EnvironmentSpec) -> tuple[np.ndarray, ...]:
     """(nu_plus, nu_minus, ratio, skipped) arrays over the steps after the
-    first of a |c22|^2 column c_sq (j = 1 .. L of a trajectory), in an
-    environment env; skipped steps carry NaN."""
-    skipped = c_sq[:-1] < SKIP_TOL
-    ratio = np.where(skipped, math.nan, c_sq[1:] / np.where(skipped, 1.0, c_sq[:-1]))
+    first of a |c22|^2 column c_sq (j = 1 .. L of a trajectory), along its
+    last axis, in an environment env; skipped steps carry NaN."""
+    skipped = c_sq[..., :-1] < SKIP_TOL
+    ratio = np.where(skipped, math.nan, c_sq[..., 1:] / np.where(skipped, 1.0, c_sq[..., :-1]))
     nu_p, nu_m = divisibility_eigenvalues(*env_noise_scales(env), ratio)
     return nu_p, nu_m, ratio, skipped
 

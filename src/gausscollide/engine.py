@@ -11,11 +11,11 @@ O(sqrt(L)) array operations, in blocks of about sqrt(L) steps gathered to
 at least its `steps`, each configuration's bits independent of the batch,
 since numpy's long double `@` sums in index order.  `_columns` turns c22
 and W arrays into (c22, |c22|^2, W, H = 1 - |c22|^2) columns, each row
-checked against |W| <= H, for `iter_trajectories` (`scan`, a chunk's whole
-rows one gathered block), the library's `run` (through `iter_steps`),
-`env_mode_columns`, and the command line's `evolve` and `transport`
-(gathered to `cli.EMIT_ROWS` steps); a `Trajectory` keeps three, derives H.
-With `oracle_enabled`, `iter_steps` also propagates the full (L+3)-mode
+checked against |W| <= H, for the library's `run` (through `iter_steps`),
+`env_mode_columns`, and the blocks of `_column_blocks` gathered to
+`cli.EMIT_ROWS` steps that the command line walks (`scan` a chunk of grid
+cells at once); a `Trajectory` keeps three, derives H.  With
+`oracle_enabled`, `iter_steps` also propagates the full (L+3)-mode
 covariance matrix symplectically, the reference the tests and `evolve
 --oracle` check the closed forms against.  That path, `run`'s per-step
 stream and `Trajectory.steps` import their reference types and rounds from
@@ -24,7 +24,7 @@ stream and `Trajectory.steps` import their reference types and rounds from
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -32,10 +32,10 @@ import numpy as np
 from .network import NORMALIZATION_TOL, mixing_block
 from .states import EnvironmentSpec, JointSpec, env_noise_scales, require_finite
 
-# A bound on the bytes per step that one whole Trajectory and the witnesses
-# read from it hold: `run`'s, and that of the `scan` cell beside
-# iter_trajectories' chunk.  With tracemalloc between L = 2e4 and 2e5, `run`
-# grows by 65 B per step and a cell with its three measures by 129 B.
+# A bound on the bytes per step that `run`'s whole Trajectory and the
+# witnesses read from it hold.  With tracemalloc between L = 2e4 and 2e5,
+# `run` grows by 65 B per step, and with the library's three measures of
+# the trajectory (`nm_from_steering`, `nm_cptp`) by 129 B.
 STEP_BYTES = 245
 
 
@@ -260,15 +260,10 @@ def _column_blocks(configs, L: int, steps: int = 1):
         yield c22[..., 0], w[..., 0]
 
 
-# Bytes one chunk of iter_trajectories may hold, and the bytes it takes
-# per cell (`_cell_bytes`), measured with tracemalloc for L = 1 .. 16000:
-# c22 and W, 32 B per step; the power tables, what building them holds at
-# once and one block's products, about 520 B per step of a block; then
-# about 4.3 kB per cell.
-CHUNK_BYTES = 2**24
-CELL_STEP_BYTES = 32
+# Bytes per step of a block the evaluator holds per cell (`block_bytes`),
+# measured with tracemalloc for L = 1 .. 16000: the power tables, what
+# building them holds at once and one block's products, about 520 B.
 CELL_BLOCK_BYTES = 640
-CELL_BYTES = 6 * 2**10
 
 
 def block_bytes(L: int) -> int:
@@ -276,56 +271,24 @@ def block_bytes(L: int) -> int:
     return CELL_BLOCK_BYTES * math.isqrt(L + 1)
 
 
-def _cell_bytes(L: int) -> int:
-    """Bytes per cell of an iter_trajectories chunk at L rounds."""
-    return CELL_BYTES + CELL_STEP_BYTES * (L + 1) + block_bytes(L)
-
-
-def trajectory_chunk(cells: int, L: int) -> tuple[int, int]:
-    """(cells per chunk, bytes) of iter_trajectories over cells
-    configurations of L rounds: it holds one chunk and one trajectory."""
-    cell_bytes = _cell_bytes(L)
-    size = min(cells, max(1, CHUNK_BYTES // cell_bytes))
-    return size, size * cell_bytes + (L + 1) * STEP_BYTES
-
-
-def iter_trajectories(configs):
-    """One Trajectory per configuration, in order, for configurations that
-    differ only in r1 and r2.
-
-    The coefficients are evaluated for a chunk of cells at a time, with the
-    bits `run` gets for each cell alone; each cell's witnesses then read its
-    own trajectory.  Refuses, before the first step, the oracle (as `run`
-    does) and an L whose chunk and trajectory cannot fit in physical memory.
-    """
-    configs = list(configs)
-    base = configs[0]
-    if any(replace(c, r1=base.r1, r2=base.r2) != base for c in configs):
-        raise ValueError("configurations differ in more than r1 and r2")
-    _refuse_oracle(base)
-    L = base.L
-    size, need = trajectory_chunk(len(configs), L)
-    require_memory(f"L = {L}", need)
-    for start in range(0, len(configs), size):
-        chunk = configs[start : start + size]
-        (columns,) = _column_blocks(chunk, L, L + 1)  # the chunk's whole rows, one block
-        for config, c22, w in zip(chunk, *columns):
-            yield Trajectory(config, *_columns(c22, w)[:3])
-
-
 def _columns(c22, w, start: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(c22, |c22|^2, W, H) from the c22 and W arrays of the rows start,
-    start + 1, ..., with H = 1 - |c22|^2 and each row checked against
-    |W| <= H (Cauchy-Schwarz on the unit row).  |c22|^2 is CCoefficients'
-    a * a of a = abs(c22): np.hypot is abs, and an array ** 2 is x * x."""
+    start + 1, ... (the last axis of (cells, rows) arrays), with
+    H = 1 - |c22|^2 and each row checked against |W| <= H (Cauchy-Schwarz
+    on the unit row): the error names the first failing row and keeps its
+    flat position as `index`.  |c22|^2 is CCoefficients' a * a of
+    a = abs(c22): np.hypot is abs, and an array ** 2 is x * x."""
     c_sq = np.hypot(c22.real, c22.imag) ** 2
     h = 1.0 - c_sq
     abs_w = np.abs(w)
     defect = ~(abs_w <= h + NORMALIZATION_TOL)  # NaN and inf are defects
     if defect.any():
         i = int(np.argmax(defect))
-        raise ValueError(f"coefficient column not normalized at row {start + i}: |W| = "
-                         f"{float(abs_w[i])!r} exceeds H = 1 - |c22|^2 = {float(h[i])!r}")
+        exc = ValueError(f"coefficient column not normalized at row {start + i % h.shape[-1]}: "
+                         f"|W| = {float(abs_w.flat[i])!r} exceeds H = 1 - |c22|^2 = "
+                         f"{float(h.flat[i])!r}")
+        exc.index = i
+        raise exc
     return c22, c_sq, w, h
 
 
@@ -375,7 +338,9 @@ def require_memory(what: str, need: int) -> None:
 
 def run(config: SimulationConfig) -> Trajectory:
     """Evolve the chain and collect its per-step columns, j = 0 .. L."""
-    _refuse_oracle(config)
+    if config.oracle_enabled:  # refused before the first step: iter_steps streams those
+        raise ValueError("a Trajectory keeps no full-chain covariance; "
+                         "iterate iter_steps(config) for the oracle")
     require_memory(f"L = {config.L}", (config.L + 1) * STEP_BYTES)
     # Steps through iter_steps, looked up in this module at each call, rather
     # than taking one gathered block of _column_blocks: the benchmark's per-layer
@@ -384,13 +349,6 @@ def run(config: SimulationConfig) -> Trajectory:
     for j, co, _ in iter_steps(config):
         c22[j], w[j] = co.c22, co.env_square_sum
     return Trajectory(config, *_columns(c22, w)[:3])
-
-
-def _refuse_oracle(config: SimulationConfig) -> None:
-    """Raise before the first step: the full-chain covariances stream through iter_steps."""
-    if config.oracle_enabled:
-        raise ValueError("a Trajectory keeps no full-chain covariance; "
-                         "iterate iter_steps(config) for the oracle")
 
 
 def env_ancilla_cm(full_cm: np.ndarray | None, k: int) -> np.ndarray:

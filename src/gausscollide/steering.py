@@ -103,15 +103,15 @@ def steering_columns(c_sq, w, joint, env, direction: Direction) -> np.ndarray:
     """
     i = _first(np.abs(w) - (1.0 - c_sq) > NORMALIZATION_TOL)
     if i is not None:
-        raise DegenerateCovarianceError(
-            f"|W| = {float(abs(w[i]))!r} exceeds 1 - |c|^2 = {float(1.0 - c_sq[i])!r}", index=i)
+        raise DegenerateCovarianceError(f"|W| = {float(abs(w.flat[i]))!r} exceeds 1 - |c|^2 = "
+                                        f"{float(1.0 - c_sq.flat[i])!r}", index=i)
     schur, det_vx = reduced_determinants(c_sq, w, joint, env)
     ch = np.cosh(joint.xi)
     det_sigma = ch * ch * schur
     i = _first(det_sigma <= DET_FLOOR)
     if i is not None:
-        raise DegenerateCovarianceError(f"det sigma = {float(det_sigma[i])!r} below floor {DET_FLOOR}",
-                                        index=i)
+        raise DegenerateCovarianceError(
+            f"det sigma = {float(det_sigma.flat[i])!r} below floor {DET_FLOOR}", index=i)
     if direction is Direction.A_TO_B:
         raw = -0.5 * np.log(schur)
     elif direction is Direction.B_TO_A:

@@ -766,7 +766,14 @@ class TestEmit:
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_non_finite_measure_exits_3(self, capsys, monkeypatch, tmp_path, fmt):
-        monkeypatch.setattr(cli, "nm_cptp", lambda traj: SimpleNamespace(value=math.nan))
+        divisibility_columns = cli.divisibility_columns
+
+        def unbounded_violation(c_sq, env):  # at step L: n_cptp adds -nu_plus = inf
+            nu_p, *rest = divisibility_columns(c_sq, env)
+            nu_p[..., -1] = -math.inf
+            return nu_p, *rest
+
+        monkeypatch.setattr(cli, "divisibility_columns", unbounded_violation)
         argv = ("scan", "--grid-r1", "0.2,0.8", "--grid-r2", "0.3,0.9", "--L", "10", "--format", fmt)
         existing = tmp_path / "table"
         existing.write_bytes(b"r1,r2\r\n0.2,0.3\n")
@@ -976,17 +983,16 @@ class TestScan:
         assert run_cli(capsys, *args, "--jobs", "100000") == (0, serial, "")
 
     def test_degeneracy_names_its_cell(self, capsys, monkeypatch):
-        trajectories = cli.iter_trajectories
+        columns = cli._columns
 
-        def unphysical_cell(cells):
-            for traj in trajectories(cells):
-                if (traj.config.r1, traj.config.r2) == (0.8, 0.9):
-                    w = traj.env_square_sum.copy()
-                    w[5] = 10.0  # |W| <= 1 - |c22|^2 on a physical row
-                    traj = replace(traj, env_square_sum=w)
-                yield traj
+        def unphysical_cell(c22, w, start):
+            c22, c_sq, w, h = columns(c22, w, start)
+            assert start == 0 and len(w) == 4  # the grid's one block
+            w = w.copy()
+            w[3, 5] = 10.0  # r1 = 0.8, r2 = 0.9; |W| <= 1 - |c22|^2 on a physical row
+            return c22, c_sq, w, h
 
-        monkeypatch.setattr(cli, "iter_trajectories", unphysical_cell)
+        monkeypatch.setattr(cli, "_columns", unphysical_cell)
         code, out, err = run_cli(capsys, "scan", "--grid-r1", "0.2,0.8", "--grid-r2", "0.3,0.9",
                                  "--L", "10")
         assert (code, out) == (3, "")
@@ -995,10 +1001,13 @@ class TestScan:
         assert err.count("\n") == 1
 
     def test_out_of_memory_length(self, capsys, monkeypatch):
+        # A cell keeps up to 17 B per step of G increments: 1.7 GB at L = 10^8,
+        # refused on a 1 GiB host before the first step.
         def no_steps(*args):
             raise AssertionError("scan started stepping")
 
-        monkeypatch.setattr(engine, "_column_blocks", no_steps)
+        monkeypatch.setattr(engine, "physical_memory", lambda: 2**30)
+        monkeypatch.setattr(cli, "_column_blocks", no_steps)
         code, out, err = run_cli(capsys, "scan", "--grid-r1", "0.2,0.8", "--grid-r2", "0.3,0.9",
                                  "--L", "100000000")
         assert code == 2
@@ -1008,13 +1017,13 @@ class TestScan:
     @pytest.mark.parametrize("grid", [("0.1:0.9:250", "0.1:0.9:250"), ("0.1:0.9:62500", "0,1"),
                                       ("0:1:" + "9" * 18, "0,1")])
     def test_out_of_memory_grid(self, capsys, monkeypatch, grid):
-        # A 250 x 250 grid at L = 2 peaks at 25 MiB of traced heap: refused
-        # on a 20 MiB host before a trajectory or an axis is built.
+        # A 250 x 250 grid at L = 2 asks for 27 MB (it peaks at 15 MiB of
+        # traced heap): refused on a 20 MiB host before a block or an axis is built.
         def refused(*args):
             raise AssertionError("scan built its grid")
 
         monkeypatch.setattr(engine, "physical_memory", lambda: 20 * 2**20)
-        monkeypatch.setattr(cli, "iter_trajectories", refused)
+        monkeypatch.setattr(cli, "_column_blocks", refused)
         monkeypatch.setattr(np, "linspace", refused)
         code, out, err = run_cli(capsys, "scan", "--grid-r1", grid[0], "--grid-r2", grid[1],
                                  "--L", "2")
@@ -1044,9 +1053,14 @@ class TestScan:
         r2=st.lists(st.sampled_from([0.0, 1.0, 0.35, 0.8]), min_size=2, max_size=3),
         phi=st.sampled_from([0.0, 0.7, -2.5]),
         family=st.sampled_from(ENV_FAMILIES),
-        L=st.integers(2, 40),
+        L=st.integers(2, 300),
+        emit_rows=st.sampled_from([1, 3, 256]),
+        whole_grid=st.booleans(),
     )
-    def test_rows_match_per_cell_reference(self, r1, r2, phi, family, L):
+    def test_rows_match_per_cell_reference(self, r1, r2, phi, family, L, emit_rows, whole_grid):
+        # Blocks of EMIT_ROWS or more steps, in chunks of one cell or of the
+        # whole grid: block edges fall inside revivals and inside runs of
+        # skipped steps, across which each cell carries G and |c22|^2.
         params = {"vacuum": {}, "thermal": {"n": 0.4}, "squeezed": {"zeta": 0.3},
                   "squeezed-thermal": {"n": 0.4, "zeta": 0.3, "phi_env": 1.1}}[family]
         flags = [f"--{key.replace('_', '-')}={value!r}" for key, value in params.items()]
@@ -1054,7 +1068,10 @@ class TestScan:
                 "--grid-r2=" + ",".join(map(repr, r2)), f"--phi={phi!r}", f"--env={family}",
                 *flags, f"--L={L}"]
         buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(buf):
+            mp.setattr(cli, "EMIT_ROWS", emit_rows)
+            cells = len(r1) * len(r2) if whole_grid else 1
+            mp.setattr(cli, "SCAN_CHUNK_BYTES", cells * cli._scan_chunk(1, L)[1])
             assert main(argv) == 0
         env = EnvironmentSpec(**params)
         rows = []
@@ -1076,11 +1093,12 @@ class TestScan:
         configs = [SimulationConfig(r1=r1, r2=1.0, phi_shift=phi, L=5000) for r1 in r1s]
         argv = ("scan", "--grid-r1", ",".join(map(repr, r1s)), "--grid-r2", "0.5,1",
                 "--phi", repr(phi), "--env", "thermal", "--n", "0.5", "--L", "5000")
+        (block,) = engine._column_blocks(configs, 5000, 5001)
+        for config, c_sq in zip(configs, engine._columns(*block)[1]):
+            assert np.all(np.diff(c_sq) <= 0.0), config.r1
         outputs = []
         for cells in (1, len(configs)):
-            monkeypatch.setattr(engine, "CHUNK_BYTES", cells * engine._cell_bytes(5000))
-            for traj in engine.iter_trajectories(configs):
-                assert np.all(np.diff(traj.c22_abs_sq) <= 0.0), traj.config.r1
+            monkeypatch.setattr(cli, "SCAN_CHUNK_BYTES", cells * cli._scan_chunk(1, 5000)[1])
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0
             rows = [line.split(",") for line in out.strip().split("\n")[1:]]

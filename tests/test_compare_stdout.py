@@ -2,6 +2,9 @@
 
 import importlib.util
 import pathlib
+import shlex
+
+from gausscollide import cli
 
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "compare_stdout.py"
 _spec = importlib.util.spec_from_file_location("compare_stdout", TOOL)
@@ -23,3 +26,10 @@ def test_random_argvs_cover_every_subcommand():
     argvs = compare_stdout.random_argvs(compare_stdout.RANDOM_ARGVS, compare_stdout.SEED)
     assert len(argvs) == compare_stdout.RANDOM_ARGVS
     assert {argv.split()[0] for argv in argvs} == {"evolve", "scan", "transport", "thresholds"}
+
+
+def test_long_argvs_span_several_blocks():
+    lengths = [int(words[words.index("--L") + 1])
+               for words in map(shlex.split, compare_stdout.LONG_ARGVS)]
+    assert all(words[0] == "scan" for words in map(shlex.split, compare_stdout.LONG_ARGVS))
+    assert max(lengths) + 1 > cli.EMIT_ROWS

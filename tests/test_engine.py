@@ -12,15 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausscollide import engine
+from gausscollide import cli, engine
 from gausscollide.divisibility import SKIP_TOL
 from gausscollide.engine import (
     SimulationConfig,
+    Trajectory,
+    _column_blocks,
+    _columns,
     env_ancilla_cm,
     env_mode_columns,
     initial_full_cm,
     iter_steps,
-    iter_trajectories,
     joint_cm_closed_form,
     joint_cm_stack,
     run,
@@ -37,6 +39,7 @@ from gausscollide.reference import (
     tmsv_cm,
 )
 from gausscollide.states import EnvironmentSpec, JointSpec
+from gausscollide.steering import Direction, steering_series
 
 # V_S scalar after one round at r1 = 0.4 with vacuum environment, xi = 1:
 # 0.16 cosh(1) + 0.84
@@ -400,11 +403,12 @@ def test_cauchy_schwarz_margin(phi):
     # tolerance _columns allows, also where r1 rounds to 1.
     configs = [SimulationConfig(r1=r1, r2=r2, phi_shift=phi, L=3000)
                for r1 in (0.0, 1.0, 1.0 - 1e-16, 0.37) for r2 in (0.0, 1.0, 0.61)]
-    batched = list(iter_trajectories(configs))  # one chunk of 12 cells
-    margins = []
-    for config, traj in zip(configs, batched, strict=True):
-        for columns in (run(config), traj):
-            margins.append(np.abs(columns.env_square_sum) - columns.env_abs_square_sum)
+    (batched,) = _column_blocks(configs, 3000, 3001)  # one gathered block of 12 cells
+    _, _, w, h = _columns(*batched)
+    margins = [np.abs(w) - h]
+    for config in configs:
+        columns = run(config)
+        margins.append(np.abs(columns.env_square_sum) - columns.env_abs_square_sum)
         _, _, w, h = env_mode_columns(config, range(1, config.L + 2))
         margins.append(np.abs(w) - h)
     assert max(m.max() for m in margins) <= NORMALIZATION_TOL / 100
@@ -440,7 +444,7 @@ def test_block_powers_track_the_scalar_recurrence(r1, r2, phi):
     config = SimulationConfig(r1=r1, r2=r2, phi_shift=phi, L=10_000)
     c_sq, norm, w = _accuracy_columns(_states(config))
     c_sq, norm = c_sq.astype(float), norm.astype(float)
-    (traj,) = iter_trajectories([config])
+    traj = run(config)
     assert np.all(np.abs(traj.env_square_sum - w) <= 1e-12)
 
     c = np.sqrt(c_sq)
@@ -471,7 +475,7 @@ def test_block_powers_are_as_accurate_as_the_scalar_recurrence(r1, r2, phi):
     config = SimulationConfig(r1=r1, r2=r2, phi_shift=phi, L=10_000)
     exact, _, _ = _accuracy_columns(_states(config, np.clongdouble))
     scalar, _, _ = _accuracy_columns(_states(config))
-    (traj,) = iter_trajectories([config])
+    traj = run(config)
     live = exact > 1e-200
     block, step = (np.abs(x[live] - exact[live]) / exact[live] for x in (traj.c22_abs_sq, scalar))
     assert np.median(block) <= 2 * np.finfo(float).eps
@@ -482,8 +486,19 @@ COLUMNS = ("c22", "c22_abs_sq", "env_square_sum", "env_abs_square_sum", "joint_c
 REFLECTIVITY = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
 
 
+def batched_trajectories(configs, chunk):
+    """One Trajectory per configuration from one gathered block of the whole
+    rows of `chunk` cells at a time, through the 2-d `_columns` of `scan`."""
+    L = configs[0].L
+    for at in range(0, len(configs), chunk):
+        (block,) = _column_blocks(configs[at : at + chunk], L, L + 1)
+        c22, c_sq, w, _ = _columns(*block)
+        yield from (Trajectory(config, *columns)
+                    for config, *columns in zip(configs[at : at + chunk], c22, c_sq, w))
+
+
 class TestBatchedRecurrence:
-    """iter_trajectories runs the recurrence of many cells as one array
+    """The evaluator runs the recurrence of many cells as one array
     computation; each cell's columns must keep run()'s bits."""
 
     @settings(max_examples=60, deadline=None)
@@ -496,9 +511,7 @@ class TestBatchedRecurrence:
     )
     def test_columns_equal_run_bit_for_bit(self, points, phi, env, L, chunk):
         configs = [SimulationConfig(r1=a, r2=b, phi_shift=phi, env=env, L=L) for a, b in points]
-        with pytest.MonkeyPatch.context() as mp:  # batched chunks of `chunk` cells
-            mp.setattr(engine, "CHUNK_BYTES", chunk * engine._cell_bytes(L))
-            trajectories = list(iter_trajectories(configs))
+        trajectories = list(batched_trajectories(configs, chunk))  # chunks of `chunk` cells
         assert len(trajectories) == len(configs)
         for config, traj in zip(configs, trajectories):
             ref = run(config)
@@ -514,7 +527,7 @@ class TestBatchedRecurrence:
         # the draws above reach only by chance; the four cells are one chunk.
         configs = [SimulationConfig(r1=a, r2=b, phi_shift=phi, L=6)
                    for a in (0.0, 1.0) for b in (0.0, 1.0)]
-        for config, traj in zip(configs, iter_trajectories(configs)):
+        for config, traj in zip(configs, batched_trajectories(configs, len(configs))):
             ref = run(config)
             for name in COLUMNS:
                 assert getattr(traj, name).tobytes() == getattr(ref, name).tobytes(), name
@@ -526,20 +539,24 @@ class TestBatchedRecurrence:
         for state in _states(SimulationConfig(r1=0.4, r2=1.0, phi_shift=phi, L=4)):
             assert all(type(v) is complex for v in state)
 
-    def test_grids_fit_one_chunk(self, monkeypatch):
-        sizes, evaluate = [], engine._column_blocks
+    def test_grids_walk_chunks_of_their_guard(self, capsys, monkeypatch):
+        # scan walks the blocks of a chunk of cells at a time, as many cells as
+        # its guard lets one chunk hold, and each cell once.
+        sizes, evaluate = [], cli._column_blocks
 
         def recorded(configs, L, steps):
-            sizes.append(len(configs))
+            sizes.append((len(configs), steps))
             return evaluate(configs, L, steps)
 
-        monkeypatch.setattr(engine, "_column_blocks", recorded)
-        axis = np.linspace(0.05, 0.95, 21).tolist()  # the README scan
-        grid = [SimulationConfig(r1=r1, r2=r2, L=250) for r1 in axis for r2 in axis]
-        assert len(list(iter_trajectories(grid))) == 441
-        assert sizes == [441]
+        monkeypatch.setattr(cli, "_column_blocks", recorded)
+        axis = "0.05:0.95:21"  # the README scan
+        assert cli.main(["scan", "--grid-r1", axis, "--grid-r2", axis, "--L", "250"]) == 0
+        assert capsys.readouterr().out.count("\n") == 1 + 441
+        size = cli._scan_chunk(441, 250)[0]
+        assert 1 < size < 441
+        assert sizes == [(min(size, 441 - at), cli.EMIT_ROWS) for at in range(0, 441, size)]
 
-    def test_normalization_failure_keeps_its_message(self, monkeypatch):
+    def test_normalization_failure_keeps_its_message(self, capsys, monkeypatch):
         constants = engine._round_constants
 
         def leaky(block):  # the system amplitude gains 1% per round
@@ -552,24 +569,31 @@ class TestBatchedRecurrence:
         with pytest.raises(ValueError, match=r"^coefficient column not normalized at row 1: "
                            r"\|W\| = 0\.84") as scalar:
             run(config)
-        with pytest.raises(ValueError) as batched:
-            list(iter_trajectories([config, replace(config, r1=0.5)]))
-        assert str(batched.value) == str(scalar.value)
+        # scan names the failing cell before the same message (exit 2)
+        code = cli.main(["scan", "--grid-r1", "0.4,0.5", "--grid-r2", "0.3,0.35", "--L", "5"])
+        assert (code, *capsys.readouterr()) == (2, "", f"error: cell r1 = 0.4, r2 = 0.3: "
+                                                        f"{scalar.value}\n")
 
     def test_history_takes_its_chunk_guard(self):
-        # iter_trajectories sizes a chunk from engine._cell_bytes(L): the
-        # evaluator's traced peak stays within it, and fills most of it at
-        # L = 4000, where c22 and W, CELL_STEP_BYTES per step, dominate.
+        # scan sizes a chunk from the bytes a cell holds (cli._scan_chunk): its
+        # share of one gathered block with the witnesses' temporaries, measured,
+        # and the positive G increments kept to the end, RISE_BYTES per step at
+        # most.  The traced peak stays within it, and at L = 4000 the part
+        # beside the increments fills most of what the guard measured.
         configs = [SimulationConfig(r1=r1, r2=0.3) for r1 in np.linspace(0.0, 1.0, 32)]
         for L in (1, 10, 40, 120, 400, 1000, 4000):
+            chunk = [replace(c, L=L) for c in configs]
             tracemalloc.start()
             try:
-                list(engine._column_blocks([replace(c, L=L) for c in configs], L, L + 1))
+                cli._scan_measures(chunk, L)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= len(configs) * engine._cell_bytes(L), L
-        assert peak > 0.8 * len(configs) * engine._cell_bytes(L)
+            assert peak <= len(chunk) * cli._scan_chunk(1, L)[1], L
+        kept = 8 * sum(np.count_nonzero(np.diff(steering_series(run(c), d)) > 0.0)
+                       for c in chunk for d in Direction)
+        measured = len(chunk) * (cli._scan_chunk(1, L)[1] - cli.RISE_BYTES * (L + 1))
+        assert peak - kept > 0.8 * measured
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), L=st.integers(1, 300), cells=st.integers(1, 4),
@@ -588,11 +612,6 @@ class TestBatchedRecurrence:
         for block in gathered[:-1]:
             assert block.shape[1] % b == 0 and block.shape[1] >= steps
         assert steps <= L or len(gathered) == 1
-
-    def test_configurations_must_share_all_but_reflectivities(self):
-        config = SimulationConfig(r1=0.4, r2=0.3, L=5)
-        with pytest.raises(ValueError, match="r1 and r2"):
-            list(iter_trajectories([config, replace(config, L=6)]))
 
 
 class TestMemoryGuard:
@@ -615,8 +634,6 @@ class TestMemoryGuard:
         config = SimulationConfig(r1=0.4, r2=0.3, L=3, oracle_enabled=True)
         with pytest.raises(ValueError, match=r"iter_steps\(config\)"):
             run(config)
-        with pytest.raises(ValueError, match=r"iter_steps\(config\)"):
-            list(iter_trajectories([config] * 8))
 
 
 class TestEnvAncillaClosedForm:

@@ -9,7 +9,8 @@ with PYTHONPATH set to that tree's `src` directory.  The argvs are every
 golden argv of tests/test_cli_golden.py, then RANDOM_ARGVS random ones
 drawn with seed SEED: all four subcommands, the four environment families,
 reflectivities 0, 1 and interior, CSV and JSON lines, and `evolve --oracle`
-at L <= 200.  --argv adds more, one quoted argv per flag.
+at L <= 200; then the LONG_ARGVS scans, whose cells span several blocks.
+--argv adds more, one quoted argv per flag.
 
 One line per argv says whether the exit code and the stdout sha256 match.
 On a mismatch it gives the number of changed tokens (numbers, keys and
@@ -38,6 +39,16 @@ TOKEN_SPLIT = re.compile(r"[\s,:{}]+")
 # The golden-digest protocol's minimum of random argvs, and their seed.
 RANDOM_ARGVS = 40
 SEED = 1
+# Scans whose chains span several of the blocks `scan` reduces one at a
+# time; every golden and random scan fits in one.
+LONG_ARGVS = [
+    "scan --grid-r1 0:1:41 --grid-r2 0:1:41 --L 1000 --env thermal --n 0.5 --xi 1.2 --phi 0.7",
+    "scan --grid-r1 0.4,0.9,0.999 --grid-r2 0.3,0.99,0 --L 100000 --env squeezed-thermal "
+    "--n 0.3 --zeta 2 --phi-env 0.7",
+    "scan --grid-r1 0:1:21 --grid-r2 0:1:21 --L 3000 --format jsonl --env squeezed --zeta 1.5 "
+    "--phi 2",
+    "scan --grid-r1 0.4,0.9 --grid-r2 0.3,0.99 --L 1000000",
+]
 
 
 def golden_argvs(path: str) -> list[str]:
@@ -149,7 +160,7 @@ def main(argv=None) -> int:
                         help="one more argv, quoted; may repeat")
     args = parser.parse_args(argv)
 
-    argvs = golden_argvs(GOLDEN_PATH) + random_argvs(RANDOM_ARGVS, SEED) + args.argv
+    argvs = golden_argvs(GOLDEN_PATH) + random_argvs(RANDOM_ARGVS, SEED) + LONG_ARGVS + args.argv
     mismatches = 0
     for line in argvs:
         (old_code, old_out), (new_code, new_out) = (run(src, line)
