@@ -26,11 +26,11 @@ import numpy as np
 from .divisibility import divisibility_columns
 from .engine import (
     SimulationConfig,
-    Trajectory,
     _column_blocks,
     _columns,
     block_bytes,
     env_mode_columns,
+    joint_cm_stack,
     require_memory,
 )
 from .errors import DegenerateCovarianceError, GaussCollideError
@@ -38,13 +38,13 @@ from .states import EnvironmentSpec, JointSpec, require_finite
 from .steering import (
     Direction,
     steering_columns,
-    steering_series,
     threshold_an_to_s_squeezed_vac,
     threshold_an_to_s_thermal,
     threshold_s_to_an,
 )
 
 ENV_FAMILIES = ("vacuum", "thermal", "squeezed", "squeezed-thermal")
+DIRECTIONS = (Direction.B_TO_A, Direction.A_TO_B)  # S -> An, then An -> S: evolve's columns
 FORMATS = ("csv", "jsonl")
 OUT_HELP = ("output file (default stdout); the output waits in a temporary file in $TMPDIR "
             "until the run ends")
@@ -221,13 +221,26 @@ def _simulation_config(args, parser, r1, r2) -> SimulationConfig:
     )
 
 
-def _trajectory_blocks(config):
-    """config's chain as Trajectories of consecutive steps, the evaluator's
-    blocks gathered to at least EMIT_ROWS steps (`_column_blocks`)."""
-    start = 0
-    for c22, w in _column_blocks([config], config.L, EMIT_ROWS):
-        yield Trajectory(config, *_columns(c22[0], w[0], start)[:3], start=start)
-        start += len(c22[0])
+def _witness_blocks(configs, L: int, directions):
+    """Per block of the chain walk of configurations that differ only in r1
+    and r2 (`_column_blocks`, gathered to EMIT_ROWS steps): the steps j, then
+    (cells, steps) arrays of c22, |c22|^2 with the step before first (1 before
+    step 0: the identity channel), W, and G in each of directions.  A
+    degeneracy names its step; an error carries its cell as `cell`."""
+    joint, env = configs[0].joint, configs[0].env
+    start, c_sq_before = 0, np.ones((len(configs), 1))
+    for c22, w in _column_blocks(configs, L, EMIT_ROWS):
+        try:
+            c22, c_sq, w = _columns(c22, w, start)[:3]
+            g = [steering_columns(c_sq, w, joint, env, d) for d in directions]
+        except (DegenerateCovarianceError, ValueError) as exc:  # a flat index of (cell, step)
+            exc.cell, step = divmod(exc.index, c22.shape[1])
+            if isinstance(exc, DegenerateCovarianceError):
+                exc.args = (f"step {start + step}: {exc}",)
+            raise
+        c_sq = np.concatenate([c_sq_before, c_sq], axis=1)
+        yield np.arange(start, start + c22.shape[1]), c22, c_sq, w, *g
+        c_sq_before, start = c_sq[:, -1:], start + c22.shape[1]
 
 
 def cmd_evolve(args, parser):
@@ -238,26 +251,21 @@ def cmd_evolve(args, parser):
     require_memory(f"L = {config.L}", len(header) * block_bytes(config.L))
 
     def tables():
-        # --oracle's columns; |c22|^2 of the step before, 1 (the identity channel) before step 0
-        printed, c_sq = [], np.ones(1)
-        for traj in _trajectory_blocks(config):
-            g_san = steering_series(traj, Direction.B_TO_A)
-            g_ans = steering_series(traj, Direction.A_TO_B)
+        printed = []  # --oracle's columns
+        for j, *columns in _witness_blocks([config], config.L, DIRECTIONS):
+            c22, c_sq, w, g_san, g_ans = (column[0] for column in columns)
             if args.oracle:
-                printed.append((traj.joint_cm, g_san, g_ans))
-            nu_p, nu_m, ratio, skipped = divisibility_columns(
-                np.concatenate([c_sq, traj.c22_abs_sq]), config.env)
-            c_sq = traj.c22_abs_sq[-1:]
-            j = traj.start + np.arange(len(traj))
-            table = np.column_stack((j, traj.c22.real, traj.c22.imag, traj.c22_abs_sq, g_san,
-                                     g_ans, np.minimum(nu_p, nu_m), np.maximum(nu_p, nu_m),
-                                     ratio, skipped))
+                printed.append((c22, c_sq[1:], w, g_san, g_ans))
+            nu_p, nu_m, ratio, skipped = divisibility_columns(c_sq, config.env)
+            table = np.column_stack((j, c22.real, c22.imag, c_sq[1:], g_san, g_ans,
+                                     np.minimum(nu_p, nu_m), np.maximum(nu_p, nu_m), ratio, skipped))
             # Step 0 has no intermediate map; a skipped step shows only its flag.
-            yield traj.start, table, skipped | (j == 0)
+            yield j[0], table, skipped | (j == 0)
         if printed:
             from .reference import verify_against_oracle  # compiled only under --oracle
 
-            verify_against_oracle(config, *(np.concatenate(c) for c in zip(*printed)))
+            c22, c_sq, w, *g = (np.concatenate(c) for c in zip(*printed))
+            verify_against_oracle(config, joint_cm_stack(c22, c_sq, w, config.joint, config.env), *g)
 
     return header, tables()
 
@@ -273,36 +281,27 @@ def _scan_chunk(cells: int, L: int) -> tuple[int, int]:
 
 def _scan_measures(chunk, L: int) -> np.ndarray:
     """scan's rows of configurations that differ only in r1 and r2, reduced
-    block by block as `evolve` walks them (`_column_blocks`).  N_GS sums
-    each direction's positive G increments with `np.sum` at the end, and
-    N_CPTP adds each negative eigenvalue of the steps j >= 2 in step order,
-    nu_plus first: the bits of `nm_from_steering` and `nm_cptp`."""
-    joint, env = chunk[0].joint, chunk[0].env
-    directions = (Direction.B_TO_A, Direction.A_TO_B)
-    rises = [[[] for _ in chunk] for _ in directions]  # each cell's positive increments
+    from the blocks `evolve` walks (`_witness_blocks`); an error names its
+    cell.  N_GS sums each direction's positive G increments with `np.sum` at
+    the end, and N_CPTP adds each negative eigenvalue of the steps j >= 2 in
+    step order, nu_plus first: the bits of `nm_from_steering` and `nm_cptp`."""
+    rises = [[[] for _ in chunk] for _ in DIRECTIONS]  # each cell's positive increments
     last = [np.empty((len(chunk), 0))] * 2  # G of the step before the block
-    c_sq_before, n_cptp = np.ones((len(chunk), 1)), np.zeros((len(chunk), 1))
-    start = 0
-    for c22, w in _column_blocks(chunk, L, EMIT_ROWS):
-        try:
-            _, c_sq, w, _ = _columns(c22, w, start)
-            g = [steering_columns(c_sq, w, joint, env, d) for d in directions]
-        except (DegenerateCovarianceError, ValueError) as exc:  # a flat index of (cell, step)
-            cell, step = divmod(exc.index, c22.shape[1])
-            where = f"step {start + step}: " if isinstance(exc, DegenerateCovarianceError) else ""
-            raise type(exc)(f"cell r1 = {chunk[cell].r1:.12g}, r2 = {chunk[cell].r2:.12g}: "
-                            f"{where}{exc}") from None
-        for kept, before, series in zip(rises, last, g):
-            diffs = np.diff(np.concatenate([before, series], axis=1), axis=1)
-            for increments, row in zip(kept, diffs):
-                increments.append(row[row > 0.0])
-        last = [series[:, -1:] for series in g]
-        nu_p, nu_m, _, _ = divisibility_columns(np.concatenate([c_sq_before, c_sq], axis=1), env)
-        nus = np.stack([nu_p, nu_m], axis=-1)[:, max(0, 2 - start):].reshape(len(chunk), -1)
-        violations = np.where(nus < 0.0, -nus, 0.0)  # NaN < 0 is False: skipped steps add 0
-        n_cptp = np.cumsum(np.concatenate([n_cptp, violations], axis=1), axis=1)[:, -1:]
-        c_sq_before = c_sq[:, -1:]
-        start += c22.shape[1]
+    n_cptp = np.zeros((len(chunk), 1))
+    try:
+        for j, _, c_sq, _, *g in _witness_blocks(chunk, L, DIRECTIONS):
+            for kept, before, series in zip(rises, last, g):
+                diffs = np.diff(np.concatenate([before, series], axis=1), axis=1)
+                for increments, row in zip(kept, diffs):
+                    increments.append(row[row > 0.0])
+            last = [series[:, -1:] for series in g]
+            nu_p, nu_m, _, _ = divisibility_columns(c_sq, chunk[0].env)
+            nus = np.stack([nu_p, nu_m], axis=-1)[:, max(0, 2 - j[0]):].reshape(len(chunk), -1)
+            violations = np.where(nus < 0.0, -nus, 0.0)  # NaN < 0 is False: skipped steps add 0
+            n_cptp = np.cumsum(np.concatenate([n_cptp, violations], axis=1), axis=1)[:, -1:]
+    except (DegenerateCovarianceError, ValueError) as exc:
+        cell = chunk[exc.cell]
+        raise type(exc)(f"cell r1 = {cell.r1:.12g}, r2 = {cell.r2:.12g}: {exc}") from None
     n_gs = [[np.sum(np.concatenate(increments)) for increments in kept] for kept in rises]
     return np.column_stack([[c.r1 for c in chunk], [c.r2 for c in chunk], *n_gs, n_cptp[:, 0]])
 
@@ -358,13 +357,10 @@ def cmd_transport(args, parser):
     last_unit = np.array(modes) - 2
 
     def tables():
-        for traj in _trajectory_blocks(config):
-            j = traj.start + np.arange(len(traj))[:, None]
-            table = np.empty((len(traj), len(header)))
-            table[:, :1] = j
-            table[:, 1] = steering_series(traj, Direction.B_TO_A)  # evolve's g_s_to_an
-            table[:, 2:] = np.select([j <= last_unit, j == last_unit + 1], [before, middle], after)
-            yield traj.start, table, None
+        for j, _, _, _, g_san in _witness_blocks([config], config.L, (Direction.B_TO_A,)):
+            env_g = np.select([j[:, None] <= last_unit, j[:, None] == last_unit + 1],
+                              [before, middle], after)
+            yield j[0], np.column_stack((j, g_san[0], env_g)), None  # g_san: evolve's g_s_to_an
 
     return header, tables()
 

@@ -11,15 +11,16 @@ O(sqrt(L)) array operations, in blocks of about sqrt(L) steps gathered to
 at least its `steps`, each configuration's bits independent of the batch,
 since numpy's long double `@` sums in index order.  `_columns` turns c22
 and W arrays into (c22, |c22|^2, W, H = 1 - |c22|^2) columns, each row
-checked against |W| <= H, for the library's `run` (through `iter_steps`),
-`env_mode_columns`, and the blocks of `_column_blocks` gathered to
-`cli.EMIT_ROWS` steps that the command line walks (`scan` a chunk of grid
-cells at once); a `Trajectory` keeps three, derives H.  With
-`oracle_enabled`, `iter_steps` also propagates the full (L+3)-mode
-covariance matrix symplectically, the reference the tests and `evolve
---oracle` check the closed forms against.  That path, `run`'s per-step
-stream and `Trajectory.steps` import their reference types and rounds from
-`reference` when they run, so the command line never compiles it.
+checked against |W| <= H, for the library's `run` (through `iter_steps`;
+its `Trajectory` keeps three, derives H), `env_mode_columns`, and the
+blocks of `_column_blocks` gathered to `cli.EMIT_ROWS` steps, from which
+every command reads its witnesses (`cli._witness_blocks`; `scan` a chunk
+of grid cells at once).  With `oracle_enabled`, `iter_steps` also
+propagates the full (L+3)-mode covariance matrix symplectically, the
+reference the tests and `evolve --oracle` check the closed forms against.
+That path, `run`'s per-step stream and `Trajectory.steps` import their
+reference types and rounds from `reference` when they run, so the command
+line never compiles it.
 """
 
 import math
@@ -69,15 +70,14 @@ class SimulationConfig:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Per-step columns j = start .. start + len - 1 (0 .. L for a whole
-    run): c22, |c22|^2 and W; H = 1 - |c22|^2 is derived.  The full-chain
-    covariances are not kept; `iter_steps` streams them."""
+    """`run`'s per-step columns, j = 0 .. L: c22, |c22|^2 and W; H = 1 - |c22|^2
+    is derived.  The full-chain covariances are not kept; `iter_steps`
+    streams them."""
 
     config: SimulationConfig
     c22: np.ndarray
     c22_abs_sq: np.ndarray
     env_square_sum: np.ndarray
-    start: int = 0
 
     def __len__(self) -> int:
         return len(self.c22)
@@ -101,7 +101,7 @@ class Trajectory:
 
         sums = (self.c22.tolist(), self.env_square_sum.tolist(), self.env_abs_square_sum.tolist())
         return [StepRecord(j, CCoefficients(j, c, env_square_sum=w, env_abs_square_sum=h), cm)
-                for j, (c, w, h, cm) in enumerate(zip(*sums, self.joint_cm), self.start)]
+                for j, (c, w, h, cm) in enumerate(zip(*sums, self.joint_cm))]
 
 
 def joint_cm_stack(c, csq, w, joint: JointSpec, env: EnvironmentSpec) -> np.ndarray:
@@ -224,7 +224,8 @@ def _blocks(k: np.ndarray, x0: np.ndarray, L: int, rows, steps: int = 1):
     """Yield the given rows of x_j = K^j x_0, j = 0 .. L, for a batch of
     matrices k (cells, n, n), as complex arrays (cells, steps, rows): the
     evaluator's blocks of B = isqrt(L + 1) steps, whole, gathered into one
-    array of at least `steps` steps (the last may hold fewer).
+    array of at least `steps` steps (the last may hold fewer), allocated for
+    the steps it yields.
 
     In long double (numpy's clongdouble, a 64-bit significand on x86-64):
     the powers K^t, t <= B, one product from the last; then block m is one
@@ -243,11 +244,12 @@ def _blocks(k: np.ndarray, x0: np.ndarray, L: int, rows, steps: int = 1):
     state = np.broadcast_to(x0.astype(k.dtype)[:, None], (len(k), len(x0), 1))
     size = -(-steps // b) * b  # whole blocks
     for start in range(0, L + 1, size):
-        gathered = np.empty((len(k), size, len(table[0]) // b), complex)
-        for at in range(0, min(size, L + 1 - start), b):
-            gathered[:, at : at + b] = (table @ state).reshape(len(k), b, -1)
+        n = min(size, L + 1 - start)  # the rows this array yields
+        gathered = np.empty((len(k), n, len(table[0]) // b), complex)
+        for at in range(0, n, b):
+            gathered[:, at : at + b] = (table @ state).reshape(len(k), b, -1)[:, : n - at]
             state = power @ state
-        yield gathered[:, : L + 1 - start]
+        yield gathered
 
 
 def _column_blocks(configs, L: int, steps: int = 1):

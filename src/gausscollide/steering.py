@@ -122,8 +122,8 @@ def steering_columns(c_sq, w, joint, env, direction: Direction) -> np.ndarray:
 
 
 def steering_series(trajectory, direction: Direction) -> np.ndarray:
-    """Per-step steering values G(j) along the trajectory (j = 0 .. L for a
-    whole run), from its |c22|^2 and W columns.
+    """Per-step steering values G(j), j = 0 .. L, along the trajectory, from
+    its |c22|^2 and W columns.
 
     The joint covariance is (ancilla, system)-ordered, so A_TO_B is
     An -> S and B_TO_A is S -> An.  A degeneracy error names its step.
@@ -133,7 +133,7 @@ def steering_series(trajectory, direction: Direction) -> np.ndarray:
         return steering_columns(trajectory.c22_abs_sq, trajectory.env_square_sum,
                                 config.joint, config.env, direction)
     except DegenerateCovarianceError as exc:
-        raise DegenerateCovarianceError(f"step {trajectory.start + exc.index}: {exc}") from None
+        raise DegenerateCovarianceError(f"step {exc.index}: {exc}") from None
 
 
 def nm_from_steering(series) -> float:

@@ -11,7 +11,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from types import SimpleNamespace
 from unittest import mock
 
@@ -169,15 +168,14 @@ class TestUsageErrors:
         ],
     )
     def test_degeneracy_names_the_step(self, capsys, monkeypatch, argv, where):
-        trajectory_blocks = cli._trajectory_blocks
+        columns = cli._columns
 
-        def unphysical_at_step_0(config):
-            for traj in trajectory_blocks(config):
-                w = traj.env_square_sum.copy()
-                w[0] = 10.0  # |W| <= 1 - |c22|^2 on a physical row
-                yield replace(traj, env_square_sum=w)
+        def unphysical_at_step_0(c22, w, start):
+            c22, c_sq, w, h = columns(c22, w, start)  # the chain's, checked
+            w[:, 0] = 10.0  # |W| <= 1 - |c22|^2 on a physical row
+            return c22, c_sq, w, h
 
-        monkeypatch.setattr(cli, "_trajectory_blocks", unphysical_at_step_0)
+        monkeypatch.setattr(cli, "_columns", unphysical_at_step_0)
         code, _, err = run_cli(capsys, *argv, "--r1", "0.4", "--r2", "0.3", "--L", "3")
         assert code == 3
         assert where in err
@@ -188,18 +186,16 @@ class TestUsageErrors:
     def test_degeneracy_in_a_later_block_writes_nothing(self, capsys, monkeypatch, tmp_path,
                                                         argv, target_kind):
         monkeypatch.setattr(cli, "EMIT_ROWS", 20)
-        trajectory_blocks, starts = cli._trajectory_blocks, []
+        columns, starts = cli._columns, []
 
-        def unphysical_at_step_77(config):
-            for traj in trajectory_blocks(config):
-                starts.append(traj.start)
-                if traj.start <= 77 < traj.start + len(traj):
-                    w = traj.env_square_sum.copy()
-                    w[77 - traj.start] = 10.0
-                    traj = replace(traj, env_square_sum=w)
-                yield traj
+        def unphysical_at_step_77(c22, w, start):
+            starts.append(start)
+            c22, c_sq, w, h = columns(c22, w, start)
+            if start <= 77 < start + w.shape[1]:
+                w[:, 77 - start] = 10.0
+            return c22, c_sq, w, h
 
-        monkeypatch.setattr(cli, "_trajectory_blocks", unphysical_at_step_77)
+        monkeypatch.setattr(cli, "_columns", unphysical_at_step_77)
         target = tmp_path / "table"
         if target_kind == "existing":
             target.write_bytes(b"j,g\r\n0,1\n")
@@ -252,21 +248,24 @@ class TestUsageErrors:
         ids=["evolve", "evolve-oracle", "transport"])
     def test_each_run_makes_one_pass(self, capsys, monkeypatch, argv, steering_per_block):
         monkeypatch.setattr(cli, "EMIT_ROWS", 20)
-        trajectory_blocks, steering_series = cli._trajectory_blocks, cli.steering_series
+        column_blocks, steering_columns = cli._column_blocks, cli.steering_columns
         walks, blocks, series = [], [], []
 
-        def counted_blocks(config):
-            walks.append(config)
-            for traj in trajectory_blocks(config):
-                blocks.append(traj.start)
-                yield traj
+        def counted_blocks(configs, L, steps):
+            walks.append(configs)
+            start = 0
+            for c22, w in column_blocks(configs, L, steps):
+                blocks.append(start)
+                start += c22.shape[1]
+                yield c22, w
 
-        def counted_series(traj, direction):
-            series.append(traj.start)
-            return steering_series(traj, direction)
+        def counted_series(c_sq, w, joint, env, direction):
+            if c_sq.ndim == 2:  # a block of the chain, not transport's E_k rows
+                series.append(blocks[-1])
+            return steering_columns(c_sq, w, joint, env, direction)
 
-        monkeypatch.setattr(cli, "_trajectory_blocks", counted_blocks)
-        monkeypatch.setattr(cli, "steering_series", counted_series)
+        monkeypatch.setattr(cli, "_column_blocks", counted_blocks)
+        monkeypatch.setattr(cli, "steering_columns", counted_series)
         code, out, _ = run_cli(capsys, *argv, "--r1", ".4", "--r2", ".3", "--L", "100")
         assert code == 0 and len(out.splitlines()) == 102
         assert len(walks) == 1
@@ -274,10 +273,10 @@ class TestUsageErrors:
         assert series == [start for start in blocks for _ in range(steering_per_block)]
 
     def test_degeneracy_exit_code(self, capsys, monkeypatch):
-        def explode(config):
+        def explode(configs, L, directions):
             raise DegenerateCovarianceError("synthetic")
 
-        monkeypatch.setattr(cli, "_trajectory_blocks", explode)
+        monkeypatch.setattr(cli, "_witness_blocks", explode)
         code, _, err = run_cli(capsys, "evolve", "--r1", "0.4", "--r2", "0.3", "--L", "3")
         assert code == 3
         assert "degeneracy" in err
@@ -513,30 +512,29 @@ class TestEvolve:
         assert len(out.strip().split("\n")) == 14
 
     def test_oracle_checks_the_printed_covariances(self, capsys, monkeypatch):
-        trajectory_blocks = cli._trajectory_blocks
+        columns = cli._columns
 
-        def perturbed(config):
-            for traj in trajectory_blocks(config):
-                c_sq = traj.c22_abs_sq.copy()
-                c_sq[7] -= 1e-6  # joint_cm[7] and both steering columns follow
-                yield replace(traj, c22_abs_sq=c_sq)
+        def perturbed(c22, w, start):
+            c22, c_sq, w, h = columns(c22, w, start)
+            c_sq[:, 7] -= 1e-6  # joint_cm[7] and both steering columns follow
+            return c22, c_sq, w, h
 
-        monkeypatch.setattr(cli, "_trajectory_blocks", perturbed)
+        monkeypatch.setattr(cli, "_columns", perturbed)
         code, out, err = run_cli(capsys, "evolve", "--r1", ".4", "--r2", ".3", "--L", "12",
                                  "--oracle")
         assert code == 3 and out == ""
         assert "oracle mismatch at step 7:" in err
 
     def test_oracle_checks_the_printed_steering(self, capsys, monkeypatch):
-        steering_series = cli.steering_series
+        steering_columns = cli.steering_columns
 
-        def perturbed(traj, direction):
-            series = steering_series(traj, direction)
+        def perturbed(c_sq, w, joint, env, direction):
+            series = steering_columns(c_sq, w, joint, env, direction)
             if direction is Direction.A_TO_B:
-                series[5] += 1e-6
+                series[:, 5] += 1e-6
             return series
 
-        monkeypatch.setattr(cli, "steering_series", perturbed)
+        monkeypatch.setattr(cli, "steering_columns", perturbed)
         code, out, err = run_cli(capsys, "evolve", "--r1", ".4", "--r2", ".3", "--L", "12",
                                  "--oracle")
         assert code == 3 and out == ""
@@ -558,15 +556,14 @@ class TestEvolve:
         assert (code, out, err) == (0, plain, "")
 
     def test_oracle_still_checks_covariances_with_large_entries(self, capsys, monkeypatch):
-        trajectory_blocks = cli._trajectory_blocks
+        columns = cli._columns
 
-        def perturbed(config):
-            for traj in trajectory_blocks(config):
-                c22 = traj.c22.copy()
-                c22[22] *= 1 + 1e-6  # only joint_cm follows; steering reads |c22|^2
-                yield replace(traj, c22=c22)
+        def perturbed(c22, w, start):
+            c22, c_sq, w, h = columns(c22, w, start)
+            c22[:, 22] *= 1 + 1e-6  # only joint_cm follows; steering reads |c22|^2
+            return c22, c_sq, w, h
 
-        monkeypatch.setattr(cli, "_trajectory_blocks", perturbed)
+        monkeypatch.setattr(cli, "_columns", perturbed)
         code, out, err = run_cli(capsys, *self.LARGE_XI, "--oracle")
         assert code == 3 and out == ""
         assert "oracle mismatch at step 22:" in err and "in joint_cm" in err
@@ -592,15 +589,15 @@ class TestEvolve:
     def test_oracle_names_the_steps_its_tolerance_cannot_resolve(self, capsys, monkeypatch):
         # At xi = 19 the steering tolerance at step 0 (16 eps cosh^2 xi, about 51)
         # exceeds G = ln cosh 19, so an error of 5 there passes, but not silently.
-        steering_series = cli.steering_series
+        steering_columns = cli.steering_columns
 
-        def perturbed(traj, direction):
-            series = steering_series(traj, direction)
+        def perturbed(c_sq, w, joint, env, direction):
+            series = steering_columns(c_sq, w, joint, env, direction)
             if direction is Direction.A_TO_B:
-                series[0] += 5.0
+                series[:, 0] += 5.0
             return series
 
-        monkeypatch.setattr(cli, "steering_series", perturbed)
+        monkeypatch.setattr(cli, "steering_columns", perturbed)
         code, out, err = run_cli(capsys, "evolve", "--r1", ".4", "--r2", ".3", "--L", "12",
                                  "--xi", "19", "--oracle")
         assert code == 0 and len(out.split("\n")) == 15
@@ -608,15 +605,14 @@ class TestEvolve:
                        "first at step 0\n")
 
     def test_oracle_checks_covariances_where_it_cannot_check_steering(self, capsys, monkeypatch):
-        trajectory_blocks = cli._trajectory_blocks
+        columns = cli._columns
 
-        def perturbed(config):
-            for traj in trajectory_blocks(config):
-                c22 = traj.c22.copy()
-                c22[1] *= 1 + 1e-6  # only joint_cm follows; steering reads |c22|^2
-                yield replace(traj, c22=c22)
+        def perturbed(c22, w, start):
+            c22, c_sq, w, h = columns(c22, w, start)
+            c22[:, 1] *= 1 + 1e-6  # only joint_cm follows; steering reads |c22|^2
+            return c22, c_sq, w, h
 
-        monkeypatch.setattr(cli, "_trajectory_blocks", perturbed)
+        monkeypatch.setattr(cli, "_columns", perturbed)
         code, out, err = run_cli(capsys, "evolve", "--r1", ".4", "--r2", ".3", "--L", "12",
                                  "--xi", "20", "--oracle")
         assert code == 3 and out == ""
@@ -631,10 +627,29 @@ class TestEvolve:
         code, whole, _ = run_cli(capsys, *argv)  # one block
         assert code == 0
         monkeypatch.setattr(cli, "EMIT_ROWS", 3)
-        blocks = list(cli._trajectory_blocks(SimulationConfig(r1=0.0, r2=0.5, L=12)))
-        assert [traj.start for traj in blocks] == [0, 3, 6, 9, 12]
-        assert {traj.c22_abs_sq[-1] < 1e-14 for traj in blocks[:-1]} == {True, False}
+        blocks = list(cli._witness_blocks([SimulationConfig(r1=0.0, r2=0.5, L=12)], 12,
+                                          (Direction.B_TO_A,)))
+        assert [j[0] for j, *_ in blocks] == [0, 3, 6, 9, 12]
+        assert {c_sq[0, -1] < 1e-14 for _, _, c_sq, *_ in blocks[:-1]} == {True, False}
         assert run_cli(capsys, *argv) == (0, whole, "")
+
+    @pytest.mark.parametrize("argv", [
+        ("evolve", "--env", "squeezed-thermal", "--n", "0.3", "--zeta", "0.8", "--phi-env", "0.7"),
+        ("evolve", "--env", "squeezed-thermal", "--n", "0.3", "--zeta", "0.8", "--phi-env", "0.7",
+         "--format", "jsonl"),
+        ("transport", "--modes", "1,35,301"),
+    ], ids=["evolve-csv", "evolve-jsonl", "transport"])
+    def test_stdout_does_not_depend_on_the_block_size(self, capsys, monkeypatch, argv):
+        # At L = 300 the evaluator's blocks are 17 steps, gathered to 17 (EMIT_ROWS
+        # 1 and 3), 34 (20) or 272 (256): a block's first divisibility step reads
+        # the |c22|^2 carried from the block before, and E_35's middle row, step 34,
+        # opens a block at 1, 3 and 20.
+        argv = (*argv, "--r1", "0.4", "--r2", "0.3", "--L", "300")
+        code, whole, _ = run_cli(capsys, *argv)
+        assert code == 0 and len(whole.splitlines()) == 301 + ("jsonl" not in argv)
+        for rows in (1, 3, 20):
+            monkeypatch.setattr(cli, "EMIT_ROWS", rows)
+            assert run_cli(capsys, *argv) == (0, whole, ""), rows
 
     @pytest.mark.parametrize("xi", ["10", "20", "100", "177"])
     def test_large_squeezing_prints_ln_cosh_xi(self, capsys, xi):
@@ -808,15 +823,16 @@ class TestEmit:
                                                              to_file):
         # emit writes the blocks before the bad one to the spool, which is never copied out.
         monkeypatch.setattr(cli, "EMIT_ROWS", 20)
-        steering_series = cli.steering_series
+        witness_blocks = cli._witness_blocks
 
-        def inf_at_step_77(traj, direction):
-            series = steering_series(traj, direction)
-            if traj.start <= 77 < traj.start + len(traj):
-                series[77 - traj.start] = math.inf
-            return series
+        def inf_at_step_77(configs, L, directions):
+            for j, c22, c_sq, w, *g in witness_blocks(configs, L, directions):
+                if j[0] <= 77 <= j[-1]:
+                    for series in g:
+                        series[:, 77 - j[0]] = math.inf
+                yield j, c22, c_sq, w, *g
 
-        monkeypatch.setattr(cli, "steering_series", inf_at_step_77)
+        monkeypatch.setattr(cli, "_witness_blocks", inf_at_step_77)
         existing = tmp_path / "table"
         existing.write_bytes(b"j,g\r\n0,1\n")
         out_flag = ("--out", str(existing)) if to_file else ()

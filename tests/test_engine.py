@@ -590,6 +590,8 @@ class TestBatchedRecurrence:
             finally:
                 tracemalloc.stop()
             assert peak <= len(chunk) * cli._scan_chunk(1, L)[1], L
+            # The evaluator allocates only the rows it yields: 2 steps at L = 1, not EMIT_ROWS.
+            assert L > 1 or peak < 5000 * len(chunk), peak
         kept = 8 * sum(np.count_nonzero(np.diff(steering_series(run(c), d)) > 0.0)
                        for c in chunk for d in Direction)
         measured = len(chunk) * (cli._scan_chunk(1, L)[1] - cli.RISE_BYTES * (L + 1))
