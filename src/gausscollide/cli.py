@@ -33,7 +33,7 @@ from .engine import (
     joint_cm_stack,
     require_memory,
 )
-from .errors import DegenerateCovarianceError, GaussCollideError
+from .errors import GaussCollideError
 from .states import EnvironmentSpec, JointSpec, require_finite
 from .steering import (
     Direction,
@@ -65,10 +65,12 @@ GRID_CELL_BYTES = 400
 # the evaluator's `block_bytes`: per step of a gathered block, at most 224 B of
 # columns and witness temporaries (tracemalloc, L = 1 to 16000); per step of
 # the chain, the G increments kept, as each direction rises at most once a
-# step (8 B), and under 1 B of their arrays' headers.
+# step (8 B), and under 1 B of their arrays' headers; and the lists that keep
+# them with the witnesses' fixed temporaries, 2.1 kB at L = 1 (32 to 512 cells).
 SCAN_CHUNK_BYTES = 2**21
 SCAN_ROW_BYTES = 240
 RISE_BYTES = 17
+SCAN_CELL_BYTES = 2400
 
 # Rows that emit formats at a time, at about 90 B per cell beside the table,
 # and the fewest steps of a block that `evolve`, `transport` and `scan` walk.
@@ -225,19 +227,18 @@ def _witness_blocks(configs, L: int, directions):
     """Per block of the chain walk of configurations that differ only in r1
     and r2 (`_column_blocks`, gathered to EMIT_ROWS steps): the steps j, then
     (cells, steps) arrays of c22, |c22|^2 with the step before first (1 before
-    step 0: the identity channel), W, and G in each of directions.  A
-    degeneracy names its step; an error carries its cell as `cell`."""
+    step 0: the identity channel), W, and G in each of directions.  `_columns`
+    is the one check of the chain: its error names the row (the step) and
+    carries its cell as `cell`.  Steering cannot fail (`reduced_determinants`)."""
     joint, env = configs[0].joint, configs[0].env
     start, c_sq_before = 0, np.ones((len(configs), 1))
     for c22, w in _column_blocks(configs, L, EMIT_ROWS):
         try:
             c22, c_sq, w = _columns(c22, w, start)[:3]
-            g = [steering_columns(c_sq, w, joint, env, d) for d in directions]
-        except (DegenerateCovarianceError, ValueError) as exc:  # a flat index of (cell, step)
-            exc.cell, step = divmod(exc.index, c22.shape[1])
-            if isinstance(exc, DegenerateCovarianceError):
-                exc.args = (f"step {start + step}: {exc}",)
+        except ValueError as exc:  # a flat index of (cell, step)
+            exc.cell = exc.index // c22.shape[1]
             raise
+        g = [steering_columns(c_sq, w, joint, env, d) for d in directions]
         c_sq = np.concatenate([c_sq_before, c_sq], axis=1)
         yield np.arange(start, start + c22.shape[1]), c22, c_sq, w, *g
         c_sq_before, start = c_sq[:, -1:], start + c22.shape[1]
@@ -273,8 +274,8 @@ def cmd_evolve(args, parser):
 def _scan_chunk(cells: int, L: int) -> tuple[int, int]:
     """(cells per chunk, bytes of one chunk) of `scan` over cells of L rounds."""
     b = math.isqrt(L + 1)
-    rows = -(-EMIT_ROWS // b) * b  # a gathered block
-    cell_bytes = block_bytes(L) + SCAN_ROW_BYTES * rows + RISE_BYTES * (L + 1)
+    rows = min(-(-EMIT_ROWS // b) * b, L + 1)  # a gathered block, at most the chain
+    cell_bytes = block_bytes(L) + SCAN_ROW_BYTES * rows + RISE_BYTES * (L + 1) + SCAN_CELL_BYTES
     size = min(cells, max(1, SCAN_CHUNK_BYTES // cell_bytes))
     return size, size * cell_bytes
 
@@ -299,9 +300,9 @@ def _scan_measures(chunk, L: int) -> np.ndarray:
             nus = np.stack([nu_p, nu_m], axis=-1)[:, max(0, 2 - j[0]):].reshape(len(chunk), -1)
             violations = np.where(nus < 0.0, -nus, 0.0)  # NaN < 0 is False: skipped steps add 0
             n_cptp = np.cumsum(np.concatenate([n_cptp, violations], axis=1), axis=1)[:, -1:]
-    except (DegenerateCovarianceError, ValueError) as exc:
+    except ValueError as exc:
         cell = chunk[exc.cell]
-        raise type(exc)(f"cell r1 = {cell.r1:.12g}, r2 = {cell.r2:.12g}: {exc}") from None
+        raise ValueError(f"cell r1 = {cell.r1:.12g}, r2 = {cell.r2:.12g}: {exc}") from None
     n_gs = [[np.sum(np.concatenate(increments)) for increments in kept] for kept in rises]
     return np.column_stack([[c.r1 for c in chunk], [c.r2 for c in chunk], *n_gs, n_cptp[:, 0]])
 
@@ -344,13 +345,12 @@ def cmd_transport(args, parser):
 
     header = ["j", "g_s_to_an"] + [f"g_e{k}_to_an" for k in modes]
     require_memory(f"L = {config.L}", len(header) * block_bytes(config.L))  # as in evolve
-    _, env_c_sq, env_w, _ = env_mode_columns(config, modes)
     try:
-        env = steering_columns(env_c_sq, env_w, config.joint, config.env, Direction.B_TO_A)
-    except DegenerateCovarianceError as exc:
-        k = modes[exc.index // 3]
-        raise DegenerateCovarianceError(
-            f"step {(0, k - 1, k)[exc.index % 3]}, column g_e{k}_to_an: {exc}") from None
+        _, env_c_sq, env_w, _ = env_mode_columns(config, modes)
+    except ValueError as exc:  # a flat index of (mode, row)
+        k, row = modes[exc.index // 3], exc.index % 3
+        raise ValueError(f"step {(0, k - 1, k)[row]}, column g_e{k}_to_an: {exc}") from None
+    env = steering_columns(env_c_sq, env_w, config.joint, config.env, Direction.B_TO_A)
     # E_k's rows print for steps 0 .. k - 2, k - 1 and k .. L
     # (k = 1's unit row and k = L + 1's middle row for none).
     before, middle, after = env.reshape(-1, 3).T

@@ -9,7 +9,8 @@ The chain's (ancilla, X) covariances have V_An = cosh(xi) I and V_J
 sinh(xi)|c| times a reflection, so every determinant is a scalar in |c|^2
 and |W| (`reduced_determinants`); `steering_columns` and `steering_series`
 evaluate G from those scalars, and the 4x4 `steerability` is the reference
-they are tested against.
+they are tested against.  The scalars give det sigma >= 1 for any columns;
+only `steerability`, which takes any matrix, checks for a degenerate one.
 """
 
 import enum
@@ -17,7 +18,6 @@ import enum
 import numpy as np
 
 from .errors import DegenerateCovarianceError
-from .network import NORMALIZATION_TOL
 from .states import env_noise_scales
 
 ZERO_TOL = 1e-12
@@ -42,10 +42,11 @@ def steerability(cm4: np.ndarray, direction: Direction) -> float | np.ndarray:
     if not np.all(np.abs(cms - np.swapaxes(cms, -1, -2)) <= 1e-10):
         raise ValueError("covariance matrix is not symmetric")
     det_sigma = np.linalg.det(cms)
-    i = _first(det_sigma <= DET_FLOOR)
-    if i is not None:
-        det = float(det_sigma.flat[i])
-        raise DegenerateCovarianceError(f"det sigma = {det!r} below floor {DET_FLOOR}", index=i)
+    degenerate = np.flatnonzero(det_sigma <= DET_FLOOR).tolist()
+    if degenerate:
+        i = degenerate[0]
+        raise DegenerateCovarianceError(f"det sigma = {float(det_sigma.flat[i])!r} below floor "
+                                        f"{DET_FLOOR}", index=i)
     if direction is Direction.A_TO_B:
         block = cms[..., :2, :2]
     elif direction is Direction.B_TO_A:
@@ -55,11 +56,6 @@ def steerability(cm4: np.ndarray, direction: Direction) -> float | np.ndarray:
     raw = 0.5 * np.log(np.linalg.det(block) / det_sigma)
     values = np.where(raw > ZERO_TOL, raw, 0.0)
     return float(values) if cms.ndim == 2 else values
-
-
-def _first(mask) -> int | None:
-    """Position of the first true entry of mask, None if there is none."""
-    return next(iter(np.flatnonzero(mask).tolist()), None)
 
 
 def reduced_determinants(c_sq, w, joint, env) -> tuple[np.ndarray, np.ndarray]:
@@ -77,10 +73,15 @@ def reduced_determinants(c_sq, w, joint, env) -> tuple[np.ndarray, np.ndarray]:
     det V_X = (beta - M|V|)(beta + M|V|).  Nothing here scales as cosh^4 xi,
     so G keeps its digits for every accepted xi.  A row's weight
     H = 1 - |c|^2 is at least |W| (Cauchy-Schwarz), so |c|^2 is taken as
-    at most 1 and |W| as at most H: then N H - M|W| >= (N - M) H >= 0 and
-    det sigma stays positive.  Rounding that puts |W| above H moves G by
-    M (|W| - H) at most, not at all for M = 0: clamping H up to |W| would
+    at most 1 and |W| as at most H.  Rounding that puts |W| above H moves G
+    by M (|W| - H) at most, not at all for M = 0: clamping H up to |W| would
     move it by N (|W| - H).
+
+    With those clamps det sigma >= 1 for any |c|^2 and W, as sigma + i Omega
+    >= 0 requires (Simon, Mukunda & Dutta, PRA 49, 1567 (1994)): as
+    N^2 - M^2 = (2n+1)^2 and N >= 2n+1, det sigma / cosh^2 xi >= alpha^2 -
+    M^2 H^2 >= (|c|^2 / cosh xi + (2n+1) H)^2, so det sigma >=
+    (|c|^2 + (2n+1) cosh(xi) H)^2 >= (|c|^2 + H)^2 = 1.
     """
     ch = np.cosh(joint.xi)
     n_scale, m_scale = env_noise_scales(env)
@@ -96,26 +97,17 @@ def reduced_determinants(c_sq, w, joint, env) -> tuple[np.ndarray, np.ndarray]:
 def steering_columns(c_sq, w, joint, env, direction: Direction) -> np.ndarray:
     """Steering of each closed-form (ancilla, X) covariance given by the
     columns c_sq = |c|^2 and w = W, as `steerability` would compute it on
-    the 4x4 matrices: A_TO_B is An -> X, B_TO_A is X -> An.  The first
-    degenerate row raises with its position as `index`, and so does a row
-    whose |W| exceeds 1 - |c|^2 by more than the normalization tolerance:
-    no physical row does.
+    the 4x4 matrices: A_TO_B is An -> X, B_TO_A is X -> An.  Every value
+    is finite and at least 0 for finite columns: a row is read with
+    |c|^2 at most 1 and |W| at most 1 - |c|^2, so det sigma >= 1
+    (`reduced_determinants`).  Only an unknown direction raises.
     """
-    i = _first(np.abs(w) - (1.0 - c_sq) > NORMALIZATION_TOL)
-    if i is not None:
-        raise DegenerateCovarianceError(f"|W| = {float(abs(w.flat[i]))!r} exceeds 1 - |c|^2 = "
-                                        f"{float(1.0 - c_sq.flat[i])!r}", index=i)
     schur, det_vx = reduced_determinants(c_sq, w, joint, env)
-    ch = np.cosh(joint.xi)
-    det_sigma = ch * ch * schur
-    i = _first(det_sigma <= DET_FLOOR)
-    if i is not None:
-        raise DegenerateCovarianceError(
-            f"det sigma = {float(det_sigma.flat[i])!r} below floor {DET_FLOOR}", index=i)
     if direction is Direction.A_TO_B:
         raw = -0.5 * np.log(schur)
     elif direction is Direction.B_TO_A:
-        raw = 0.5 * np.log(det_vx / det_sigma)
+        ch = np.cosh(joint.xi)
+        raw = 0.5 * np.log(det_vx / (ch * ch * schur))
     else:
         raise ValueError(f"unknown direction {direction!r}")
     return np.where(raw > ZERO_TOL, raw, 0.0)
@@ -126,14 +118,11 @@ def steering_series(trajectory, direction: Direction) -> np.ndarray:
     its |c22|^2 and W columns.
 
     The joint covariance is (ancilla, system)-ordered, so A_TO_B is
-    An -> S and B_TO_A is S -> An.  A degeneracy error names its step.
+    An -> S and B_TO_A is S -> An.
     """
     config = trajectory.config
-    try:
-        return steering_columns(trajectory.c22_abs_sq, trajectory.env_square_sum,
-                                config.joint, config.env, direction)
-    except DegenerateCovarianceError as exc:
-        raise DegenerateCovarianceError(f"step {exc.index}: {exc}") from None
+    return steering_columns(trajectory.c22_abs_sq, trajectory.env_square_sum,
+                            config.joint, config.env, direction)
 
 
 def nm_from_steering(series) -> float:

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import gausscollide.cli as cli
 import gausscollide.engine as engine
 import gausscollide.reference as reference
+import gausscollide.steering as steering
 from gausscollide.cli import ENV_FAMILIES, main, parse_angle, parse_values
 from gausscollide.divisibility import nm_cptp
 from gausscollide.engine import SimulationConfig, env_ancilla_cm, iter_steps, run
@@ -110,7 +111,6 @@ class TestUsageErrors:
         def no_steps(*args):
             raise AssertionError("the chain started stepping")
 
-        monkeypatch.setattr(cli, "_column_blocks", no_steps)
         monkeypatch.setattr(engine, "_blocks", no_steps)
         code, out, err = run_cli(capsys, *argv, "--r1", ".4", "--r2", ".3", "--L", str(10**30))
         assert code == 2 and out == ""
@@ -160,54 +160,42 @@ class TestUsageErrors:
         assert err.startswith(f"error: {name} ")
         assert "symmetric" not in err
 
-    @pytest.mark.parametrize(
-        "argv,where",
-        [
-            (("evolve",), "step 0:"),
-            (("transport", "--modes", "1"), "step 0:"),
-        ],
-    )
-    def test_degeneracy_names_the_step(self, capsys, monkeypatch, argv, where):
-        columns = cli._columns
+    @pytest.mark.parametrize("argv", [("evolve",), ("transport", "--modes", "1")],
+                             ids=["evolve", "transport"])
+    def test_degeneracy_names_the_step(self, capsys, corrupt_blocks, argv):
+        def unphysical_at_step_0(start, c22, w):
+            if start == 0:
+                w[:, 0] = 10.0  # |W| <= 1 - |c22|^2 on a physical row
 
-        def unphysical_at_step_0(c22, w, start):
-            c22, c_sq, w, h = columns(c22, w, start)  # the chain's, checked
-            w[:, 0] = 10.0  # |W| <= 1 - |c22|^2 on a physical row
-            return c22, c_sq, w, h
-
-        monkeypatch.setattr(cli, "_columns", unphysical_at_step_0)
+        corrupt_blocks(unphysical_at_step_0)
         code, _, err = run_cli(capsys, *argv, "--r1", "0.4", "--r2", "0.3", "--L", "3")
-        assert code == 3
-        assert where in err
+        assert code == 2
+        assert err.startswith("error: coefficient column not normalized at row 0: |W| = 10.0 ")
 
     @pytest.mark.parametrize("argv", [("evolve",), ("transport", "--modes", "1,50")],
                              ids=["evolve", "transport"])
     @pytest.mark.parametrize("target_kind", ["stdout", "out", "existing"])
-    def test_degeneracy_in_a_later_block_writes_nothing(self, capsys, monkeypatch, tmp_path,
-                                                        argv, target_kind):
+    def test_degeneracy_in_a_later_block_writes_nothing(self, capsys, monkeypatch, corrupt_blocks,
+                                                        tmp_path, argv, target_kind):
         monkeypatch.setattr(cli, "EMIT_ROWS", 20)
-        columns, starts = cli._columns, []
 
-        def unphysical_at_step_77(c22, w, start):
-            starts.append(start)
-            c22, c_sq, w, h = columns(c22, w, start)
+        def unphysical_at_step_77(start, c22, w):
             if start <= 77 < start + w.shape[1]:
                 w[:, 77 - start] = 10.0
-            return c22, c_sq, w, h
 
-        monkeypatch.setattr(cli, "_columns", unphysical_at_step_77)
+        walks = corrupt_blocks(unphysical_at_step_77)
         target = tmp_path / "table"
         if target_kind == "existing":
             target.write_bytes(b"j,g\r\n0,1\n")
         out_flag = ("--out", str(target)) if target_kind != "stdout" else ()
         code, out, err = run_cli(capsys, *argv, "--r1", ".4", "--r2", ".3", "--L", "100", *out_flag)
-        assert code == 3 and out == ""
+        assert code == 2 and out == ""
         if target_kind == "existing":
             assert target.read_bytes() == b"j,g\r\n0,1\n"
         else:
             assert not target.exists()
-        assert err.startswith("error: numerical degeneracy: step 77: ")
-        assert starts == [0, 20, 40, 60]  # the run stopped in the fourth block
+        assert err.startswith("error: coefficient column not normalized at row 77: ")
+        assert [starts for _, _, starts in walks] == [[0, 20, 40, 60]]  # stopped in block four
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
     def test_spool_error_names_the_temporary_directory(self, capsys, monkeypatch, tmp_path,
@@ -246,37 +234,30 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv,steering_per_block", [
         (("evolve",), 2), (("evolve", "--oracle"), 2), (("transport", "--modes", "1,50"), 1)],
         ids=["evolve", "evolve-oracle", "transport"])
-    def test_each_run_makes_one_pass(self, capsys, monkeypatch, argv, steering_per_block):
+    def test_each_run_makes_one_pass(self, capsys, monkeypatch, corrupt_blocks, argv,
+                                     steering_per_block):
         monkeypatch.setattr(cli, "EMIT_ROWS", 20)
-        column_blocks, steering_columns = cli._column_blocks, cli.steering_columns
-        walks, blocks, series = [], [], []
+        walks, series, determinants = corrupt_blocks(), [], steering.reduced_determinants
 
-        def counted_blocks(configs, L, steps):
-            walks.append(configs)
-            start = 0
-            for c22, w in column_blocks(configs, L, steps):
-                blocks.append(start)
-                start += c22.shape[1]
-                yield c22, w
-
-        def counted_series(c_sq, w, joint, env, direction):
+        def counted_series(c_sq, *args):  # once per steering_columns call
             if c_sq.ndim == 2:  # a block of the chain, not transport's E_k rows
-                series.append(blocks[-1])
-            return steering_columns(c_sq, w, joint, env, direction)
+                _, _, starts = walks[-1]
+                series.append(starts[-1])
+            return determinants(c_sq, *args)
 
-        monkeypatch.setattr(cli, "_column_blocks", counted_blocks)
-        monkeypatch.setattr(cli, "steering_columns", counted_series)
+        monkeypatch.setattr(steering, "reduced_determinants", counted_series)
         code, out, _ = run_cli(capsys, *argv, "--r1", ".4", "--r2", ".3", "--L", "100")
         assert code == 0 and len(out.splitlines()) == 102
         assert len(walks) == 1
+        blocks = walks[0][2]
         assert blocks == [0, 20, 40, 60, 80, 100]
         assert series == [start for start in blocks for _ in range(steering_per_block)]
 
-    def test_degeneracy_exit_code(self, capsys, monkeypatch):
-        def explode(configs, L, directions):
+    def test_degeneracy_exit_code(self, capsys, corrupt_blocks):
+        def explode(start, c22, w):
             raise DegenerateCovarianceError("synthetic")
 
-        monkeypatch.setattr(cli, "_witness_blocks", explode)
+        corrupt_blocks(explode)
         code, _, err = run_cli(capsys, "evolve", "--r1", "0.4", "--r2", "0.3", "--L", "3")
         assert code == 3
         assert "degeneracy" in err
@@ -511,34 +492,30 @@ class TestEvolve:
         assert code == 0
         assert len(out.strip().split("\n")) == 14
 
-    def test_oracle_checks_the_printed_covariances(self, capsys, monkeypatch):
-        columns = cli._columns
+    @staticmethod
+    def printed_columns(config):
+        """evolve's joint covariances, g_s_to_an and g_an_to_s, which --oracle checks."""
+        traj = run(config)
+        return traj.joint_cm, *(steering_series(traj, d) for d in cli.DIRECTIONS)
 
-        def perturbed(c22, w, start):
-            c22, c_sq, w, h = columns(c22, w, start)
-            c_sq[:, 7] -= 1e-6  # joint_cm[7] and both steering columns follow
-            return c22, c_sq, w, h
+    def test_oracle_checks_the_printed_covariances(self, capsys, corrupt_blocks):
+        def perturbed(start, c22, w):
+            c22[:, 7] *= 1 - 1e-6  # |c22|^2, joint_cm[7] and both steering columns follow
 
-        monkeypatch.setattr(cli, "_columns", perturbed)
+        corrupt_blocks(perturbed)  # one block
         code, out, err = run_cli(capsys, "evolve", "--r1", ".4", "--r2", ".3", "--L", "12",
                                  "--oracle")
         assert code == 3 and out == ""
         assert "oracle mismatch at step 7:" in err
 
-    def test_oracle_checks_the_printed_steering(self, capsys, monkeypatch):
-        steering_columns = cli.steering_columns
-
-        def perturbed(c_sq, w, joint, env, direction):
-            series = steering_columns(c_sq, w, joint, env, direction)
-            if direction is Direction.A_TO_B:
-                series[:, 5] += 1e-6
-            return series
-
-        monkeypatch.setattr(cli, "steering_columns", perturbed)
-        code, out, err = run_cli(capsys, "evolve", "--r1", ".4", "--r2", ".3", "--L", "12",
-                                 "--oracle")
-        assert code == 3 and out == ""
-        assert "oracle mismatch at step 5: max deviation 1e-06 in g_an_to_s" in err
+    def test_oracle_checks_the_printed_steering(self):
+        # A G off by 1e-6 with its |c22|^2 left alone: no fault of the chain makes one.
+        config = SimulationConfig(r1=0.4, r2=0.3, L=12)
+        joint_cm, g_san, g_ans = self.printed_columns(config)
+        g_ans[5] += 1e-6
+        with pytest.raises(GaussCollideError,
+                           match="oracle mismatch at step 5: max deviation 1e-06 in g_an_to_s"):
+            reference.verify_against_oracle(config, joint_cm, g_san, g_ans)
 
     def test_oracle_allows_for_the_conditioning_of_its_determinants(self, capsys):
         # At xi = 12 the 4x4 determinants resolve G only to about 1e-6.
@@ -555,15 +532,11 @@ class TestEvolve:
         code, out, err = run_cli(capsys, *self.LARGE_XI, "--oracle")
         assert (code, out, err) == (0, plain, "")
 
-    def test_oracle_still_checks_covariances_with_large_entries(self, capsys, monkeypatch):
-        columns = cli._columns
+    def test_oracle_still_checks_covariances_with_large_entries(self, capsys, corrupt_blocks):
+        def perturbed(start, c22, w):
+            c22[:, 22] *= np.exp(1e-6j)  # only joint_cm follows; steering reads |c22|^2
 
-        def perturbed(c22, w, start):
-            c22, c_sq, w, h = columns(c22, w, start)
-            c22[:, 22] *= 1 + 1e-6  # only joint_cm follows; steering reads |c22|^2
-            return c22, c_sq, w, h
-
-        monkeypatch.setattr(cli, "_columns", perturbed)
+        corrupt_blocks(perturbed)  # one block
         code, out, err = run_cli(capsys, *self.LARGE_XI, "--oracle")
         assert code == 3 and out == ""
         assert "oracle mismatch at step 22:" in err and "in joint_cm" in err
@@ -586,33 +559,22 @@ class TestEvolve:
             f"warning: --oracle could not check the steering at {unchecked} of 13 steps, "
             "first at step 0\n"))
 
-    def test_oracle_names_the_steps_its_tolerance_cannot_resolve(self, capsys, monkeypatch):
+    def test_oracle_names_the_steps_its_tolerance_cannot_resolve(self, capsys):
         # At xi = 19 the steering tolerance at step 0 (16 eps cosh^2 xi, about 51)
         # exceeds G = ln cosh 19, so an error of 5 there passes, but not silently.
-        steering_columns = cli.steering_columns
+        config = SimulationConfig(r1=0.4, r2=0.3, joint=JointSpec(xi=19.0), L=12)
+        joint_cm, g_san, g_ans = self.printed_columns(config)
+        g_ans[0] += 5.0
+        reference.verify_against_oracle(config, joint_cm, g_san, g_ans)
+        assert capsys.readouterr().err == ("warning: --oracle could not check the steering at 1 "
+                                           "of 13 steps, first at step 0\n")
 
-        def perturbed(c_sq, w, joint, env, direction):
-            series = steering_columns(c_sq, w, joint, env, direction)
-            if direction is Direction.A_TO_B:
-                series[:, 0] += 5.0
-            return series
+    def test_oracle_checks_covariances_where_it_cannot_check_steering(self, capsys,
+                                                                       corrupt_blocks):
+        def perturbed(start, c22, w):
+            c22[:, 1] *= np.exp(1e-6j)  # only joint_cm follows; steering reads |c22|^2
 
-        monkeypatch.setattr(cli, "steering_columns", perturbed)
-        code, out, err = run_cli(capsys, "evolve", "--r1", ".4", "--r2", ".3", "--L", "12",
-                                 "--xi", "19", "--oracle")
-        assert code == 0 and len(out.split("\n")) == 15
-        assert err == ("warning: --oracle could not check the steering at 1 of 13 steps, "
-                       "first at step 0\n")
-
-    def test_oracle_checks_covariances_where_it_cannot_check_steering(self, capsys, monkeypatch):
-        columns = cli._columns
-
-        def perturbed(c22, w, start):
-            c22, c_sq, w, h = columns(c22, w, start)
-            c22[:, 1] *= 1 + 1e-6  # only joint_cm follows; steering reads |c22|^2
-            return c22, c_sq, w, h
-
-        monkeypatch.setattr(cli, "_columns", perturbed)
+        corrupt_blocks(perturbed)  # one block
         code, out, err = run_cli(capsys, "evolve", "--r1", ".4", "--r2", ".3", "--L", "12",
                                  "--xi", "20", "--oracle")
         assert code == 3 and out == ""
@@ -998,22 +960,17 @@ class TestScan:
         assert code == 0
         assert run_cli(capsys, *args, "--jobs", "100000") == (0, serial, "")
 
-    def test_degeneracy_names_its_cell(self, capsys, monkeypatch):
-        columns = cli._columns
-
-        def unphysical_cell(c22, w, start):
-            c22, c_sq, w, h = columns(c22, w, start)
+    def test_degeneracy_names_its_cell(self, capsys, corrupt_blocks):
+        def unphysical_cell(start, c22, w):
             assert start == 0 and len(w) == 4  # the grid's one block
-            w = w.copy()
             w[3, 5] = 10.0  # r1 = 0.8, r2 = 0.9; |W| <= 1 - |c22|^2 on a physical row
-            return c22, c_sq, w, h
 
-        monkeypatch.setattr(cli, "_columns", unphysical_cell)
+        corrupt_blocks(unphysical_cell)
         code, out, err = run_cli(capsys, "scan", "--grid-r1", "0.2,0.8", "--grid-r2", "0.3,0.9",
                                  "--L", "10")
-        assert (code, out) == (3, "")
-        assert err.startswith("error: numerical degeneracy: cell r1 = 0.8, r2 = 0.9: step 5: "
-                              "|W| = 10.0 exceeds 1 - |c|^2 = ")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cell r1 = 0.8, r2 = 0.9: coefficient column not normalized "
+                              "at row 5: |W| = 10.0 exceeds H = 1 - |c22|^2 = ")
         assert err.count("\n") == 1
 
     def test_out_of_memory_length(self, capsys, monkeypatch):
@@ -1023,7 +980,7 @@ class TestScan:
             raise AssertionError("scan started stepping")
 
         monkeypatch.setattr(engine, "physical_memory", lambda: 2**30)
-        monkeypatch.setattr(cli, "_column_blocks", no_steps)
+        monkeypatch.setattr(engine, "_blocks", no_steps)
         code, out, err = run_cli(capsys, "scan", "--grid-r1", "0.2,0.8", "--grid-r2", "0.3,0.9",
                                  "--L", "100000000")
         assert code == 2
@@ -1039,7 +996,7 @@ class TestScan:
             raise AssertionError("scan built its grid")
 
         monkeypatch.setattr(engine, "physical_memory", lambda: 20 * 2**20)
-        monkeypatch.setattr(cli, "_column_blocks", refused)
+        monkeypatch.setattr(engine, "_blocks", refused)
         monkeypatch.setattr(np, "linspace", refused)
         code, out, err = run_cli(capsys, "scan", "--grid-r1", grid[0], "--grid-r2", grid[1],
                                  "--L", "2")
@@ -1210,7 +1167,6 @@ class TestTransport:
             raise AssertionError("transport started stepping")
 
         monkeypatch.setattr(engine, "physical_memory", lambda: 2 * 2**20)
-        monkeypatch.setattr(cli, "_column_blocks", no_steps)
         monkeypatch.setattr(engine, "_blocks", no_steps)
         code, out, err = run_cli(capsys, "transport", "--r1", ".4", "--r2", ".3",
                                  "--L", "10000000", "--modes", "1")
@@ -1283,36 +1239,32 @@ class TestTransport:
                 if j >= k:
                     assert rows[j][column] == rows[k][column]
 
-    @staticmethod
-    def unphysical_rows(monkeypatch, rows):
-        """Make env_mode_columns' rows at the given positions unphysical:
-        |W| = 10 > 1 - |c|^2."""
-        columns = cli.env_mode_columns
-
-        def patched(config, modes):
-            c22, c_sq, w, h = columns(config, modes)
-            w = w.copy()
-            w[rows] = 10.0
-            return c22, c_sq, w, h
-
-        monkeypatch.setattr(cli, "env_mode_columns", patched)
-
     def test_degeneracy_names_step_and_column(self, capsys, monkeypatch):
-        self.unphysical_rows(monkeypatch, [4])  # E_3's carried row, printed at j = k - 1 = 2
-        code, out, err = run_cli(capsys, "transport", "--r1", "0.4", "--r2", "0.3",
-                                 "--L", "5", "--modes", "1,3,5")
-        assert code == 3
-        assert out == ""
-        assert "step 2, column g_e3_to_an:" in err
+        constants = engine._round_constants
+
+        def leaky(block):  # the system amplitude gains 1% per round
+            k = constants(block)
+            return ((k[0][0] * 1.01, k[0][1] * 1.01), *k[1:])
+
+        monkeypatch.setattr(engine, "_round_constants", leaky)
+        # The E_k rows are checked before the chain: the first to fail is E_30's
+        # carried row, printed at j = k - 1 = 29, or E_1's middle row, at j = k = 1.
+        for modes, where in (("30,35", "step 29, column g_e30_to_an"),
+                             ("1", "step 1, column g_e1_to_an")):
+            code, out, err = run_cli(capsys, "transport", "--r1", "0.4", "--r2", "0.3",
+                                     "--L", "40", "--modes", modes)
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"error: {where}: coefficient column not normalized at row ")
 
     def test_steers_each_distinct_covariance_once(self, capsys, monkeypatch):
-        stacks, steering_columns = [], cli.steering_columns
+        stacks, determinants = [], steering.reduced_determinants
 
-        def counted(c_sq, *args):
-            stacks.append(len(c_sq))
-            return steering_columns(c_sq, *args)
+        def counted(c_sq, *args):  # once per steering_columns call
+            stacks.append(c_sq.size)
+            return determinants(c_sq, *args)
 
-        monkeypatch.setattr(cli, "steering_columns", counted)
+        monkeypatch.setattr(steering, "reduced_determinants", counted)
         code, out, _ = run_cli(capsys, "transport", "--r1", "0.4", "--r2", "0.3",
                                "--L", "30", "--modes", "1,15,31")
         assert code == 0 and len(out.strip().split("\n")) == 32

@@ -33,3 +33,27 @@ def test_long_argvs_span_several_blocks():
                for words in map(shlex.split, compare_stdout.LONG_ARGVS)]
     assert all(words[0] == "scan" for words in map(shlex.split, compare_stdout.LONG_ARGVS))
     assert max(lengths) + 1 > cli.EMIT_ROWS
+
+
+def test_fault_argvs_end_on_stderr():
+    # Each fails with one error line, or runs and warns, so their stderr is compared.
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    for argv in compare_stdout.FAULT_ARGVS:
+        code, out, err = compare_stdout.run(str(src), argv)
+        last = err.decode().splitlines()[-1]
+        if code == 2:
+            assert out == b"" and "error: " in last, argv
+        else:
+            assert code == 0 and out and last.startswith("warning: "), argv
+
+
+def test_a_changed_stderr_is_a_mismatch(monkeypatch, capsys):
+    runs = {"old": (2, b"", b"usage: x\nerror: a\n"), "new": (2, b"", b"usage: x\nerror: b\n")}
+    monkeypatch.setattr(compare_stdout, "run", lambda src, argv: runs[src])
+    monkeypatch.setattr(compare_stdout, "golden_argvs", lambda path: [])
+    monkeypatch.setattr(compare_stdout, "random_argvs", lambda count, seed: [])
+    monkeypatch.setattr(compare_stdout, "LONG_ARGVS", [])
+    monkeypatch.setattr(compare_stdout, "FAULT_ARGVS", ["evolve --r1 2"])
+    assert compare_stdout.main(["old", "new"]) == 1
+    assert capsys.readouterr().out == ("DIFF  exit 2 -> 2, stderr ['error: a'] -> ['error: b']  "
+                                       "evolve --r1 2\n1 of 1 argvs differ\n")

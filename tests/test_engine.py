@@ -539,21 +539,16 @@ class TestBatchedRecurrence:
         for state in _states(SimulationConfig(r1=0.4, r2=1.0, phi_shift=phi, L=4)):
             assert all(type(v) is complex for v in state)
 
-    def test_grids_walk_chunks_of_their_guard(self, capsys, monkeypatch):
+    def test_grids_walk_chunks_of_their_guard(self, capsys, corrupt_blocks):
         # scan walks the blocks of a chunk of cells at a time, as many cells as
         # its guard lets one chunk hold, and each cell once.
-        sizes, evaluate = [], cli._column_blocks
-
-        def recorded(configs, L, steps):
-            sizes.append((len(configs), steps))
-            return evaluate(configs, L, steps)
-
-        monkeypatch.setattr(cli, "_column_blocks", recorded)
+        walks = corrupt_blocks()
         axis = "0.05:0.95:21"  # the README scan
         assert cli.main(["scan", "--grid-r1", axis, "--grid-r2", axis, "--L", "250"]) == 0
         assert capsys.readouterr().out.count("\n") == 1 + 441
         size = cli._scan_chunk(441, 250)[0]
         assert 1 < size < 441
+        sizes = [(len(configs), steps) for configs, steps, _ in walks]
         assert sizes == [(min(size, 441 - at), cli.EMIT_ROWS) for at in range(0, 441, size)]
 
     def test_normalization_failure_keeps_its_message(self, capsys, monkeypatch):
@@ -576,10 +571,11 @@ class TestBatchedRecurrence:
 
     def test_history_takes_its_chunk_guard(self):
         # scan sizes a chunk from the bytes a cell holds (cli._scan_chunk): its
-        # share of one gathered block with the witnesses' temporaries, measured,
-        # and the positive G increments kept to the end, RISE_BYTES per step at
-        # most.  The traced peak stays within it, and at L = 4000 the part
-        # beside the increments fills most of what the guard measured.
+        # share of one gathered block, no longer than the chain, with the
+        # witnesses' temporaries, measured, and the positive G increments kept
+        # to the end, RISE_BYTES per step at most.  The traced peak stays within
+        # it, and at L = 4000 the part beside the increments fills most of what
+        # the guard measured.
         configs = [SimulationConfig(r1=r1, r2=0.3) for r1 in np.linspace(0.0, 1.0, 32)]
         for L in (1, 10, 40, 120, 400, 1000, 4000):
             chunk = [replace(c, L=L) for c in configs]
@@ -592,6 +588,8 @@ class TestBatchedRecurrence:
             assert peak <= len(chunk) * cli._scan_chunk(1, L)[1], L
             # The evaluator allocates only the rows it yields: 2 steps at L = 1, not EMIT_ROWS.
             assert L > 1 or peak < 5000 * len(chunk), peak
+        # Charged a whole block of EMIT_ROWS rows (62 kB a cell), a chunk at L = 1 held 33 cells.
+        assert cli._scan_chunk(10**6, 1)[0] >= 10 * 33
         kept = 8 * sum(np.count_nonzero(np.diff(steering_series(run(c), d)) > 0.0)
                        for c in chunk for d in Direction)
         measured = len(chunk) * (cli._scan_chunk(1, L)[1] - cli.RISE_BYTES * (L + 1))

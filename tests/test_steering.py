@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausscollide.engine import SimulationConfig, joint_cm_closed_form, joint_cm_stack, run
+from gausscollide.engine import (
+    SimulationConfig,
+    _columns,
+    joint_cm_closed_form,
+    joint_cm_stack,
+    run,
+)
 from gausscollide.errors import DegenerateCovarianceError
 from gausscollide.reference import (
     CCoefficients,
@@ -19,7 +25,7 @@ from gausscollide.reference import (
     squeezed_thermal_cm,
     tmsv_cm,
 )
-from gausscollide.states import MAX_ENV_SQUEEZING, EnvironmentSpec, JointSpec
+from gausscollide.states import MAX_ENV_SQUEEZING, MAX_SQUEEZING, EnvironmentSpec, JointSpec
 from gausscollide.steering import (
     Direction,
     nm_from_steering,
@@ -139,12 +145,20 @@ class TestSteeringSeries:
         assert g[2] > 0.3 and g[4] > 0.25
 
     def test_degeneracy_names_its_step(self):
+        # `_columns`, which `run` calls, is the chain's one check: it names the
+        # unphysical row.  Steering reads such a row with |W| = H and stays finite.
         traj = run(SimulationConfig(r1=0.4, r2=0.3, L=4))
         w = traj.env_square_sum.copy()
         w[2] = 10.0  # |W| <= 1 - |c22|^2 on a physical row
-        traj = dataclasses.replace(traj, env_square_sum=w)
-        with pytest.raises(DegenerateCovarianceError, match=r"^step 2: \|W\| = 10.0 exceeds"):
-            steering_series(traj, Direction.A_TO_B)
+        with pytest.raises(ValueError, match=r"^coefficient column not normalized at row 2: "
+                           r"\|W\| = 10.0 exceeds"):
+            _columns(traj.c22, w)
+        bounded = w.copy()
+        bounded[2] = traj.env_abs_square_sum[2]
+        for direction in Direction:
+            unphysical = steering_series(dataclasses.replace(traj, env_square_sum=w), direction)
+            physical = steering_series(dataclasses.replace(traj, env_square_sum=bounded), direction)
+            assert unphysical.tobytes() == physical.tobytes()
 
     def test_memoryless_chain_never_increases(self):
         traj = run(SimulationConfig(r1=0.7, r2=1.0, L=40))
@@ -198,6 +212,32 @@ class TestClosedFormSteering:
                                               config.joint, config.env)
         assert np.all(math.cosh(config.joint.xi) ** 2 * schur >= 1.0 - 1e-12)
         assert np.all(det_v_s >= 1.0 - 1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        xi=st.one_of(st.just(MAX_SQUEEZING), st.floats(0.0, MAX_SQUEEZING)),
+        zeta=st.one_of(st.sampled_from([-MAX_ENV_SQUEEZING, MAX_ENV_SQUEEZING]),
+                       st.floats(-MAX_ENV_SQUEEZING, MAX_ENV_SQUEEZING)),
+        phi_env=st.floats(-10.0, 10.0),
+        n=st.one_of(st.sampled_from([0.0, 1e8]), st.floats(0.0, 1e8)),
+        c_sq=st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1.0]), st.floats(0.0, 1.0)),
+        w_over_h=st.one_of(st.sampled_from([0.0, 1.0, 10.0]), st.floats(0.0, 10.0)),
+        w_excess=st.sampled_from([0.0, 1e-10]),
+        angle=st.floats(-math.pi, math.pi),
+    )
+    def test_det_sigma_is_at_least_one_for_any_columns(self, xi, zeta, phi_env, n, c_sq,
+                                                        w_over_h, w_excess, angle):
+        # The bound of reduced_determinants' docstring holds for every |c|^2 and
+        # W, |W| up to ten times H = 1 - |c|^2 and past the normalization tolerance:
+        # steering_columns needs no degeneracy check.
+        joint, env = JointSpec(xi=xi), EnvironmentSpec(n=n, zeta=zeta, phi_env=phi_env)
+        c_sq = np.array([c_sq])
+        w = (w_over_h * (1.0 - c_sq) + w_excess) * np.exp(1j * angle)
+        schur, _ = reduced_determinants(c_sq, w, joint, env)
+        assert math.cosh(xi) ** 2 * schur[0] >= 1.0 - 1e-9
+        for direction in Direction:
+            g = steering_columns(c_sq, w, joint, env, direction)
+            assert np.isfinite(g[0]) and g[0] >= 0.0
 
     @pytest.mark.parametrize("xi", [10.0, 14.0, 18.0, 20.0, 100.0, 177.0])
     def test_initial_steering_is_ln_cosh_xi(self, xi):

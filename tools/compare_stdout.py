@@ -9,14 +9,16 @@ with PYTHONPATH set to that tree's `src` directory.  The argvs are every
 golden argv of tests/test_cli_golden.py, then RANDOM_ARGVS random ones
 drawn with seed SEED: all four subcommands, the four environment families,
 reflectivities 0, 1 and interior, CSV and JSON lines, and `evolve --oracle`
-at L <= 200; then the LONG_ARGVS scans, whose cells span several blocks.
+at L <= 200; then the LONG_ARGVS scans, whose cells span several blocks,
+and the FAULT_ARGVS, each of which ends in an error or a warning on stderr.
 --argv adds more, one quoted argv per flag.
 
-One line per argv says whether the exit code and the stdout sha256 match.
-On a mismatch it gives the number of changed tokens (numbers, keys and
-literals, split at commas, colons, braces and whitespace) and the largest
-absolute and relative deviation of the changed numeric tokens.  The last
-line counts the mismatches; the exit status is 1 if there is any.
+One line per argv says whether the exit code, the stdout sha256 and stderr
+match.  On a stdout mismatch it gives the number of changed tokens (numbers,
+keys and literals, split at commas, colons, braces and whitespace) and the
+largest absolute and relative deviation of the changed numeric tokens; on a
+stderr mismatch, the last line of each.  The last line counts the
+mismatches; the exit status is 1 if there is any.
 
 Standard library only: this process imports neither numpy nor the package.
 """
@@ -48,6 +50,17 @@ LONG_ARGVS = [
     "scan --grid-r1 0:1:21 --grid-r2 0:1:21 --L 3000 --format jsonl --env squeezed --zeta 1.5 "
     "--phi 2",
     "scan --grid-r1 0.4,0.9 --grid-r2 0.3,0.99 --L 1000000",
+]
+# Runs that fail (exit 2) or warn: bad input, an undefined threshold, the
+# memory refusal, and --oracle's warning at large squeezing.
+FAULT_ARGVS = [
+    "evolve --r1 1.5 --r2 0.3 --L 3",
+    "transport --r1 0.4 --r2 0.3 --L 5 --modes 7",
+    "transport --r1 0.4 --r2 0.3 --L 5 --modes 1,2,2",
+    "evolve --r1 0.4 --r2 0.3 --L 3 --env squeezed --zeta 5.000001",
+    "thresholds --family an-to-s-thermal --n-values 0 --xi-values 0",
+    "evolve --r1 0.4 --r2 0.3 --L 1000000000000000000000000000000",
+    "evolve --r1 0.4 --r2 0.3 --L 12 --xi 20 --oracle",
 ]
 
 
@@ -121,12 +134,12 @@ def random_argvs(count: int, seed: int) -> list[str]:
     return [random_argv(rng, commands[i % 4]) for i in range(count)]
 
 
-def run(src: str, argv: str) -> tuple[int, bytes]:
-    """Exit code and stdout of one argv under the source tree src."""
+def run(src: str, argv: str) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of one argv under the source tree src."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     done = subprocess.run([sys.executable, "-m", "gausscollide.cli", *shlex.split(argv)],
-                          env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, check=False)
-    return done.returncode, done.stdout
+                          env=env, capture_output=True, check=False)
+    return done.returncode, done.stdout, done.stderr
 
 
 def token_deviation(old: str, new: str) -> str:
@@ -160,18 +173,24 @@ def main(argv=None) -> int:
                         help="one more argv, quoted; may repeat")
     args = parser.parse_args(argv)
 
-    argvs = golden_argvs(GOLDEN_PATH) + random_argvs(RANDOM_ARGVS, SEED) + LONG_ARGVS + args.argv
+    argvs = (golden_argvs(GOLDEN_PATH) + random_argvs(RANDOM_ARGVS, SEED) + LONG_ARGVS
+             + FAULT_ARGVS + args.argv)
     mismatches = 0
     for line in argvs:
-        (old_code, old_out), (new_code, new_out) = (run(src, line)
-                                                    for src in (args.old_src, args.new_src))
+        (old_code, old_out, old_err), (new_code, new_out, new_err) = (
+            run(src, line) for src in (args.old_src, args.new_src))
         digest = hashlib.sha256(new_out).hexdigest()[:16]
-        if old_code == new_code and old_out == new_out:
+        if (old_code, old_out, old_err) == (new_code, new_out, new_err):
             print(f"same  exit {new_code} sha256 {digest}  {line}")
             continue
         mismatches += 1
-        detail = token_deviation(old_out.decode(), new_out.decode())
-        print(f"DIFF  exit {old_code} -> {new_code}, {detail}  {line}")
+        details = [f"exit {old_code} -> {new_code}"]
+        if old_out != new_out:
+            details.append(token_deviation(old_out.decode(), new_out.decode()))
+        if old_err != new_err:
+            details.append("stderr {!r} -> {!r}".format(
+                *(err.decode().splitlines()[-1:] for err in (old_err, new_err))))
+        print(f"DIFF  {', '.join(details)}  {line}")
     print(f"{mismatches} of {len(argvs)} argvs differ")
     return 1 if mismatches else 0
 
