@@ -24,27 +24,18 @@ from dataclasses import replace
 import numpy as np
 
 from .divisibility import divisibility_columns
-from .engine import (
-    SimulationConfig,
-    _column_blocks,
-    _columns,
-    block_bytes,
-    env_mode_columns,
-    joint_cm_stack,
-    require_memory,
-)
+from .engine import SimulationConfig, block_bytes, env_mode_columns, joint_cm_stack, require_memory
 from .errors import GaussCollideError
 from .states import EnvironmentSpec, JointSpec, require_finite
 from .steering import (
-    Direction,
     steering_columns,
     threshold_an_to_s_squeezed_vac,
     threshold_an_to_s_thermal,
     threshold_s_to_an,
 )
+from .witnesses import DIRECTIONS, scan_chunk, scan_measures, witness_blocks
 
 ENV_FAMILIES = ("vacuum", "thermal", "squeezed", "squeezed-thermal")
-DIRECTIONS = (Direction.B_TO_A, Direction.A_TO_B)  # S -> An, then An -> S: evolve's columns
 FORMATS = ("csv", "jsonl")
 OUT_HELP = ("output file (default stdout); the output waits in a temporary file in $TMPDIR "
             "until the run ends")
@@ -55,22 +46,10 @@ THRESHOLD_FAMILIES = {  # family: (swept parameters, threshold function)
 }
 
 # A bound on the bytes a `scan` cell, a `thresholds` row or an axis value
-# holds beside scan's chunk (`_scan_chunk`): with tracemalloc, a scan at
-# L = 2 and at L = 50 grows by 240 to 243 B per cell from 80 x 80 to
+# holds beside scan's chunk (`witnesses.scan_chunk`): with tracemalloc, a scan
+# at L = 2 and at L = 50 grows by 240 to 243 B per cell from 80 x 80 to
 # 250 x 250 cells, a thresholds table by 130 to 168 B per row.
 GRID_CELL_BYTES = 400
-
-# Bytes a `scan` chunk may hold (on x86-64, a 10 x 10 scan at L = 250 peaks
-# at 30.2 MiB RSS; with 4 and 16 MiB, at 30.9 and 34.2), and per cell beside
-# the evaluator's `block_bytes`: per step of a gathered block, at most 224 B of
-# columns and witness temporaries (tracemalloc, L = 1 to 16000); per step of
-# the chain, the G increments kept, as each direction rises at most once a
-# step (8 B), and under 1 B of their arrays' headers; and the lists that keep
-# them with the witnesses' fixed temporaries, 2.1 kB at L = 1 (32 to 512 cells).
-SCAN_CHUNK_BYTES = 2**21
-SCAN_ROW_BYTES = 240
-RISE_BYTES = 17
-SCAN_CELL_BYTES = 2400
 
 # Rows that emit formats at a time, at about 90 B per cell beside the table,
 # and the fewest steps of a block that `evolve`, `transport` and `scan` walk.
@@ -223,27 +202,6 @@ def _simulation_config(args, parser, r1, r2) -> SimulationConfig:
     )
 
 
-def _witness_blocks(configs, L: int, directions):
-    """Per block of the chain walk of configurations that differ only in r1
-    and r2 (`_column_blocks`, gathered to EMIT_ROWS steps): the steps j, then
-    (cells, steps) arrays of c22, |c22|^2 with the step before first (1 before
-    step 0: the identity channel), W, and G in each of directions.  `_columns`
-    is the one check of the chain: its error names the row (the step) and
-    carries its cell as `cell`.  Steering cannot fail (`reduced_determinants`)."""
-    joint, env = configs[0].joint, configs[0].env
-    start, c_sq_before = 0, np.ones((len(configs), 1))
-    for c22, w in _column_blocks(configs, L, EMIT_ROWS):
-        try:
-            c22, c_sq, w = _columns(c22, w, start)[:3]
-        except ValueError as exc:  # a flat index of (cell, step)
-            exc.cell = exc.index // c22.shape[1]
-            raise
-        g = [steering_columns(c_sq, w, joint, env, d) for d in directions]
-        c_sq = np.concatenate([c_sq_before, c_sq], axis=1)
-        yield np.arange(start, start + c22.shape[1]), c22, c_sq, w, *g
-        c_sq_before, start = c_sq[:, -1:], start + c22.shape[1]
-
-
 def cmd_evolve(args, parser):
     config = _simulation_config(args, parser, args.r1, args.r2)
     header = ["j", "re_c22", "im_c22", "abs_c22_sq", "g_s_to_an", "g_an_to_s",
@@ -253,7 +211,7 @@ def cmd_evolve(args, parser):
 
     def tables():
         printed = []  # --oracle's columns
-        for j, *columns in _witness_blocks([config], config.L, DIRECTIONS):
+        for j, *columns in witness_blocks([config], config.L, DIRECTIONS, EMIT_ROWS):
             c22, c_sq, w, g_san, g_ans = (column[0] for column in columns)
             if args.oracle:
                 printed.append((c22, c_sq[1:], w, g_san, g_ans))
@@ -271,42 +229,6 @@ def cmd_evolve(args, parser):
     return header, tables()
 
 
-def _scan_chunk(cells: int, L: int) -> tuple[int, int]:
-    """(cells per chunk, bytes of one chunk) of `scan` over cells of L rounds."""
-    b = math.isqrt(L + 1)
-    rows = min(-(-EMIT_ROWS // b) * b, L + 1)  # a gathered block, at most the chain
-    cell_bytes = block_bytes(L) + SCAN_ROW_BYTES * rows + RISE_BYTES * (L + 1) + SCAN_CELL_BYTES
-    size = min(cells, max(1, SCAN_CHUNK_BYTES // cell_bytes))
-    return size, size * cell_bytes
-
-
-def _scan_measures(chunk, L: int) -> np.ndarray:
-    """scan's rows of configurations that differ only in r1 and r2, reduced
-    from the blocks `evolve` walks (`_witness_blocks`); an error names its
-    cell.  N_GS sums each direction's positive G increments with `np.sum` at
-    the end, and N_CPTP adds each negative eigenvalue of the steps j >= 2 in
-    step order, nu_plus first: the bits of `nm_from_steering` and `nm_cptp`."""
-    rises = [[[] for _ in chunk] for _ in DIRECTIONS]  # each cell's positive increments
-    last = [np.empty((len(chunk), 0))] * 2  # G of the step before the block
-    n_cptp = np.zeros((len(chunk), 1))
-    try:
-        for j, _, c_sq, _, *g in _witness_blocks(chunk, L, DIRECTIONS):
-            for kept, before, series in zip(rises, last, g):
-                diffs = np.diff(np.concatenate([before, series], axis=1), axis=1)
-                for increments, row in zip(kept, diffs):
-                    increments.append(row[row > 0.0])
-            last = [series[:, -1:] for series in g]
-            nu_p, nu_m, _, _ = divisibility_columns(c_sq, chunk[0].env)
-            nus = np.stack([nu_p, nu_m], axis=-1)[:, max(0, 2 - j[0]):].reshape(len(chunk), -1)
-            violations = np.where(nus < 0.0, -nus, 0.0)  # NaN < 0 is False: skipped steps add 0
-            n_cptp = np.cumsum(np.concatenate([n_cptp, violations], axis=1), axis=1)[:, -1:]
-    except ValueError as exc:
-        cell = chunk[exc.cell]
-        raise ValueError(f"cell r1 = {cell.r1:.12g}, r2 = {cell.r2:.12g}: {exc}") from None
-    n_gs = [[np.sum(np.concatenate(increments)) for increments in kept] for kept in rises]
-    return np.column_stack([[c.r1 for c in chunk], [c.r2 for c in chunk], *n_gs, n_cptp[:, 0]])
-
-
 def cmd_scan(args, parser):
     if args.steps < 2:
         parser.error("scan needs --L >= 2")
@@ -315,15 +237,16 @@ def cmd_scan(args, parser):
         parser.error("--grid-r1 and --grid-r2 are required, with at least 2 points each")
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    size, need = _scan_chunk(n1 * n2, args.steps)
+    size, need = scan_chunk(n1 * n2, args.steps, EMIT_ROWS)
     require_memory(f"the --grid-r1 x --grid-r2 grid of {n1} x {n2} cells at L = {args.steps}",
                    need + (n1 * n2 + n1 + n2) * GRID_CELL_BYTES)
     r1s, r2s = r1s(), r2s()
     base = _simulation_config(args, parser, r1s[0], r2s[0])
     cells = [replace(base, r1=r1, r2=r2) for r1 in r1s for r2 in r2s]
     header = ["r1", "r2", "n_gs_s_to_an", "n_gs_an_to_s", "n_cptp"]
-    table = np.concatenate([_scan_measures(cells[at : at + size], base.L)
-                            for at in range(0, len(cells), size)])
+    chunks = [cells[at : at + size] for at in range(0, len(cells), size)]
+    table = np.concatenate([scan_measures(chunk, witness_blocks(chunk, base.L, DIRECTIONS,
+                                                                EMIT_ROWS)) for chunk in chunks])
     return header, [(0, table, None)]
 
 
@@ -347,17 +270,16 @@ def cmd_transport(args, parser):
     require_memory(f"L = {config.L}", len(header) * block_bytes(config.L))  # as in evolve
     try:
         _, env_c_sq, env_w, _ = env_mode_columns(config, modes)
-    except ValueError as exc:  # a flat index of (mode, row)
-        k, row = modes[exc.index // 3], exc.index % 3
-        raise ValueError(f"step {(0, k - 1, k)[row]}, column g_e{k}_to_an: {exc}") from None
-    env = steering_columns(env_c_sq, env_w, config.joint, config.env, Direction.B_TO_A)
+    except ValueError as exc:  # names the step; its cell is the mode's column
+        raise ValueError(f"column {header[2 + exc.cell]}: {exc}") from None
+    env = steering_columns(env_c_sq, env_w, config.joint, config.env, DIRECTIONS[0])  # S -> An
     # E_k's rows print for steps 0 .. k - 2, k - 1 and k .. L
     # (k = 1's unit row and k = L + 1's middle row for none).
     before, middle, after = env.reshape(-1, 3).T
     last_unit = np.array(modes) - 2
 
     def tables():
-        for j, _, _, _, g_san in _witness_blocks([config], config.L, (Direction.B_TO_A,)):
+        for j, _, _, _, g_san in witness_blocks([config], config.L, DIRECTIONS[:1], EMIT_ROWS):
             env_g = np.select([j[:, None] <= last_unit, j[:, None] == last_unit + 1],
                               [before, middle], after)
             yield j[0], np.column_stack((j, g_san[0], env_g)), None  # g_san: evolve's g_s_to_an

@@ -67,6 +67,15 @@ def divisibility_columns(c_sq, env: EnvironmentSpec) -> tuple[np.ndarray, ...]:
     return nu_p, nu_m, ratio, skipped
 
 
+def violation_sum(nu_p, nu_m, total) -> np.ndarray:
+    """total, a (..., 1) array, plus max{0, -nu} over the steps of the last
+    axis, nu_plus first, added in step order by np.cumsum: carried across
+    blocks, the sum keeps its bits.  A skipped step's NaN adds 0 (NaN < 0 is False)."""
+    nus = np.stack([nu_p, nu_m], axis=-1).reshape(*nu_p.shape[:-1], -1)
+    violations = np.where(nus < 0.0, -nus, 0.0)
+    return np.cumsum(np.concatenate([total, violations], axis=-1), axis=-1)[..., -1:]
+
+
 def divisibility_records(trajectory) -> list[DivisibilityRecord]:
     """Per-step records for j = 1 .. L along a trajectory."""
     columns = (col.tolist() for col in
@@ -81,10 +90,6 @@ def nm_cptp(trajectory) -> DivisibilityMeasure:
     if trajectory.config.L < 2:
         raise ValueError("nm_cptp needs at least two rounds (L >= 2)")
     nu_p, nu_m, _, skipped = divisibility_columns(trajectory.c22_abs_sq, trajectory.config.env)
-    nus = np.stack([nu_p[1:], nu_m[1:]], axis=1).ravel()  # step order, nu_plus first
-    total = 0.0
-    # Summed in order: np.sum and sum() round differently.  NaN < 0 is False.
-    for nu in nus[nus < 0.0].tolist():
-        total -= nu
+    total = violation_sum(nu_p[1:], nu_m[1:], np.zeros(1))
     skipped_steps = tuple((np.flatnonzero(skipped[1:]) + 2).tolist())
-    return DivisibilityMeasure(value=total, skipped_steps=skipped_steps)
+    return DivisibilityMeasure(value=float(total[0]), skipped_steps=skipped_steps)

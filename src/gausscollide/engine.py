@@ -9,13 +9,10 @@ by a constant 1).  Every column is then K^j x_0, which one block-power
 evaluator (`_blocks`) computes for a batch of configurations in
 O(sqrt(L)) array operations, in blocks of about sqrt(L) steps gathered to
 at least its `steps`, each configuration's bits independent of the batch,
-since numpy's long double `@` sums in index order.  `_columns` turns c22
-and W arrays into (c22, |c22|^2, W, H = 1 - |c22|^2) columns, each row
-checked against |W| <= H, for the library's `run` (through `iter_steps`;
-its `Trajectory` keeps three, derives H), `env_mode_columns`, and the
-blocks of `_column_blocks` gathered to `cli.EMIT_ROWS` steps, from which
-every command reads its witnesses (`cli._witness_blocks`; `scan` a chunk
-of grid cells at once).  With `oracle_enabled`, `iter_steps` also
+since numpy's long double `@` sums in index order.  `_columns` checks each
+row against |W| <= H = 1 - |c22|^2, for `run` (through `iter_steps`),
+`env_mode_columns` and the blocks of `_column_blocks` that every command
+reads (`witnesses.witness_blocks`).  With `oracle_enabled`, `iter_steps` also
 propagates the full (L+3)-mode covariance matrix symplectically, the
 reference the tests and `evolve --oracle` check the closed forms against.
 That path, `run`'s per-step stream and `Trajectory.steps` import their
@@ -273,23 +270,24 @@ def block_bytes(L: int) -> int:
     return CELL_BLOCK_BYTES * math.isqrt(L + 1)
 
 
-def _columns(c22, w, start: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(c22, |c22|^2, W, H) from the c22 and W arrays of the rows start,
-    start + 1, ... (the last axis of (cells, rows) arrays), with
-    H = 1 - |c22|^2 and each row checked against |W| <= H (Cauchy-Schwarz
-    on the unit row): the error names the first failing row and keeps its
-    flat position as `index`.  |c22|^2 is CCoefficients' a * a of
-    a = abs(c22): np.hypot is abs, and an array ** 2 is x * x."""
+def _columns(c22, w, steps=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(c22, |c22|^2, W, H) from c22 and W arrays of (cells, rows) or one
+    column, H = 1 - |c22|^2, each row checked against |W| <= H (Cauchy-Schwarz
+    on the unit row): the error names the first failing row by its step (steps,
+    broadcast to the arrays; 0, 1, ... by default) and keeps its cell as `cell`.
+    |c22|^2 is CCoefficients' a * a of a = abs(c22): np.hypot is abs, and an
+    array ** 2 is x * x."""
     c_sq = np.hypot(c22.real, c22.imag) ** 2
     h = 1.0 - c_sq
     abs_w = np.abs(w)
     defect = ~(abs_w <= h + NORMALIZATION_TOL)  # NaN and inf are defects
     if defect.any():
         i = int(np.argmax(defect))
-        exc = ValueError(f"coefficient column not normalized at row {start + i % h.shape[-1]}: "
+        step = np.broadcast_to(np.arange(h.shape[-1]) if steps is None else steps, h.shape).flat[i]
+        exc = ValueError(f"coefficient column not normalized at row {step}: "
                          f"|W| = {float(abs_w.flat[i])!r} exceeds H = 1 - |c22|^2 = "
                          f"{float(h.flat[i])!r}")
-        exc.index = i
+        exc.cell = i // h.shape[-1]
         raise exc
     return c22, c_sq, w, h
 
@@ -300,7 +298,8 @@ def env_mode_columns(config: SimulationConfig, modes) -> tuple[np.ndarray, ...]:
     E_k's row is the unit row before step k - 1, the carried row E at
     j = k - 1 and round k's middle row from j = k on.  The last two come
     from the full state after k - 1 rounds, the middle row as one product
-    of that state with the round whose system row is the middle one.
+    of that state with the round whose system row is the middle one.  An
+    error names the step a row prints from, and k's place in modes as `cell`.
     """
     for k in modes:
         if not 1 <= k <= config.L + 1:
@@ -318,9 +317,10 @@ def env_mode_columns(config: SimulationConfig, modes) -> tuple[np.ndarray, ...]:
         product = middle[:1].astype(np.clongdouble) @ state[..., None]
         rows.append((state[:, e], product[:, 0, 0].astype(complex)))
     (a_e, a_m), (g_ee, g_m) = rows
-    c22 = np.stack([np.zeros_like(a_e), a_e, a_m], axis=1).ravel()
-    w = np.stack([np.ones_like(g_ee), g_ee, g_m], axis=1).ravel()
-    return _columns(c22, w)
+    c22 = np.stack([np.zeros_like(a_e), a_e, a_m], axis=1)
+    w = np.stack([np.ones_like(g_ee), g_ee, g_m], axis=1)
+    steps = np.stack([np.zeros_like(j), j, j + 1], axis=1)
+    return tuple(column.ravel() for column in _columns(c22, w, steps))
 
 
 def physical_memory() -> int:

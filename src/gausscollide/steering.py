@@ -125,6 +125,17 @@ def steering_series(trajectory, direction: Direction) -> np.ndarray:
                             config.joint, config.env, direction)
 
 
+def rises(series) -> list[np.ndarray]:
+    """The positive increments of a series G(j), or of each row of a stack."""
+    return [row[row > 0.0] for row in np.atleast_2d(np.diff(series))]
+
+
+def revival(increments) -> float:
+    """A series' sum of positive increments, given in step order in any number
+    of parts: one np.sum of them all, whose pairwise grouping sees the whole."""
+    return float(np.sum(np.concatenate(increments)))
+
+
 def nm_from_steering(series) -> float:
     """Total steering revival: sum of positive increments of G(j).
 
@@ -133,8 +144,7 @@ def nm_from_steering(series) -> float:
     series = np.asarray(series, dtype=float)
     if series.ndim != 1 or series.size < 1:
         raise ValueError("expected a non-empty 1-d series")
-    diffs = np.diff(series)
-    return float(np.sum(diffs[diffs > 0.0]))
+    return revival(rises(series))
 
 
 def threshold_s_to_an(n: float) -> float:

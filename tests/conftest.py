@@ -1,19 +1,19 @@
-"""The tests' one seam into the command line's chain walk."""
+"""The tests' one seam into the chain walk that every command reads."""
 
 import pytest
 
-import gausscollide.cli as cli
+import gausscollide.witnesses as witnesses
 
 
 @pytest.fixture
 def corrupt_blocks(monkeypatch):
     """corrupt_blocks(edit=None) routes every block the command line walks
-    (`cli._column_blocks`: c22 and W as (cells, steps) arrays) through
+    (`witnesses._column_blocks`: c22 and W as (cells, steps) arrays) through
     edit(start, c22, w), start being the block's first step; edit may change
     the arrays in place, or raise.  It returns the walks as a list, each a
     (configs, steps, block starts) triple, appended to as the walk goes."""
     def install(edit=None):
-        column_blocks, walks = cli._column_blocks, []
+        column_blocks, walks = witnesses._column_blocks, []
 
         def corrupted(configs, L, steps):
             starts, start = [], 0
@@ -25,7 +25,7 @@ def corrupt_blocks(monkeypatch):
                 yield c22, w
                 start += c22.shape[1]
 
-        monkeypatch.setattr(cli, "_column_blocks", corrupted)
+        monkeypatch.setattr(witnesses, "_column_blocks", corrupted)
         return walks
 
     return install

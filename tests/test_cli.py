@@ -23,6 +23,7 @@ import gausscollide.cli as cli
 import gausscollide.engine as engine
 import gausscollide.reference as reference
 import gausscollide.steering as steering
+import gausscollide.witnesses as witnesses
 from gausscollide.cli import ENV_FAMILIES, main, parse_angle, parse_values
 from gausscollide.divisibility import nm_cptp
 from gausscollide.engine import SimulationConfig, env_ancilla_cm, iter_steps, run
@@ -589,8 +590,8 @@ class TestEvolve:
         code, whole, _ = run_cli(capsys, *argv)  # one block
         assert code == 0
         monkeypatch.setattr(cli, "EMIT_ROWS", 3)
-        blocks = list(cli._witness_blocks([SimulationConfig(r1=0.0, r2=0.5, L=12)], 12,
-                                          (Direction.B_TO_A,)))
+        blocks = list(witnesses.witness_blocks([SimulationConfig(r1=0.0, r2=0.5, L=12)], 12,
+                                               (Direction.B_TO_A,), cli.EMIT_ROWS))
         assert [j[0] for j, *_ in blocks] == [0, 3, 6, 9, 12]
         assert {c_sq[0, -1] < 1e-14 for _, _, c_sq, *_ in blocks[:-1]} == {True, False}
         assert run_cli(capsys, *argv) == (0, whole, "")
@@ -743,14 +744,14 @@ class TestEmit:
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_non_finite_measure_exits_3(self, capsys, monkeypatch, tmp_path, fmt):
-        divisibility_columns = cli.divisibility_columns
+        divisibility_columns = witnesses.divisibility_columns
 
         def unbounded_violation(c_sq, env):  # at step L: n_cptp adds -nu_plus = inf
             nu_p, *rest = divisibility_columns(c_sq, env)
             nu_p[..., -1] = -math.inf
             return nu_p, *rest
 
-        monkeypatch.setattr(cli, "divisibility_columns", unbounded_violation)
+        monkeypatch.setattr(witnesses, "divisibility_columns", unbounded_violation)
         argv = ("scan", "--grid-r1", "0.2,0.8", "--grid-r2", "0.3,0.9", "--L", "10", "--format", fmt)
         existing = tmp_path / "table"
         existing.write_bytes(b"r1,r2\r\n0.2,0.3\n")
@@ -785,16 +786,16 @@ class TestEmit:
                                                              to_file):
         # emit writes the blocks before the bad one to the spool, which is never copied out.
         monkeypatch.setattr(cli, "EMIT_ROWS", 20)
-        witness_blocks = cli._witness_blocks
+        witness_blocks = cli.witness_blocks
 
-        def inf_at_step_77(configs, L, directions):
-            for j, c22, c_sq, w, *g in witness_blocks(configs, L, directions):
+        def inf_at_step_77(configs, L, directions, rows):
+            for j, c22, c_sq, w, *g in witness_blocks(configs, L, directions, rows):
                 if j[0] <= 77 <= j[-1]:
                     for series in g:
                         series[:, 77 - j[0]] = math.inf
                 yield j, c22, c_sq, w, *g
 
-        monkeypatch.setattr(cli, "_witness_blocks", inf_at_step_77)
+        monkeypatch.setattr(cli, "witness_blocks", inf_at_step_77)
         existing = tmp_path / "table"
         existing.write_bytes(b"j,g\r\n0,1\n")
         out_flag = ("--out", str(existing)) if to_file else ()
@@ -1044,7 +1045,8 @@ class TestScan:
         with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(buf):
             mp.setattr(cli, "EMIT_ROWS", emit_rows)
             cells = len(r1) * len(r2) if whole_grid else 1
-            mp.setattr(cli, "SCAN_CHUNK_BYTES", cells * cli._scan_chunk(1, L)[1])
+            mp.setattr(witnesses, "SCAN_CHUNK_BYTES",
+                       cells * witnesses.scan_chunk(1, L, cli.EMIT_ROWS)[1])
             assert main(argv) == 0
         env = EnvironmentSpec(**params)
         rows = []
@@ -1071,7 +1073,8 @@ class TestScan:
             assert np.all(np.diff(c_sq) <= 0.0), config.r1
         outputs = []
         for cells in (1, len(configs)):
-            monkeypatch.setattr(cli, "SCAN_CHUNK_BYTES", cells * cli._scan_chunk(1, 5000)[1])
+            monkeypatch.setattr(witnesses, "SCAN_CHUNK_BYTES",
+                                cells * witnesses.scan_chunk(1, 5000, cli.EMIT_ROWS)[1])
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0
             rows = [line.split(",") for line in out.strip().split("\n")[1:]]
@@ -1249,13 +1252,15 @@ class TestTransport:
         monkeypatch.setattr(engine, "_round_constants", leaky)
         # The E_k rows are checked before the chain: the first to fail is E_30's
         # carried row, printed at j = k - 1 = 29, or E_1's middle row, at j = k = 1.
-        for modes, where in (("30,35", "step 29, column g_e30_to_an"),
-                             ("1", "step 1, column g_e1_to_an")):
+        for modes, where in (("30,35", "column g_e30_to_an: coefficient column not normalized "
+                                       "at row 29: |W| = 0.7802363833732157 exceeds "),
+                             ("1", "column g_e1_to_an: coefficient column not normalized "
+                                   "at row 1: |W| = ")):
             code, out, err = run_cli(capsys, "transport", "--r1", "0.4", "--r2", "0.3",
                                      "--L", "40", "--modes", modes)
             assert code == 2
             assert out == ""
-            assert err.startswith(f"error: {where}: coefficient column not normalized at row ")
+            assert err.startswith(f"error: {where}")
 
     def test_steers_each_distinct_covariance_once(self, capsys, monkeypatch):
         stacks, determinants = [], steering.reduced_determinants

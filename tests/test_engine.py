@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausscollide import cli, engine
+from gausscollide import cli, engine, witnesses
 from gausscollide.divisibility import SKIP_TOL
 from gausscollide.engine import (
     SimulationConfig,
@@ -546,7 +546,7 @@ class TestBatchedRecurrence:
         axis = "0.05:0.95:21"  # the README scan
         assert cli.main(["scan", "--grid-r1", axis, "--grid-r2", axis, "--L", "250"]) == 0
         assert capsys.readouterr().out.count("\n") == 1 + 441
-        size = cli._scan_chunk(441, 250)[0]
+        size = witnesses.scan_chunk(441, 250, cli.EMIT_ROWS)[0]
         assert 1 < size < 441
         sizes = [(len(configs), steps) for configs, steps, _ in walks]
         assert sizes == [(min(size, 441 - at), cli.EMIT_ROWS) for at in range(0, 441, size)]
@@ -570,7 +570,7 @@ class TestBatchedRecurrence:
                                                         f"{scalar.value}\n")
 
     def test_history_takes_its_chunk_guard(self):
-        # scan sizes a chunk from the bytes a cell holds (cli._scan_chunk): its
+        # scan sizes a chunk from the bytes a cell holds (witnesses.scan_chunk): its
         # share of one gathered block, no longer than the chain, with the
         # witnesses' temporaries, measured, and the positive G increments kept
         # to the end, RISE_BYTES per step at most.  The traced peak stays within
@@ -581,18 +581,20 @@ class TestBatchedRecurrence:
             chunk = [replace(c, L=L) for c in configs]
             tracemalloc.start()
             try:
-                cli._scan_measures(chunk, L)
+                witnesses.scan_measures(chunk, witnesses.witness_blocks(
+                    chunk, L, witnesses.DIRECTIONS, cli.EMIT_ROWS))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= len(chunk) * cli._scan_chunk(1, L)[1], L
+            assert peak <= len(chunk) * witnesses.scan_chunk(1, L, cli.EMIT_ROWS)[1], L
             # The evaluator allocates only the rows it yields: 2 steps at L = 1, not EMIT_ROWS.
             assert L > 1 or peak < 5000 * len(chunk), peak
         # Charged a whole block of EMIT_ROWS rows (62 kB a cell), a chunk at L = 1 held 33 cells.
-        assert cli._scan_chunk(10**6, 1)[0] >= 10 * 33
+        assert witnesses.scan_chunk(10**6, 1, cli.EMIT_ROWS)[0] >= 10 * 33
         kept = 8 * sum(np.count_nonzero(np.diff(steering_series(run(c), d)) > 0.0)
                        for c in chunk for d in Direction)
-        measured = len(chunk) * (cli._scan_chunk(1, L)[1] - cli.RISE_BYTES * (L + 1))
+        measured = len(chunk) * (witnesses.scan_chunk(1, L, cli.EMIT_ROWS)[1]
+                                 - witnesses.RISE_BYTES * (L + 1))
         assert peak - kept > 0.8 * measured
 
     @settings(max_examples=60, deadline=None)

@@ -9,8 +9,8 @@ with PYTHONPATH set to that tree's `src` directory.  The argvs are every
 golden argv of tests/test_cli_golden.py, then RANDOM_ARGVS random ones
 drawn with seed SEED: all four subcommands, the four environment families,
 reflectivities 0, 1 and interior, CSV and JSON lines, and `evolve --oracle`
-at L <= 200; then the LONG_ARGVS scans, whose cells span several blocks,
-and the FAULT_ARGVS, each of which ends in an error or a warning on stderr.
+at L <= 200; then the LONG_ARGVS, whose chains span several blocks, and the
+FAULT_ARGVS, each of which ends in an error or a warning on stderr.
 --argv adds more, one quoted argv per flag.
 
 One line per argv says whether the exit code, the stdout sha256 and stderr
@@ -41,8 +41,9 @@ TOKEN_SPLIT = re.compile(r"[\s,:{}]+")
 # The golden-digest protocol's minimum of random argvs, and their seed.
 RANDOM_ARGVS = 40
 SEED = 1
-# Scans whose chains span several of the blocks `scan` reduces one at a
-# time; every golden and random scan fits in one.
+# Runs whose chains span several of the blocks every command walks one at a
+# time (at L = 100000, blocks of 316 steps; E_317's carried row opens the
+# second); every golden and random scan fits in one.
 LONG_ARGVS = [
     "scan --grid-r1 0:1:41 --grid-r2 0:1:41 --L 1000 --env thermal --n 0.5 --xi 1.2 --phi 0.7",
     "scan --grid-r1 0.4,0.9,0.999 --grid-r2 0.3,0.99,0 --L 100000 --env squeezed-thermal "
@@ -50,6 +51,10 @@ LONG_ARGVS = [
     "scan --grid-r1 0:1:21 --grid-r2 0:1:21 --L 3000 --format jsonl --env squeezed --zeta 1.5 "
     "--phi 2",
     "scan --grid-r1 0.4,0.9 --grid-r2 0.3,0.99 --L 1000000",
+    "evolve --r1 0.999 --r2 0.3 --L 100000 --phi 0.4 --env squeezed-thermal --n 0.3 --zeta 0.8 "
+    "--phi-env 0.7 --format jsonl",
+    "transport --r1 0.4 --r2 0.3 --L 100000 --phi 0.9 --env thermal --n 0.5 "
+    "--modes 1,317,50000,100001",
 ]
 # Runs that fail (exit 2) or warn: bad input, an undefined threshold, the
 # memory refusal, and --oracle's warning at large squeezing.
